@@ -8,6 +8,15 @@ tracking where components go yields a deterministic OBDD that classifies
 inputs exactly like the program does at a given margin, with width bounded
 by a sphere-packing count of (1 + 2/theta)^(2d).
 
+Both geometric steps, collapsing configurations within 1e-9 of each other
+and chaining them into theta-components, rest on one fixed-radius
+near-neighbour primitive (``_near_pairs``): sort the configurations by
+their projection Re<x, r> onto one fixed unit direction r and compare only
+those whose projections lie within the radius.  The projection is
+1-Lipschitz (|Re<x - y, r>| <= ||x - y||), so no pair within the radius is
+skipped, and every pair kept or ruled out is decided by its explicit
+distance: the result is exact, not an approximation, in any width.
+
 Also here: the measured accept/reject separation of a program, the two
 closed-form separation lower bounds, a brute-force minimal OBDD width
 oracle (distinct-subfunction counting), and integer width lower bounds
@@ -34,6 +43,9 @@ from .program import (
 )
 
 MAX_REACHABLE_LEVELS = 20
+# bytes of one level's candidate block (2m configurations of the width):
+# the universal program passes at n = 12 (256 MiB) and stops at n = 13
+CONFIG_BUDGET_BYTES = 1 << 29
 MAX_SEPARATION_VARS = 16
 MAX_WIDTH_VARS = 24
 
@@ -63,37 +75,152 @@ class _UnionFind:
             self.rank[ru] += 1
 
 
-def _pairwise_sq_distances(mat: np.ndarray) -> np.ndarray:
-    sq = np.einsum("ij,ij->i", mat, mat.conj()).real
-    gram = (mat @ mat.conj().T).real
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    return np.maximum(d2, 0.0)
+_PROJECTION_SEED = 20030205
+_GRAM_BLOCK_ROWS = 128
+_DIFF_BLOCK_ELEMS = 1 << 20
+_DEDUP_CHUNK_ROWS = 256
 
 
-def _dedup(vectors: Sequence[np.ndarray], tol: float) -> tuple[list[np.ndarray], list[int]]:
-    """Collapse vectors within ``tol`` of an earlier one; returns the kept
-    vectors and, for every candidate, the index it mapped to."""
-    dim = vectors[0].shape[0]
-    buf = np.empty((len(vectors), dim), dtype=np.complex128)
+def _explicit_sq_distances(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """sum |b[j] - a[i]|^2 per pair, from explicit differences."""
+    out = np.empty(i.shape[0], dtype=np.float64)
+    step = max(1, _DIFF_BLOCK_ELEMS // max(1, a.shape[1]))
+    for s in range(0, i.shape[0], step):
+        diff = b[j[s:s + step]] - a[i[s:s + step]]
+        out[s:s + step] = np.sum(np.abs(diff) ** 2, axis=1)
+    return out
+
+
+def _near_pairs(
+    mat: np.ndarray, radius: float, other: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of rows at distance at most ``radius``, exactly.
+
+    Returns index arrays ``i``, ``j`` and the squared distances ``d2`` of
+    all pairs with ||mat[i] - other[j]|| <= radius; with ``other`` None, of
+    all pairs i < j of rows of ``mat``.
+
+    Fixed-radius sort and sweep (Bentley, Stanat & Williams 1977): every row
+    is projected onto one fixed unit direction r, as Re<x, r>.  The
+    projection is 1-Lipschitz, so the rows within ``radius`` of x all
+    project into a window of half-width ``radius`` around x's projection,
+    widened by a bound on the projection's rounding.  Only the window pairs
+    are scored, in blocks of Gram products ||x||^2 + ||y||^2 - 2 Re<x, y>,
+    which discard every pair whose Gram value exceeds radius^2 by more than
+    its rounding bound.  The pairs left are decided, and their ``d2``
+    computed, by explicit differences sum |y - x|^2.  So the result is the
+    set of pairs whose explicitly computed squared distance is at most
+    radius^2: the set an all-pairs scan gives, in any dimension.
+    """
+    a = np.ascontiguousarray(mat, dtype=np.complex128)
+    b = a if other is None else np.ascontiguousarray(other, dtype=np.complex128)
+    empty = np.empty(0, dtype=np.int64)
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return empty, empty, np.empty(0)
+    # real rows of twice the length: Re<x, y> is their plain dot product
+    ra, rb = a.view(np.float64), b.view(np.float64)
+    direction = np.random.default_rng(_PROJECTION_SEED).standard_normal(ra.shape[1])
+    direction /= np.linalg.norm(direction)
+    sq_a = np.einsum("ij,ij->i", ra, ra)
+    sq_b = sq_a if other is None else np.einsum("ij,ij->i", rb, rb)
+    max_sq = float(max(sq_a.max(), sq_b.max()))
+    # Rounding bounds, each with a factor of 2 or more to spare: a length-k
+    # dot product errs by at most k*eps/2*|x||y|; the explicit squared
+    # distance of a pair near the radius, by k*eps*radius^2.
+    eps = np.finfo(np.float64).eps
+    k = ra.shape[1] + 4
+    r2 = radius * radius
+    half = radius * (1.0 + k * eps) + 4.0 * k * eps * math.sqrt(max_sq)
+    gram_err = 4.0 * k * eps * (max_sq + r2)
+
+    proj_b = rb @ direction
+    order_b = np.argsort(proj_b, kind="stable")
+    sorted_b = proj_b[order_b]
+    if other is None:
+        order_a, sorted_a = order_b, sorted_b
+        lo = np.arange(1, a.shape[0] + 1)
+    else:
+        proj_a = ra @ direction
+        order_a = np.argsort(proj_a, kind="stable")
+        sorted_a = proj_a[order_a]
+        lo = np.searchsorted(sorted_b, sorted_a - half, side="left")
+    hi = np.searchsorted(sorted_b, sorted_a + half, side="right")
+
+    found_i, found_j, found_d2 = [], [], []
+    for s0 in range(0, a.shape[0], _GRAM_BLOCK_ROWS):
+        blo, bhi = lo[s0:s0 + _GRAM_BLOCK_ROWS], hi[s0:s0 + _GRAM_BLOCK_ROWS]
+        rows = np.nonzero(bhi > blo)[0]
+        if rows.size == 0:
+            continue
+        blo, bhi = blo[rows], bhi[rows]
+        c0, c1 = int(blo[0]), int(bhi[-1])
+        cover = np.zeros(c1 - c0 + 1, dtype=np.int64)
+        np.add.at(cover, blo - c0, 1)
+        np.add.at(cover, bhi - c0, -1)
+        cols = c0 + np.nonzero(np.cumsum(cover[:-1]) > 0)[0]
+        ia, jb = order_a[s0 + rows], order_b[cols]
+        d2 = sq_a[ia][:, None] + sq_b[jb][None, :] - 2.0 * (ra[ia] @ rb[jb].T)
+        window = (cols[None, :] >= blo[:, None]) & (cols[None, :] < bhi[:, None])
+        pi, pj = np.nonzero(window & (d2 <= r2 + gram_err))
+        exact = _explicit_sq_distances(a, b, ia[pi], jb[pj])
+        keep = exact <= r2
+        found_i.append(ia[pi[keep]])
+        found_j.append(jb[pj[keep]])
+        found_d2.append(exact[keep])
+    if not found_i:
+        return empty, empty, np.empty(0)
+    i, j, d2 = np.concatenate(found_i), np.concatenate(found_j), np.concatenate(found_d2)
+    if other is None:
+        i, j = np.minimum(i, j), np.maximum(i, j)
+    return i, j, d2
+
+
+def _greedy_dedup(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse rows in order: a row is kept unless a kept earlier row lies
+    within ``tol``; then it maps to the nearest such row, the lowest index on
+    ties.  Returns the kept rows (a frozen block) and, for every row, the
+    index among the kept rows that it maps to.
+
+    Distances come from explicit differences (see ``_near_pairs``), so
+    nearest rows and ties are those of the plain sequential loop.  Rows go
+    in chunks, each checked first against the rows kept so far; only the
+    rows left unmatched are swept against each other, so a large cluster of
+    equal rows costs time linear in its size, not quadratic.
+    """
+    n = rows.shape[0]
+    kept = np.empty_like(rows)
     count = 0
-    index: list[int] = []
-    tol2 = tol * tol
-    for v in vectors:
-        if count:
-            d2 = np.sum(np.abs(buf[:count] - v) ** 2, axis=1)
-            j = int(np.argmin(d2))
-            if d2[j] <= tol2:
-                index.append(j)
-                continue
-        buf[count] = v
-        index.append(count)
-        count += 1
-    kept = []
-    for i in range(count):
-        arr = buf[i].copy()
-        arr.flags.writeable = False
-        kept.append(arr)
-    return kept, index
+    index = np.empty(n, dtype=np.int64)
+    no_pairs = (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
+    for c0 in range(0, n, _DEDUP_CHUNK_ROWS):
+        chunk = rows[c0:c0 + _DEDUP_CHUNK_ROWS]
+        earlier = _near_pairs(chunk, tol, kept[:count]) if count else no_pairs
+        free = np.setdiff1d(np.arange(chunk.shape[0]), earlier[0])
+        # a row with no kept row from earlier chunks near it is kept unless
+        # a row kept earlier in this chunk is near it
+        fi, fj, _ = _near_pairs(chunk[free], tol)
+        is_new = np.ones(free.shape[0], dtype=bool)
+        for a, b in zip(*(x[np.argsort(fj, kind="stable")] for x in (fi, fj))):
+            if is_new[a]:
+                is_new[b] = False
+        new = free[is_new]
+        kept[count:count + new.shape[0]] = chunk[new]
+        rest = np.setdiff1d(np.arange(chunk.shape[0]), new)
+        i, j, d2 = _near_pairs(chunk[rest], tol, chunk[new])
+        i = rest[i]
+        before = new[j] < i
+        i = np.concatenate([earlier[0], i[before]])
+        j = np.concatenate([earlier[1], count + j[before]])
+        d2 = np.concatenate([earlier[2], d2[before]])
+        # per row, the nearest kept row, the lowest kept index on ties
+        order = np.lexsort((j, d2, i))
+        first = order[np.unique(i[order], return_index=True)[1]]
+        index[c0 + i[first]] = j[first]
+        index[c0 + new] = count + np.arange(new.shape[0])
+        count += new.shape[0]
+    out = kept if count == n else kept[:count].copy()
+    out.flags.writeable = False
+    return out, index
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +243,14 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
     """Enumerate distinct configurations per level, deduplicated at 1e-9.
 
     Requires a read-once program (each level branches on a fresh variable,
-    so length-j prefixes are exactly the 2^j read-bit sequences).
+    so length-j prefixes are exactly the 2^j read-bit sequences).  Each
+    level applies both unitaries to the whole block of the previous level's
+    configurations and collapses the 2m candidates (configuration i on bit
+    b is candidate 2i + b) greedily in candidate order: a candidate within
+    1e-9 of a kept earlier one maps to the nearest, lowest index on ties.
+    Near candidates are found by an exact sort and sweep (``_near_pairs``),
+    not by comparing all pairs.  Before a level's candidates are built,
+    2m * width * 16 bytes is checked against ``CONFIG_BUDGET_BYTES``.
     """
     if not is_read_once(p):
         raise ValueError("reachable-configuration enumeration requires a read-once program")
@@ -124,30 +258,33 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
         raise ValueError(
             f"level budget exceeded: {p.length} levels, limit {MAX_REACHABLE_LEVELS}"
         )
-    configs: list[np.ndarray] = [p.initial]
+    block = p.initial[None, :]
     prefix = np.zeros(1, dtype=np.int64)
     levels = [
         LevelConfigurations(0, (p.initial,), prefix, np.empty((0, 2), dtype=np.int64))
     ]
     for tf in p.transformations:
-        candidates: list[np.ndarray] = []
-        for c in configs:
-            candidates.append(tf.apply_to(0, c))
-            candidates.append(tf.apply_to(1, c))
-        kept, index = _dedup(candidates, CONFIG_DEDUP_TOL)
-        for c in kept:
-            if abs(float(np.linalg.norm(c)) - 1.0) > 1e-9:
-                raise RuntimeError("reachable configuration drifted off unit norm")
-        trans = np.array(index, dtype=np.int64).reshape(-1, 2)
+        m = block.shape[0]
+        need = 2 * m * p.width * 16
+        if need > CONFIG_BUDGET_BYTES:
+            raise ValueError(
+                f"configuration budget exceeded: level {len(levels)} needs {need} bytes "
+                f"for {2 * m} candidates of width {p.width}, limit {CONFIG_BUDGET_BYTES}"
+            )
+        candidates = np.empty((2 * m, p.width), dtype=np.complex128)
+        candidates[0::2] = tf.apply_to_columns(0, block.T).T
+        candidates[1::2] = tf.apply_to_columns(1, block.T).T
+        block, index = _greedy_dedup(candidates, CONFIG_DEDUP_TOL)
+        del candidates  # release it before the next level allocates its own
+        if np.any(np.abs(np.linalg.norm(block, axis=1) - 1.0) > 1e-9):
+            raise RuntimeError("reachable configuration drifted off unit norm")
+        trans = index.reshape(-1, 2)
         trans.flags.writeable = False
         nxt_prefix = np.empty(2 * prefix.shape[0], dtype=np.int64)
         nxt_prefix[0::2] = trans[prefix, 0]
         nxt_prefix[1::2] = trans[prefix, 1]
         nxt_prefix.flags.writeable = False
-        levels.append(
-            LevelConfigurations(len(levels), tuple(kept), nxt_prefix, trans)
-        )
-        configs = kept
+        levels.append(LevelConfigurations(len(levels), tuple(block), nxt_prefix, trans))
         prefix = nxt_prefix
     return levels
 
@@ -164,18 +301,23 @@ class ThetaPartition:
 
 
 def theta_components(configs: Sequence[np.ndarray], theta: float, level: int = 0) -> ThetaPartition:
+    """Union-find over the pairs at distance <= theta + 1e-12.
+
+    The pairs come from ``_near_pairs``, an exact fixed-radius sort and
+    sweep: each pair it returns, and each it rules out, is decided by its
+    explicit distance, so the partition is that of a dense all-pairs scan
+    without the m x m distance matrix.
+    """
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
     m = len(configs)
     if m == 0:
         return ThetaPartition(level, theta, {}, 0)
     mat = np.array([np.asarray(c, dtype=np.complex128) for c in configs])
-    d2 = _pairwise_sq_distances(mat)
-    thresh = (theta + CHAIN_SLACK) ** 2
     uf = _UnionFind(m)
-    ii, jj = np.nonzero(np.triu(d2 <= thresh, k=1))
-    for i, j in zip(ii, jj):
-        uf.union(int(i), int(j))
+    ii, jj, _ = _near_pairs(mat, theta + CHAIN_SLACK)
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        uf.union(i, j)
     ids: dict[int, int] = {}
     component_of: dict[int, int] = {}
     for i in range(m):
@@ -219,9 +361,11 @@ def theta_bounds(epsilon: float, d: int) -> SeparationReport:
 
 def _classified_final_configs(
     p: QbProgram, f: TruthTable, epsilon: float
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> tuple[list[np.ndarray], list[np.ndarray], list[LevelConfigurations] | None]:
     """Distinct final configurations split into accepting and rejecting at
     margin ``epsilon``; verifies first that the program computes ``f``.
+    Also returns the reachable levels of a read-once program (None for any
+    other program), so callers need not enumerate them again.
 
     The verification allows 1e-12 of slack so a margin equal to the measured
     one (up to rounding) is accepted."""
@@ -241,13 +385,15 @@ def _classified_final_configs(
         v = int(bad[0])
         raise ValueError(
             f"program does not compute the table with margin {epsilon}: input "
-            f"{''.join(map(str, bits_of_value(v, n)))} has acceptance {probs[v]!r}"
+            f"{''.join(map(str, bits_of_value(v, n)))} has acceptance {float(probs[v])!r}"
         )
+    levels = None
     if is_read_once(p):
-        configs = list(reachable_configurations(p)[-1].configs)
+        levels = reachable_configurations(p)
+        configs = levels[-1].configs
     else:
-        finals = [final_configuration(p, bits_of_value(v, n)) for v in range(1 << n)]
-        configs, _ = _dedup(finals, CONFIG_DEDUP_TOL)
+        finals = np.array([final_configuration(p, bits_of_value(v, n)) for v in range(1 << n)])
+        configs, _ = _greedy_dedup(finals, CONFIG_DEDUP_TOL)
     accepting: list[np.ndarray] = []
     rejecting: list[np.ndarray] = []
     for c in configs:
@@ -260,7 +406,7 @@ def _classified_final_configs(
             raise RuntimeError(
                 f"final configuration with acceptance {prob!r} is inside the margin band"
             )
-    return accepting, rejecting
+    return accepting, rejecting, levels
 
 
 def _min_cross_distance(
@@ -285,7 +431,7 @@ def measured_separation(p: QbProgram, f: TruthTable, epsilon: float) -> float:
     program accepting every input).  Raises if the program does not compute
     ``f`` with the given margin.
     """
-    accepting, rejecting = _classified_final_configs(p, f, epsilon)
+    accepting, rejecting, _ = _classified_final_configs(p, f, epsilon)
     return _min_cross_distance(accepting, rejecting)
 
 
@@ -339,12 +485,16 @@ class DerivedObdd:
 
 def packing_width_bound(theta: float, d: int) -> float:
     """Sphere-packing bound (1 + 2/theta)^(2d) on the number of
-    theta-components of unit-norm configurations in width d."""
+    theta-components of unit-norm configurations in width d; ``math.inf``
+    when it exceeds the float range (about 10^308)."""
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
     if d < 1:
         raise ValueError(f"width must be >= 1, got {d}")
-    return (1.0 + 2.0 / theta) ** (2 * d)
+    try:
+        return (1.0 + 2.0 / theta) ** (2 * d)
+    except OverflowError:
+        return math.inf
 
 
 def derive_deterministic_obdd(
@@ -361,14 +511,15 @@ def derive_deterministic_obdd(
     """
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    accepting_cfgs, rejecting_cfgs = _classified_final_configs(p, f, epsilon)
+    accepting_cfgs, rejecting_cfgs, levels = _classified_final_configs(p, f, epsilon)
     sep = _min_cross_distance(accepting_cfgs, rejecting_cfgs)
     if theta > sep + 1e-12:
         raise ValueError(
             f"theta {theta} exceeds the measured accept/reject separation {sep}; "
             f"an accepting and a rejecting configuration lie at distance {sep}"
         )
-    levels = reachable_configurations(p)
+    if levels is None:
+        levels = reachable_configurations(p)  # raises: not read-once
     chain_theta = theta - 1e-9 if theta > 2e-9 else theta / 2
     parts = [theta_components(lv.configs, chain_theta, level=lv.level) for lv in levels]
 

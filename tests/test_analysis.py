@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 import qbp.analysis
 from qbp import linalg
 from qbp.analysis import (
+    CONFIG_DEDUP_TOL,
+    _greedy_dedup,
+    _near_pairs,
     derive_deterministic_obdd,
     lower_bound_width,
     measured_separation,
@@ -21,6 +24,7 @@ from qbp.analysis import (
 )
 from qbp.constructions import (
     ModBlockSpec,
+    build_mod_program,
     mod_block,
     mod_truth_table,
     universal_exact_qbp,
@@ -29,12 +33,13 @@ from qbp.program import (
     QbProgram,
     QuantumTransformation,
     TruthTable,
+    accept_probability,
     bits_of_value,
     evaluate_all,
     final_configuration,
 )
 
-from conftest import random_program
+from conftest import chain_probability, random_program
 
 
 def identity_program(n=4):
@@ -103,6 +108,127 @@ def test_distance_preserved_across_levels(rng):
                     assert abs(before - after) <= 1e-9
 
 
+@pytest.mark.parametrize("case", ["universal", "mod", "haar"])
+def test_reachable_final_configs_match_chain_oracle(case, rng):
+    if case == "universal":
+        n, p = 7, universal_exact_qbp(TruthTable.random(7, rng))
+    elif case == "mod":
+        n, p = 10, build_mod_program(5, 10)
+    else:
+        n, p = 7, random_program(rng, d=5, n=7)
+    final = reachable_configurations(p)[-1]
+    for v in range(1 << n):
+        prob = accept_probability(final.configs[int(final.prefix_map[v])], p.accepting)
+        assert abs(prob - chain_probability(p, bits_of_value(v, n))) <= 1e-9
+
+
+def test_reachable_universal_n10_final_count():
+    p = universal_exact_qbp(TruthTable.random(10, np.random.default_rng(10)))
+    assert len(reachable_configurations(p)[-1].configs) == 1024
+
+
+def test_reachable_configuration_budget(monkeypatch):
+    # level 3 of the universal n=4 program has 8 candidates of width 16
+    monkeypatch.setattr(qbp.analysis, "CONFIG_BUDGET_BYTES", 2 * 4 * 16 * 16 - 1)
+    p = universal_exact_qbp(TruthTable.random(4, np.random.default_rng(4)))
+    with pytest.raises(ValueError, match="configuration budget exceeded: level 3"):
+        reachable_configurations(p)
+
+
+# -- near-pair primitive and greedy dedup -----------------------------------------------
+
+def brute_near_pairs(a, radius, b=None):
+    """Reference: every pair, by explicit differences."""
+    self_pairs = b is None
+    b = a if self_pairs else b
+    found = set()
+    for i in range(len(a)):
+        for j in range(i + 1 if self_pairs else 0, len(b)):
+            if np.sum(np.abs(b[j] - a[i]) ** 2) <= radius * radius:
+                found.add((i, j))
+    return found
+
+
+def reference_dedup(rows, tol):
+    """Reference: the plain sequential greedy loop."""
+    kept, index = [], []
+    for v in rows:
+        if kept:
+            d2 = np.sum(np.abs(np.array(kept) - v) ** 2, axis=1)
+            j = int(np.argmin(d2))
+            if d2[j] <= tol * tol:
+                index.append(j)
+                continue
+        kept.append(v)
+        index.append(len(kept) - 1)
+    return np.array(kept), index
+
+
+def clustered_rows(seed, m, d, scale):
+    """m rows drawn around a few centres with jitter of the given scale,
+    some exact repeats among them."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(size=(int(rng.integers(1, 5)), d)) + 1j * rng.normal(size=(1, d))
+    rows = centres[rng.integers(0, centres.shape[0], size=m)].astype(np.complex128)
+    rows += scale * rng.integers(-2, 3, size=(m, d))
+    return rows
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 6),
+       st.floats(0.01, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_near_pairs_matches_brute_force_random(seed, m, d, radius):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
+    i, j, d2 = _near_pairs(a, radius)
+    assert set(zip(i.tolist(), j.tolist())) == brute_near_pairs(a, radius)
+    assert np.all(i < j)
+    assert np.allclose(d2, np.sum(np.abs(a[i] - a[j]) ** 2, axis=1), rtol=0, atol=1e-12)
+    b = rng.normal(size=(m + 3, d)) + 1j * rng.normal(size=(m + 3, d))
+    i, j, _ = _near_pairs(a, radius, b)
+    assert set(zip(i.tolist(), j.tolist())) == brute_near_pairs(a, radius, b)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 5),
+       st.sampled_from([1e-13, 3e-10, 1e-9]))
+@settings(max_examples=60, deadline=None)
+def test_near_pairs_matches_brute_force_clustered(seed, m, d, scale):
+    # jitter far below, near and at the dedup tolerance, with exact repeats
+    a = clustered_rows(seed, m, d, scale)
+    i, j, _ = _near_pairs(a, CONFIG_DEDUP_TOL)
+    assert set(zip(i.tolist(), j.tolist())) == brute_near_pairs(a, CONFIG_DEDUP_TOL)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 24),
+       st.sampled_from([-1e-9, -1e-12, 0.0, 1e-12, 1e-9]))
+@settings(max_examples=60, deadline=None)
+def test_near_pairs_dense_window_on_basis_vectors(seed, d, offset):
+    # basis vectors with phases are all sqrt(2) apart: every pair lands in
+    # the projected window, and the radius sits on the distance itself
+    rng = np.random.default_rng(seed)
+    a = np.diag(np.exp(2j * np.pi * rng.random(d)))[rng.permutation(d)]
+    radius = math.sqrt(2) + offset
+    i, j, _ = _near_pairs(a, radius)
+    assert set(zip(i.tolist(), j.tolist())) == brute_near_pairs(a, radius)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 4),
+       st.sampled_from([1e-13, 3e-10, 1e-9]), st.sampled_from([1, 3, 7, 256]))
+@settings(max_examples=80, deadline=None)
+def test_greedy_dedup_matches_sequential_loop(seed, m, d, scale, chunk):
+    rows = clustered_rows(seed, m, d, scale)
+    saved = qbp.analysis._DEDUP_CHUNK_ROWS
+    qbp.analysis._DEDUP_CHUNK_ROWS = chunk
+    try:
+        kept, index = _greedy_dedup(rows, CONFIG_DEDUP_TOL)
+    finally:
+        qbp.analysis._DEDUP_CHUNK_ROWS = saved
+    ref_kept, ref_index = reference_dedup(rows, CONFIG_DEDUP_TOL)
+    assert index.tolist() == ref_index
+    assert np.array_equal(kept, ref_kept)
+    assert not kept.flags.writeable
+
+
 # -- theta components -------------------------------------------------------------------
 
 def test_theta_components_single_point():
@@ -124,6 +250,29 @@ def test_theta_components_chain_vs_split():
 def test_theta_components_requires_positive_theta():
     with pytest.raises(ValueError):
         theta_components([np.array([1.0])], 0.0)
+
+
+def brute_component_count(pts, radius):
+    parent = list(range(len(pts)))
+
+    def find(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    for i, j in brute_near_pairs(np.array(pts), radius):
+        parent[find(i)] = find(j)
+    return len({find(i) for i in range(len(pts))})
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 4), st.floats(0.05, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_theta_components_match_brute_force_union_find(seed, m, d, theta):
+    rng = np.random.default_rng(seed)
+    pts = list(rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d)))
+    part = theta_components(pts, theta)
+    assert part.count == brute_component_count(pts, theta + qbp.analysis.CHAIN_SLACK)
+    assert sorted(set(part.component_of.values())) == list(range(part.count))
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.5), st.floats(0.55, 2.0))
@@ -184,6 +333,20 @@ def test_separation_report_includes_measured():
     rep = separation_report(p, mod_truth_table(3, 6), 0.25)
     assert rep.measured == pytest.approx(math.sqrt(3), abs=1e-12)
     assert rep.measured >= rep.theta1 - 1e-9
+
+
+def test_measured_separation_read_twice_matches_all_inputs():
+    # non-read-once: the final configurations of all 2^n inputs, deduplicated
+    block = mod_block(ModBlockSpec(5, 1, 4))
+    p = QbProgram(4, 2, block.transformations * 2, block.initial, block.accepting)
+    probs = evaluate_all(p)
+    f = TruthTable(4, probs > 0.5)
+    finals = [final_configuration(p, bits_of_value(v, 4)) for v in range(16)]
+    acc = [c for c, b in zip(finals, f.bits) if b]
+    rej = [c for c, b in zip(finals, f.bits) if not b]
+    expected = min(np.linalg.norm(a - r) for a in acc for r in rej)
+    eps = float(np.min(np.abs(probs - 0.5)))
+    assert measured_separation(p, f, eps) == pytest.approx(expected, abs=1e-12)
 
 
 def test_random_programs_meet_theta1(rng):
@@ -262,6 +425,19 @@ def test_derive_transition_ambiguity_is_hard_error(monkeypatch):
     f = mod_truth_table(3, 2)
     with pytest.raises(RuntimeError, match="ambiguity"):
         derive_deterministic_obdd(p, f, 0.5, 0.25)
+
+
+def test_derive_enumerates_levels_once(monkeypatch):
+    real = qbp.analysis.reachable_configurations
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(qbp.analysis, "reachable_configurations", counting)
+    derive_deterministic_obdd(mod_block(ModBlockSpec(3, 1, 6)), mod_truth_table(3, 6), 0.5, 0.25)
+    assert len(calls) == 1
 
 
 # -- minimal OBDD width oracle ----------------------------------------------------------------------
@@ -350,5 +526,13 @@ def test_lower_bound_width_margin_needs_positive_radicand():
 
 def test_packing_width_bound_value():
     assert packing_width_bound(1.0, 2) == pytest.approx(81.0)
+    assert packing_width_bound(math.sqrt(2), 8) == (1.0 + 2.0 / math.sqrt(2)) ** 16
     with pytest.raises(ValueError):
         packing_width_bound(0.0, 2)
+
+
+def test_packing_width_bound_overflows_to_inf():
+    # (1 + sqrt 2)^1024 is about 10^392, past the float range
+    bound = packing_width_bound(math.sqrt(2), 512)
+    assert bound == math.inf
+    assert 512 <= bound
