@@ -448,11 +448,15 @@ class DerivedObdd:
 
     ``transitions[j][c, b]`` is the component at level j+1 reached from
     component c of level j on bit b.  The initial component has index 0.
+    ``reachable_counts[j]`` is the number of distinct reachable
+    configurations at level j, which the components of ``level_counts[j]``
+    partition.
     """
 
     n_vars: int
     var_sequence: tuple[int, ...]
     level_counts: tuple[int, ...]
+    reachable_counts: tuple[int, ...]
     transitions: tuple[np.ndarray, ...]
     accepting: frozenset[int]
     theta: float
@@ -562,6 +566,7 @@ def derive_deterministic_obdd(
         n_vars=p.n_vars,
         var_sequence=p.var_sequence,
         level_counts=tuple(pt.count for pt in parts),
+        reachable_counts=tuple(len(lv.configs) for lv in levels),
         transitions=tuple(tables),
         accepting=accepting,
         theta=theta,

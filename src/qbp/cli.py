@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -36,14 +37,22 @@ class ExperimentRecord:
     metrics: dict = field(default_factory=dict)
 
     def emit(self) -> None:
+        """Write the record as one line of strict JSON; a non-finite metric
+        is written as the string "inf", "-inf" or "nan", as in the CSV."""
         payload = {
             "command": self.command,
             "seed": self.seed,
             "program": self.program_digest,
             "wall_time_s": round(self.wall_time_s, 6),
-            "metrics": self.metrics,
+            "metrics": {k: _finite_or_text(v) for k, v in self.metrics.items()},
         }
-        click.echo(json.dumps(payload, sort_keys=True), err=True)
+        click.echo(json.dumps(payload, sort_keys=True, allow_nan=False), err=True)
+
+
+def _finite_or_text(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
 
 
 # -- file formats ------------------------------------------------------------
@@ -64,16 +73,17 @@ def load_truth_table(path) -> program.TruthTable:
     bits = lines[1].strip()
     if len(bits) != 1 << n:
         raise ParseFailure(f"{path}: line 2: expected {1 << n} bits, got {len(bits)}")
-    for col, c in enumerate(bits, start=1):
-        if c not in "01":
-            raise ParseFailure(f"{path}: line 2 column {col}: expected 0 or 1, got {c!r}")
-    return program.TruthTable(n, np.array([c == "1" for c in bits]))
+    if bits.count("0") + bits.count("1") != len(bits):  # locate the first bad character
+        for col, c in enumerate(bits, start=1):
+            if c not in "01":
+                raise ParseFailure(f"{path}: line 2 column {col}: expected 0 or 1, got {c!r}")
+    return program.TruthTable(n, np.frombuffer(bits.encode("ascii"), np.uint8) == ord("1"))
 
 
 def save_truth_table(f: program.TruthTable, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{f.n_vars}\n")
-        fh.write("".join("1" if b else "0" for b in f.bits))
+        fh.write((f.bits.astype(np.uint8) + ord("0")).tobytes().decode("ascii"))
         fh.write("\n")
 
 
@@ -140,11 +150,11 @@ def _write_csv(out_path, header: list[str], rows: list[list]) -> None:
             fh.close()
 
 
-def _program_summary(p: program.QbProgram) -> str:
+def _program_summary(p: program.QbProgram, digest: str) -> str:
     return (
         f"width={p.width} length={p.length} n_vars={p.n_vars} "
         f"read_once={program.is_read_once(p)} stable={program.is_stable(p)} "
-        f"digest={program.program_digest(p)}"
+        f"digest={digest}"
     )
 
 
@@ -178,12 +188,12 @@ def build_mod(modulus, n_vars, strategy, seed, out):
         prog = constructions.build_mod_program(modulus, n_vars, strategy=strategy, seed=seed)
     except ValueError as e:
         raise ParseFailure(str(e)) from e
-    program.save_program(prog, out)
-    click.echo(_program_summary(prog))
+    digest = program.save_program(prog, out)
+    click.echo(_program_summary(prog, digest))
     ExperimentRecord(
         command="build mod",
         seed=seed if strategy == "sampled" else None,
-        program_digest=program.program_digest(prog),
+        program_digest=digest,
         wall_time_s=time.perf_counter() - t0,
         metrics={"p": modulus, "n": n_vars, "strategy": strategy, "width": prog.width},
     ).emit()
@@ -200,11 +210,11 @@ def build_universal(table_path, out):
         prog = constructions.universal_exact_qbp(f)
     except ValueError as e:
         raise ParseFailure(str(e)) from e
-    program.save_program(prog, out)
-    click.echo(_program_summary(prog))
+    digest = program.save_program(prog, out)
+    click.echo(_program_summary(prog, digest))
     ExperimentRecord(
         command="build universal",
-        program_digest=program.program_digest(prog),
+        program_digest=digest,
         wall_time_s=time.perf_counter() - t0,
         metrics={"n": f.n_vars, "width": prog.width},
     ).emit()
@@ -223,11 +233,11 @@ def build_perm(bp_path, n_vars, out):
         prog = constructions.permutation_bp_to_qbp(bp, n_vars=n_vars)
     except ValueError as e:
         raise ParseFailure(str(e)) from e
-    program.save_program(prog, out)
-    click.echo(_program_summary(prog))
+    digest = program.save_program(prog, out)
+    click.echo(_program_summary(prog, digest))
     ExperimentRecord(
         command="build perm",
-        program_digest=program.program_digest(prog),
+        program_digest=digest,
         wall_time_s=time.perf_counter() - t0,
         metrics={"width": prog.width},
     ).emit()
@@ -298,11 +308,11 @@ def realify_cmd(program_path, out):
     t0 = time.perf_counter()
     prog = _load_program(program_path)
     real = realify.realify_program(prog)
-    program.save_program(real, out)
-    click.echo(_program_summary(real))
+    digest = program.save_program(real, out)
+    click.echo(_program_summary(real, digest))
     ExperimentRecord(
         command="realify",
-        program_digest=program.program_digest(real),
+        program_digest=digest,
         wall_time_s=time.perf_counter() - t0,
         metrics={"source_width": prog.width, "width": real.width},
     ).emit()
@@ -327,13 +337,12 @@ def analyze_cmd(ctx, program_path, table_path, epsilon, theta, auto_theta, out):
         if auto_theta:
             theta = analysis.measured_separation(prog, f, epsilon)
         obdd = analysis.derive_deterministic_obdd(prog, f, theta, epsilon)
-        levels = analysis.reachable_configurations(prog)
     except ValueError as e:
         raise ParseFailure(str(e)) from e
     bound = analysis.packing_width_bound(theta, prog.width)
     rows = [
-        [lv.level, len(lv.configs), f"{theta:.17g}", obdd.level_counts[lv.level], f"{bound:.17g}"]
-        for lv in levels
+        [j, reachable, f"{theta:.17g}", components, f"{bound:.17g}"]
+        for j, (reachable, components) in enumerate(zip(obdd.reachable_counts, obdd.level_counts))
     ]
     _write_csv(out, ["level", "reachable_count", "theta", "component_count", "bound_value"], rows)
     probs = program.evaluate_all(prog)

@@ -18,6 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -521,6 +522,18 @@ def evaluate_stable_prob_obdd(m: StableProbObdd, input_bits: Bits) -> float:
 
 
 # -- program file format -------------------------------------------------------
+#
+# A program file is one JSON object followed by a newline, with keys in this
+# order and json's default ", " / ": " separators:
+#
+#   {"n_vars": n, "width": d, "initial": [[re, im], ...], "accepting": [s, ...],
+#    "transformations": [{"var": j, "u0": [[[re, im], ...], ...], "u1": ...}, ...]}
+#
+# Complex numbers are [re, im] pairs of float reprs, matrices are lists of
+# rows, and accepting states are sorted and 1-based.  The digest of a program
+# is the first 16 hex digits of the sha256 of the same object dumped with
+# sorted keys and compact separators (",", ":").  ``save_program`` returns
+# that digest, so a caller that writes a program need not format it again.
 
 class ProgramFormatError(ValueError):
     """Malformed program document; ``where`` locates the first error."""
@@ -544,33 +557,63 @@ def _complex_pair(obj, where: str) -> complex:
     return complex(pair[0], pair[1])
 
 
+def _bulk_pairs(cells: list) -> np.ndarray | None:
+    """Complex values of a list of [re, im] number pairs, checked with a few
+    C-level passes; None when a cell is not such a pair.
+
+    The floats are reinterpreted in place as complex numbers, so a -0.0 real
+    part survives (``re + 1j * im`` would turn it into 0.0).  ``bool`` is its
+    own type, so exact type sets exclude it as a number.
+    """
+    if set(map(type, cells)) <= {list} and set(map(len, cells)) <= {2}:
+        leaves = list(chain.from_iterable(cells))
+        if set(map(type, leaves)) <= {int, float}:
+            return np.array(leaves, dtype=np.float64).view(np.complex128)
+    return None
+
+
+def _complex_vector(obj, where: str) -> np.ndarray:
+    cells = _expect(obj, list, where, "a list of pairs")
+    vec = _bulk_pairs(cells)
+    if vec is None:  # walk the cells to locate the first bad one
+        vec = np.array(
+            [_complex_pair(c, f"{where}[{i}]") for i, c in enumerate(cells)], dtype=np.complex128
+        )
+    return vec
+
+
 def _complex_matrix(obj, where: str) -> np.ndarray:
     rows = _expect(obj, list, where, "a matrix (list of rows)")
     if not rows:
         raise ProgramFormatError(where, "matrix must be nonempty")
+    d = len(rows)
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {d}:
+        flat = _bulk_pairs(list(chain.from_iterable(rows)))
+        if flat is not None:
+            return flat.reshape(d, d)
+    # walk the rows and cells to locate the first bad one
     out = []
     for i, row in enumerate(rows):
         cells = _expect(row, list, f"{where}[{i}]", "a row (list of pairs)")
-        if len(cells) != len(rows):
-            raise ProgramFormatError(f"{where}[{i}]", f"row length {len(cells)} in a {len(rows)}-row matrix")
+        if len(cells) != d:
+            raise ProgramFormatError(f"{where}[{i}]", f"row length {len(cells)} in a {d}-row matrix")
         out.append([_complex_pair(c, f"{where}[{i}][{j}]") for j, c in enumerate(cells)])
     return np.array(out, dtype=np.complex128)
 
 
+def _pairs(a: np.ndarray) -> list:
+    """[re, im] float pairs of a complex array, nested like the array."""
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
 def program_to_obj(p: QbProgram) -> dict:
-    def pairs_vec(v):
-        return [[float(z.real), float(z.imag)] for z in v]
-
-    def pairs_mat(m):
-        return [pairs_vec(row) for row in m]
-
     return {
         "n_vars": p.n_vars,
         "width": p.width,
-        "initial": pairs_vec(p.initial),
+        "initial": _pairs(p.initial),
         "accepting": sorted(p.accepting),
         "transformations": [
-            {"var": tf.var_index, "u0": pairs_mat(tf.u0), "u1": pairs_mat(tf.u1)}
+            {"var": tf.var_index, "u0": _pairs(tf.u0), "u1": _pairs(tf.u1)}
             for tf in p.transformations
         ],
     }
@@ -583,11 +626,7 @@ def program_from_obj(obj) -> QbProgram:
             raise ProgramFormatError("$", f"missing field {key!r}")
     n_vars = _expect(top["n_vars"], int, "$.n_vars", "an integer")
     width = _expect(top["width"], int, "$.width", "an integer")
-    initial_obj = _expect(top["initial"], list, "$.initial", "a list of pairs")
-    initial = np.array(
-        [_complex_pair(c, f"$.initial[{i}]") for i, c in enumerate(initial_obj)],
-        dtype=np.complex128,
-    )
+    initial = _complex_vector(top["initial"], "$.initial")
     accepting_obj = _expect(top["accepting"], list, "$.accepting", "a list of integers")
     accepting = set()
     for i, s in enumerate(accepting_obj):
@@ -613,10 +652,52 @@ def program_from_obj(obj) -> QbProgram:
         raise ProgramFormatError("$", str(e)) from e
 
 
-def save_program(p: QbProgram, path) -> None:
+def _program_texts(p: QbProgram) -> tuple[str, str]:
+    """(file text, canonical text) of a program, formatting each array once.
+
+    The file text equals ``json.dumps(program_to_obj(p))`` and the canonical
+    text equals the same dump with ``sort_keys=True, separators=(",", ":")``.
+    An array's compact dump holds only numbers, brackets and commas, so its
+    file form is that dump with every comma widened to ", ".
+    """
+    def compact(x) -> str:
+        return json.dumps(x, separators=(",", ":"))
+
+    def wide(text: str) -> str:
+        return text.replace(",", ", ")
+
+    initial = compact(_pairs(p.initial))
+    accepting = compact(sorted(p.accepting))
+    levels = [
+        (compact(tf.var_index), compact(_pairs(tf.u0)), compact(_pairs(tf.u1)))
+        for tf in p.transformations
+    ]
+    n_vars, width = compact(p.n_vars), compact(p.width)
+    file_text = (
+        f'{{"n_vars": {n_vars}, "width": {width}, "initial": {wide(initial)}, '
+        f'"accepting": {wide(accepting)}, "transformations": ['
+        + ", ".join(f'{{"var": {v}, "u0": {wide(u0)}, "u1": {wide(u1)}}}' for v, u0, u1 in levels)
+        + "]}"
+    )
+    canonical_text = (
+        f'{{"accepting":{accepting},"initial":{initial},"n_vars":{n_vars},"transformations":['
+        + ",".join(f'{{"u0":{u0},"u1":{u1},"var":{v}}}' for v, u0, u1 in levels)
+        + f'],"width":{width}}}'
+    )
+    return file_text, canonical_text
+
+
+def _digest(canonical_text: str) -> str:
+    return hashlib.sha256(canonical_text.encode("utf-8")).hexdigest()[:16]
+
+
+def save_program(p: QbProgram, path) -> str:
+    """Write the program file; returns ``program_digest(p)``."""
+    file_text, canonical_text = _program_texts(p)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(program_to_obj(p), fh)
+        fh.write(file_text)
         fh.write("\n")
+    return _digest(canonical_text)
 
 
 def load_program(path) -> QbProgram:
@@ -629,6 +710,6 @@ def load_program(path) -> QbProgram:
 
 
 def program_digest(p: QbProgram) -> str:
-    """Stable hex digest of the canonical serialization."""
-    blob = json.dumps(program_to_obj(p), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    """Stable hex digest of the canonical serialization (see the format notes
+    above ``ProgramFormatError``)."""
+    return _digest(_program_texts(p)[1])

@@ -1,5 +1,9 @@
+import hashlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -7,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbp import linalg
-from qbp.constructions import ModBlockSpec, mod_block
+from qbp.cli import ParseFailure, load_truth_table, save_truth_table
+from qbp.constructions import ModBlockSpec, build_mod_program, mod_block, universal_exact_qbp
 from qbp.program import (
     Classification,
     Margin,
@@ -30,9 +35,12 @@ from qbp.program import (
     is_stable,
     load_program,
     program_digest,
+    program_from_obj,
+    program_to_obj,
     save_program,
     state_distributions,
 )
+from qbp.realify import realify_program
 
 from conftest import chain_probability, random_program
 
@@ -406,11 +414,201 @@ def test_load_program_missing_field(tmp_path):
 
 
 def test_load_program_bad_matrix_reports_path(tmp_path, rng):
-    from qbp.program import program_to_obj
-
     obj = program_to_obj(random_program(rng, d=2, n=1))
     obj["transformations"][0]["u0"][0][1] = [1.0]  # not a pair
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(ProgramFormatError, match=r"u0\[0\]\[1\]"):
         load_program(path)
+
+
+# -- file text and digest against the per-entry reference serialiser ------------------
+
+def reference_program_obj(p: QbProgram) -> dict:
+    """The per-entry serialiser the format was defined with."""
+    def pairs_vec(v):
+        return [[float(z.real), float(z.imag)] for z in v]
+
+    def pairs_mat(m):
+        return [pairs_vec(row) for row in m]
+
+    return {
+        "n_vars": p.n_vars,
+        "width": p.width,
+        "initial": pairs_vec(p.initial),
+        "accepting": sorted(p.accepting),
+        "transformations": [
+            {"var": tf.var_index, "u0": pairs_mat(tf.u0), "u1": pairs_mat(tf.u1)}
+            for tf in p.transformations
+        ],
+    }
+
+
+def reference_file_text(p: QbProgram) -> str:
+    buf = io.StringIO()
+    json.dump(reference_program_obj(p), buf)
+    buf.write("\n")
+    return buf.getvalue()
+
+
+def reference_digest(p: QbProgram) -> str:
+    blob = json.dumps(reference_program_obj(p), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def bit_pattern(a: np.ndarray) -> np.ndarray:
+    """The raw float64 bits of a complex array, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def has_negative_zero(p: QbProgram) -> bool:
+    parts = [p.initial] + [m for tf in p.transformations for m in (tf.u0, tf.u1)]
+    return any(
+        np.any((x == 0) & np.signbit(x)) for a in parts for x in (a.real, a.imag)
+    )
+
+
+@st.composite
+def format_programs(draw):
+    kind = draw(st.sampled_from(["haar", "mod", "universal", "realified"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "haar":
+        return kind, random_program(rng, d=draw(st.integers(2, 5)), n=draw(st.integers(1, 4)))
+    if kind == "mod":
+        modulus = draw(st.sampled_from([3, 5, 7]))
+        strategy = draw(st.sampled_from(["greedy", "sampled"]))
+        n = 2 * modulus + draw(st.integers(0, 2))
+        return kind, build_mod_program(modulus, n, strategy=strategy, seed=int(rng.integers(100)))
+    n = draw(st.integers(1, 3))
+    universal = universal_exact_qbp(TruthTable.random(n, rng))
+    if kind == "universal":
+        return kind, universal
+    return kind, realify_program(universal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(format_programs())
+def test_save_and_digest_match_reference_serialiser(case):
+    kind, p = case
+    if kind == "realified":
+        assert has_negative_zero(p)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "prog.json")
+        digest = save_program(p, path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        loaded = load_program(path)
+    assert data == reference_file_text(p).encode("utf-8")
+    assert digest == program_digest(p) == reference_digest(p)
+    assert program_digest(loaded) == digest
+    assert program_to_obj(p) == reference_program_obj(p)
+    assert np.array_equal(bit_pattern(loaded.initial), bit_pattern(p.initial))
+    for a, b in zip(loaded.transformations, p.transformations):
+        assert a.var_index == b.var_index
+        assert np.array_equal(bit_pattern(a.u0), bit_pattern(b.u0))
+        assert np.array_equal(bit_pattern(a.u1), bit_pattern(b.u1))
+
+
+def xor2_program() -> QbProgram:
+    return universal_exact_qbp(TruthTable(2, np.array([0, 1, 1, 0], dtype=bool)))
+
+
+def test_program_digest_pinned():
+    # sha256 of the sorted-key compact JSON, first 16 hex digits
+    p = xor2_program()
+    assert program_digest(p) == "83f18e3eddc14a14"
+    real = realify_program(p)
+    assert has_negative_zero(real)
+    assert program_digest(real) == "28489cf87dcddae1"
+
+
+def _set(path, value):
+    def mutate(obj):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        obj[last] = value
+    return mutate
+
+
+def _append(path, value):
+    def mutate(obj):
+        for key in path:
+            obj = obj[key]
+        obj.append(value)
+    return mutate
+
+
+def _pop(path):
+    def mutate(obj):
+        for key in path:
+            obj = obj[key]
+        obj.pop()
+    return mutate
+
+
+U0, U1 = ("transformations", 0, "u0"), ("transformations", 1, "u1")
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_set(U0 + (2, 3), [True, 0.0]), "$.transformations[0].u0[2][3]: expected a pair of two numbers"),
+        (_set(U1 + (1, 0), [0.0, "0"]), "$.transformations[1].u1[1][0]: expected a pair of two numbers"),
+        (_set(U0 + (0, 0), [None, 0.0]), "$.transformations[0].u0[0][0]: expected a pair of two numbers"),
+        (_pop(U1 + (3,)), "$.transformations[1].u1[3]: row length 3 in a 4-row matrix"),
+        (_append(U0 + (1, 2), 0.0), "$.transformations[0].u0[1][2]: expected a pair of two numbers"),
+        (_set(U0 + (2,), 5), "$.transformations[0].u0[2]: expected a row (list of pairs), got int"),
+        (_set(U0, {}), "$.transformations[0].u0: expected a matrix (list of rows), got dict"),
+        (_set(U0, []), "$.transformations[0].u0: matrix must be nonempty"),
+        (_set(U1 + (0, 0), [float("nan"), 0.0]), "$.transformations[1]: matrix contains non-finite entries"),
+        (_set(U1 + (0, 0), [0.0, float("inf")]), "$.transformations[1]: matrix contains non-finite entries"),
+        (_set(("initial", 1), [False, 0.0]), "$.initial[1]: expected a pair of two numbers"),
+        (_append(("initial", 2), 1), "$.initial[2]: expected a pair of two numbers"),
+        (_set(("initial", 0), 1.0), "$.initial[0]: expected a [re, im] pair, got float"),
+        (_set(("initial",), []), "$: vector must be nonempty"),
+        (_set(("initial", 0), [float("nan"), 0.0]), "$: vector contains non-finite entries"),
+    ],
+)
+def test_load_program_locates_malformed_entries(tmp_path, mutate, message):
+    obj = program_to_obj(xor2_program())
+    mutate(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ProgramFormatError) as info:
+        load_program(path)
+    assert str(info.value) == message
+
+
+def test_program_from_obj_accepts_numpy_scalars():
+    # leaves that are not plain int/float fail the bulk check and are read
+    # by the per-entry walker instead
+    p = xor2_program()
+    obj = program_to_obj(p)
+    obj["initial"] = [[np.float64(re), np.float64(im)] for re, im in obj["initial"]]
+    obj["transformations"][0]["u0"][0][0] = [np.float64(x) for x in obj["transformations"][0]["u0"][0][0]]
+    assert program_digest(program_from_obj(obj)) == program_digest(p)
+
+
+# -- truth-table text files ----------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_truth_table_text_roundtrip(tmp_path, rng, n):
+    f = TruthTable.random(n, rng)
+    path = tmp_path / "f.tt"
+    save_truth_table(f, path)
+    assert path.read_bytes() == f"{n}\n{''.join('1' if b else '0' for b in f.bits)}\n".encode()
+    g = load_truth_table(path)
+    assert g.n_vars == n and np.array_equal(g.bits, f.bits)
+
+
+@pytest.mark.parametrize(
+    "bits, col, char",
+    [("0120", 3, "2"), ("01\u00e90", 3, "\u00e9"), ("1 01", 2, " "), ("x110", 1, "x"), ("011\u2603", 4, "\u2603")],
+)
+def test_truth_table_bad_character_column(tmp_path, bits, col, char):
+    path = tmp_path / "bad.tt"
+    path.write_text(f"2\n{bits}\n", encoding="utf-8")
+    with pytest.raises(ParseFailure) as info:
+        load_truth_table(path)
+    assert info.value.message == f"{path}: line 2 column {col}: expected 0 or 1, got {char!r}"
