@@ -35,10 +35,11 @@ from .program import (
     QbProgram,
     TruthTable,
     _as_bits,
+    _leaf_indices,
+    _leaf_matrix,
     accept_probability,
     bits_of_value,
     evaluate_all,
-    final_configuration,
     is_read_once,
 )
 
@@ -392,8 +393,9 @@ def _classified_final_configs(
         levels = reachable_configurations(p)
         configs = levels[-1].configs
     else:
-        finals = np.array([final_configuration(p, bits_of_value(v, n)) for v in range(1 << n)])
-        configs, _ = _greedy_dedup(finals, CONFIG_DEDUP_TOL)
+        cols, order = _leaf_matrix(p)
+        # one row per input, in input-value order
+        configs, _ = _greedy_dedup(cols[:, _leaf_indices(order, n)].T, CONFIG_DEDUP_TOL)
     accepting: list[np.ndarray] = []
     rejecting: list[np.ndarray] = []
     for c in configs:
@@ -502,10 +504,11 @@ def packing_width_bound(theta: float, d: int) -> float:
 
 
 def derive_deterministic_obdd(
-    p: QbProgram, f: TruthTable, theta: float, epsilon: float
+    p: QbProgram, f: TruthTable, theta: float | None, epsilon: float
 ) -> DerivedObdd:
     """Build the component OBDD for a program that computes ``f`` with margin
-    ``epsilon``, under the hypothesis theta <= measured separation.
+    ``epsilon``, under the hypothesis theta <= measured separation.  With
+    ``theta`` None, the measured separation itself is used (``obdd.theta``).
 
     Components are chained strictly inside ``theta`` (threshold theta - 1e-9)
     so that accept/reject pairs at exactly the measured separation stay in
@@ -513,11 +516,13 @@ def derive_deterministic_obdd(
     quoted against.  A transition mapping one component to two would
     contradict distance preservation and raises RuntimeError.
     """
-    if theta <= 0:
+    if theta is not None and theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
     accepting_cfgs, rejecting_cfgs, levels = _classified_final_configs(p, f, epsilon)
     sep = _min_cross_distance(accepting_cfgs, rejecting_cfgs)
-    if theta > sep + 1e-12:
+    if theta is None:
+        theta = sep
+    elif theta > sep + 1e-12:
         raise ValueError(
             f"theta {theta} exceeds the measured accept/reject separation {sep}; "
             f"an accepting and a rejecting configuration lie at distance {sep}"

@@ -334,11 +334,10 @@ def analyze_cmd(ctx, program_path, table_path, epsilon, theta, auto_theta, out):
     if (theta is None) == (not auto_theta):
         raise ParseFailure("provide exactly one of --theta or --auto-theta")
     try:
-        if auto_theta:
-            theta = analysis.measured_separation(prog, f, epsilon)
         obdd = analysis.derive_deterministic_obdd(prog, f, theta, epsilon)
     except ValueError as e:
         raise ParseFailure(str(e)) from e
+    theta = obdd.theta
     bound = analysis.packing_width_bound(theta, prog.width)
     rows = [
         [j, reachable, f"{theta:.17g}", components, f"{bound:.17g}"]
@@ -415,30 +414,18 @@ def _mod_sweep_row(p: int, n: int, seed: int) -> list:
     sampled_prog = constructions.build_mod_program(p, n, strategy="sampled", seed=seed)
     greedy_prog = constructions.build_mod_program(p, n, strategy="greedy")
 
-    def min_reject(prog: program.QbProgram) -> float:
-        worst = 1.0
-        for r in range(1, p):
-            if r > n:
-                continue
-            bits = (1,) * r + (0,) * (n - r)
-            worst = min(worst, 1.0 - program.evaluate(prog, bits))
-        return worst
-
-    rej_sampled = min_reject(sampled_prog)
-    rej_greedy = min_reject(greedy_prog)
+    # one row per input 1^r 0^(n-r), 0 < r < p
+    r = np.arange(1, min(p, n + 1))
+    inputs = np.arange(n) < r[:, None]
+    acc_sampled = program.evaluate_batch(sampled_prog, inputs)
+    acc_greedy = program.evaluate_batch(greedy_prog, inputs)
+    rej_sampled = float(np.min(1.0 - acc_sampled, initial=1.0))
+    rej_greedy = float(np.min(1.0 - acc_greedy, initial=1.0))
+    max_acc = float(np.max(acc_greedy, initial=0.0))
     table = constructions.mod_truth_table(p, n)
     obdd_width = analysis.min_obdd_width(table).max_width
-
-    max_acc = 0.0
-    for r in range(1, p):
-        if r > n:
-            continue
-        bits = (1,) * r + (0,) * (n - r)
-        max_acc = max(max_acc, program.evaluate(greedy_prog, bits))
     margin_eps = 0.5 - max_acc if max_acc < 0.5 else None
-    theta2 = ""
-    d_min_margin = ""
-    d_min_general = ""
+    theta2 = d_min_margin = d_min_general = ""
     if margin_eps is not None:
         rep = analysis.theta_bounds(margin_eps, greedy_prog.width)
         theta2 = f"{rep.theta2:.17g}"

@@ -54,21 +54,6 @@ def rotation_matrix(angle: float) -> np.ndarray:
     return _frozen(np.array([[c, -s], [s, c]], dtype=np.complex128))
 
 
-def apply(u, psi) -> np.ndarray:
-    """Matrix-vector product ``u @ psi`` with dimension checking.
-
-    If ``u`` is unitary and ``psi`` has unit norm, the result has unit norm
-    within 1e-10.
-    """
-    u = as_cmatrix(u)
-    psi = as_cvector(psi)
-    if u.shape[0] != psi.shape[0]:
-        raise ValueError(
-            f"matrix dimension {u.shape[0]} does not match vector dimension {psi.shape[0]}"
-        )
-    return _frozen(u @ psi)
-
-
 def is_unitary(u, tol: float = DEFAULT_UNITARY_TOL) -> bool:
     """True iff the max-entry deviation of ``u* u`` from the identity is <= tol."""
     if tol <= 0:

@@ -9,6 +9,11 @@ reads ``input[var_index - 1]``.
 Also included: the classical stable probabilistic OBDD model (a fixed pair
 of row-stochastic matrices driven over a distribution row vector), and the
 JSON file format used by the command line tools.
+
+Programs are oblivious, so every evaluation advances one d x m block of
+configurations level by level (``_advance``): one column per input, or in
+``evaluate_all`` per assignment to the variables read so far.  Each block is
+checked against ``EVAL_BUDGET_BYTES`` before it is allocated.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import numpy as np
 
 from . import linalg
 
-MAX_EXHAUSTIVE_VARS = 24
+# bytes of one evaluation block: d x 2^|read| configurations for all inputs,
+# d x B for a batch; width 4 passes at n = 24 (1 GiB) and width 8 stops
+EVAL_BUDGET_BYTES = 1 << 30
 
 Bits = Sequence[int] | str
 
@@ -54,13 +61,6 @@ def _as_bits(input_bits: Bits, n_vars: int) -> tuple[int, ...]:
 def bits_of_value(value: int, n_vars: int) -> tuple[int, ...]:
     """Bits of an input value, most significant bit = x_1."""
     return tuple((value >> (n_vars - 1 - i)) & 1 for i in range(n_vars))
-
-
-def value_of_bits(bits: Sequence[int]) -> int:
-    v = 0
-    for b in bits:
-        v = (v << 1) | int(b)
-    return v
 
 
 def _phase_permutation(u: np.ndarray):
@@ -102,9 +102,6 @@ class QuantumTransformation:
     def _structure(self):
         return (_phase_permutation(self.u0), _phase_permutation(self.u1))
 
-    def matrix(self, bit: int) -> np.ndarray:
-        return self.u1 if bit else self.u0
-
     def _unitary_within(self, tol: float) -> bool:
         for u, struct in zip((self.u0, self.u1), self._structure):
             if struct is not None:
@@ -114,19 +111,13 @@ class QuantumTransformation:
                 return False
         return True
 
-    def apply_to(self, bit: int, psi: np.ndarray) -> np.ndarray:
+    def apply_to_columns(self, bit: int, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``u_bit @ cols`` for a d x m block, into ``out`` when given."""
         struct = self._structure[1 if bit else 0]
         if struct is not None:
             perm, phases = struct
-            return phases * psi[perm]
-        return self.matrix(bit) @ psi
-
-    def apply_to_columns(self, bit: int, cols: np.ndarray) -> np.ndarray:
-        struct = self._structure[1 if bit else 0]
-        if struct is not None:
-            perm, phases = struct
-            return phases[:, None] * cols[perm, :]
-        return self.matrix(bit) @ cols
+            return np.multiply(phases[:, None], cols[perm, :], out=out)
+        return np.matmul(self.u1 if bit else self.u0, cols, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,18 +188,56 @@ def accept_probability(psi: np.ndarray, accepting: frozenset[int]) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def _column_accept_probs(cols: np.ndarray, accepting: frozenset[int]) -> np.ndarray:
+    if not accepting:
+        return np.zeros(cols.shape[1])
+    probs = np.sum(np.abs(cols[_accept_indices(accepting), :]) ** 2, axis=0)
+    return np.clip(probs, 0.0, 1.0)
+
+
+def _check_budget(need: int, what: str) -> None:
+    if need > EVAL_BUDGET_BYTES:
+        raise ValueError(
+            f"evaluation budget exceeded: {what} needs {need} bytes, limit {EVAL_BUDGET_BYTES}"
+        )
+
+
+def _advance(tf: QuantumTransformation, cols: np.ndarray, bits: np.ndarray) -> None:
+    """Apply one level to a d x m block in place: column k gets ``u_{bits[k]}``."""
+    ones = np.asarray(bits, dtype=bool)
+    for b, sel in ((0, ~ones), (1, ones)):
+        cols[:, sel] = tf.apply_to_columns(b, cols[:, sel])
+
+
+def _final_block(p: QbProgram, inputs) -> np.ndarray:
+    """Final configurations of the rows of a (B, n) 0/1 array, one column each."""
+    rows = np.asarray(inputs)
+    if rows.ndim != 2 or rows.shape[1] != p.n_vars:
+        raise ValueError(f"inputs must have shape (B, {p.n_vars}), got {rows.shape}")
+    if not ((rows == 0) | (rows == 1)).all():
+        raise ValueError("inputs contain values other than 0 and 1")
+    _check_budget(p.width * 16 * rows.shape[0], f"a batch of {rows.shape[0]} inputs of width {p.width}")
+    cols = np.repeat(p.initial[:, None], rows.shape[0], axis=1)
+    for tf in p.transformations:
+        _advance(tf, cols, rows[:, tf.var_index - 1])
+    return cols
+
+
 def final_configuration(p: QbProgram, input_bits: Bits) -> np.ndarray:
     """Pre-measurement configuration after applying every level to the input."""
-    bits = _as_bits(input_bits, p.n_vars)
-    psi = p.initial
-    for tf in p.transformations:
-        psi = tf.apply_to(bits[tf.var_index - 1], psi)
-    return psi
+    return _final_block(p, np.array([_as_bits(input_bits, p.n_vars)]))[:, 0]
 
 
 def evaluate(p: QbProgram, input_bits: Bits) -> float:
     """Acceptance probability of the program on one input, clamped to [0, 1]."""
     return accept_probability(final_configuration(p, input_bits), p.accepting)
+
+
+def evaluate_batch(p: QbProgram, inputs) -> np.ndarray:
+    """Acceptance probabilities of the rows of a (B, n) array of 0/1 input
+    bits, advanced together as one d x B block (B * width * 16 bytes, checked
+    against ``EVAL_BUDGET_BYTES``)."""
+    return _column_accept_probs(_final_block(p, inputs), p.accepting)
 
 
 def classify_probability(prob: float, epsilon: float) -> Classification:
@@ -251,29 +280,29 @@ def is_stable(p: QbProgram, tol: float = 1e-12) -> bool:
 
 # -- exhaustive evaluation ---------------------------------------------------
 
-def _leaf_matrix(p: QbProgram) -> np.ndarray:
-    """Final configurations over all 2^l read-bit sequences, one per column.
-
-    Column index is the bit sequence in read order, first bit most
-    significant.  Requires a read-once program so each level branches on a
-    fresh variable.
-    """
+def _leaf_matrix(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Final configurations, one column per assignment to the variables read
+    (first-read order, first most significant), and that order.  A fresh
+    variable doubles the block (column c becomes 2c and 2c + 1); a re-read
+    one takes each column's bit from its index.  The final, largest block is
+    checked against ``EVAL_BUDGET_BYTES`` before the first is allocated."""
+    k = len(set(p.var_sequence))
+    _check_budget(p.width * 16 << k, f"a block of 2^{k} configurations of width {p.width}")
     cols = p.initial.reshape(-1, 1)
+    position: dict[int, int] = {}
     for tf in p.transformations:
-        a0 = tf.apply_to_columns(0, cols)
-        a1 = tf.apply_to_columns(1, cols)
-        nxt = np.empty((p.width, 2 * cols.shape[1]), dtype=np.complex128)
-        nxt[:, 0::2] = a0
-        nxt[:, 1::2] = a1
+        j = tf.var_index
+        m = cols.shape[1]
+        if j in position:
+            shift = len(position) - 1 - position[j]
+            _advance(tf, cols, (np.arange(m) >> shift) & 1)
+            continue
+        nxt = np.empty((p.width, 2 * m), dtype=np.complex128)
+        tf.apply_to_columns(0, cols, out=nxt[:, 0::2])
+        tf.apply_to_columns(1, cols, out=nxt[:, 1::2])
         cols = nxt
-    return cols
-
-
-def _column_accept_probs(cols: np.ndarray, accepting: frozenset[int]) -> np.ndarray:
-    if not accepting:
-        return np.zeros(cols.shape[1])
-    probs = np.sum(np.abs(cols[_accept_indices(accepting), :]) ** 2, axis=0)
-    return np.clip(probs, 0.0, 1.0)
+        position[j] = len(position)
+    return cols, tuple(position)
 
 
 def _leaf_indices(var_sequence: Sequence[int], n_vars: int) -> np.ndarray:
@@ -289,19 +318,19 @@ def _leaf_indices(var_sequence: Sequence[int], n_vars: int) -> np.ndarray:
 def evaluate_all(p: QbProgram) -> np.ndarray:
     """Acceptance probabilities for all 2^n inputs, indexed by input value.
 
-    Read-once programs share work across inputs with a common prefix in
-    read order; other programs fall back to per-input evaluation.
+    Any program, read-once or not, is evaluated on one block (``_leaf_matrix``)
+    where inputs with a common prefix in read order share their work.  The
+    block (d x 2^|read| x 16 bytes) and the per-input arrays (2^n x 32 bytes)
+    must each fit in ``EVAL_BUDGET_BYTES``, else ValueError is raised first.
     """
     n = p.n_vars
-    if n > MAX_EXHAUSTIVE_VARS:
-        raise ValueError(f"exhaustive evaluation limited to n <= {MAX_EXHAUSTIVE_VARS}, got {n}")
-    if is_read_once(p):
-        probs = _column_accept_probs(_leaf_matrix(p), p.accepting)
-        seq = p.var_sequence
-        if seq == tuple(range(1, n + 1)):
-            return probs
-        return probs[_leaf_indices(seq, n)]
-    return np.array([evaluate(p, bits_of_value(v, n)) for v in range(1 << n)])
+    # input values, leaf indices, one temporary and the result: 8 bytes each
+    _check_budget(32 << n, f"the per-input data of 2^{n} inputs")
+    cols, order = _leaf_matrix(p)
+    probs = _column_accept_probs(cols, p.accepting)
+    if order == tuple(range(1, n + 1)):
+        return probs
+    return probs[_leaf_indices(order, n)]
 
 
 # -- truth tables and computation checking -----------------------------------
@@ -325,11 +354,6 @@ class TruthTable:
             arr = arr.copy()
             arr.flags.writeable = False
         object.__setattr__(self, "bits", arr)
-
-    def value(self, input_bits: Bits | int) -> bool:
-        if isinstance(input_bits, (int, np.integer)):
-            return bool(self.bits[int(input_bits)])
-        return bool(self.bits[value_of_bits(_as_bits(input_bits, self.n_vars))])
 
     @classmethod
     def from_function(cls, n_vars: int, fn: Callable[[tuple[int, ...]], object]) -> "TruthTable":
@@ -426,24 +450,22 @@ def computes_sampled(
 ) -> SampledReport:
     """Sampling-mode check for inputs too numerous to enumerate.
 
-    Reports a violation count over uniformly random inputs; no "holds"
-    verdict is produced.
+    Reports a violation count over uniformly random inputs, evaluated as one
+    batch; no "holds" verdict is produced.  A callable ``f`` is called once
+    per sample with the input's bits as a tuple.
     """
+    if isinstance(f, TruthTable) and f.n_vars != p.n_vars:
+        raise ValueError(f"program has n_vars {p.n_vars}, truth table has {f.n_vars}")
     rng = np.random.default_rng(seed)
-    value = f.value if isinstance(f, TruthTable) else f
-    violations = 0
-    recorded: list[tuple[int, ...]] = []
-    min_margin = 0.5
-    for _ in range(samples):
-        bits = tuple(int(b) for b in rng.integers(0, 2, size=p.n_vars))
-        prob = evaluate(p, bits)
-        min_margin = min(min_margin, abs(prob - 0.5))
-        fb = np.array([bool(value(bits))])
-        if not bool(_criterion_mask(np.array([prob]), fb, criterion)[0]):
-            violations += 1
-            if len(recorded) < max_recorded:
-                recorded.append(bits)
-    return SampledReport(violations, samples, min_margin, tuple(recorded))
+    inputs = rng.integers(0, 2, size=(samples, p.n_vars))
+    probs = evaluate_batch(p, inputs)
+    if isinstance(f, TruthTable):
+        fbits = f.bits[inputs @ (1 << np.arange(p.n_vars - 1, -1, -1))]
+    else:
+        fbits = np.array([bool(f(tuple(row))) for row in inputs.tolist()], dtype=bool)
+    bad = np.nonzero(~_criterion_mask(probs, fbits, criterion))[0]
+    recorded = tuple(tuple(inputs[i].tolist()) for i in bad[:max_recorded])
+    return SampledReport(bad.size, samples, float(np.min(np.abs(probs - 0.5), initial=0.5)), recorded)
 
 
 # -- stable probabilistic OBDDs ----------------------------------------------

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qbp.program import QbProgram, QuantumTransformation
+
+# CI runs `pytest --hypothesis-profile=ci`: the same examples on every run, so
+# a failing property reproduces
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

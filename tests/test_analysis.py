@@ -103,7 +103,7 @@ def test_distance_preserved_across_levels(rng):
                 before = linalg.distance(configs[a], configs[b])
                 for bit in (0, 1):
                     after = linalg.distance(
-                        tf.apply_to(bit, configs[a]), tf.apply_to(bit, configs[b])
+                        *(tf.apply_to_columns(bit, configs[k][:, None])[:, 0] for k in (a, b))
                     )
                     assert abs(before - after) <= 1e-9
 
@@ -457,7 +457,7 @@ def brute_force_widths(f: TruthTable, order):
                     bits[var - 1] = b
                 for var, b in zip(free, completion):
                     bits[var - 1] = b
-                sig.append(f.value(tuple(bits)))
+                sig.append(bool(f.bits[int("".join(map(str, bits)), 2)]))
             signatures.add(tuple(sig))
         widths.append(len(signatures))
     return widths

@@ -87,8 +87,8 @@ def test_cli_roundtrip_digests_agree(tmp_path, monkeypatch):
     (record,) = _records(result.stderr)
     assert record["program"] == program_digest(load_program(real))
     assert record["metrics"]["verified"] is True
-    # measured_separation and derive_deterministic_obdd enumerate; the CSV reuses it
-    assert calls == [16, 16]
+    # derive_deterministic_obdd enumerates once; --auto-theta and the CSV reuse it
+    assert calls == [16]
     rows = list(csv.reader(io.StringIO(result.stdout)))
     assert rows[0] == ["level", "reachable_count", "theta", "component_count", "bound_value"]
     levels = enumerate_levels(load_program(real))
@@ -101,3 +101,81 @@ def test_cli_roundtrip_digests_agree(tmp_path, monkeypatch):
     assert "holds=True" in result.stdout
     (record,) = _records(result.stderr)
     assert record["program"] == program_digest(load_program(real))
+
+
+def _read_twice_bp(path, n: int, p: int) -> None:
+    # a MOD_p counter reading x_1..x_n, then x_n..x_1: 2c % p == 0 iff c % p == 0
+    order = list(range(1, n + 1)) + list(range(n, 0, -1))
+    path.write_text(json.dumps({
+        "width": p, "start": 1, "accepting": [1],
+        "levels": [{"var": v, "perm0": list(range(1, p + 1)),
+                    "perm1": [s % p + 1 for s in range(1, p + 1)]} for v in order],
+    }))
+
+
+def test_cli_eval_read_twice_exit_codes(tmp_path):
+    bp, prog = tmp_path / "twice.bp.json", tmp_path / "twice.json"
+    table, flipped = tmp_path / "mod3.tt", tmp_path / "flipped.tt"
+    _read_twice_bp(bp, 6, 3)
+    bits = "".join("1" if bin(v).count("1") % 3 == 0 else "0" for v in range(64))
+    table.write_text(f"6\n{bits}\n")
+    flipped.write_text("6\n" + ("0" if bits[0] == "1" else "1") + bits[1:] + "\n")
+    runner = CliRunner()
+    built = runner.invoke(main, ["build", "perm", "--bp", str(bp), "-o", str(prog)])
+    assert built.exit_code == 0, built.output
+    assert "read_once=False" in built.stdout
+
+    ok = runner.invoke(main, ["eval", str(prog), "--exhaustive", "--truth-table", str(table)])
+    assert ok.exit_code == 0, ok.output
+    assert "holds=True" in ok.stdout and "checked=64" in ok.stdout
+
+    bad = runner.invoke(main, ["eval", str(prog), "--exhaustive", "--truth-table", str(flipped)])
+    assert bad.exit_code == 1
+    assert "holds=False" in bad.stdout
+    assert "counterexamples=1\n  000000\n" in bad.stdout
+
+    usage = runner.invoke(main, ["eval", str(prog), "--exhaustive"])
+    assert usage.exit_code == 2
+    assert "--exhaustive requires --truth-table" in usage.output
+
+
+@pytest.mark.filterwarnings("ignore:modulus 7 exceeds n/2")
+def test_cli_eval_input_prints_exact_probability(tmp_path):
+    prog = tmp_path / "mod7.json"
+    runner = CliRunner()
+    built = runner.invoke(main, ["build", "mod", "--p", "7", "--n", "10", "--strategy", "sampled",
+                                 "--seed", "3", "-o", str(prog)])
+    assert built.exit_code == 0, built.output
+    for bits, want in (("1110000000", "0.39110155409884728"), ("1011011000", "0.45195980527599344")):
+        result = runner.invoke(main, ["eval", str(prog), "--input", bits])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == want + "\n"
+
+
+# `qbp sweep --p-range 3:23 --n 12` (seed 0) as evaluated one input at a time
+SWEEP_3_23_N12 = """\
+p,n,t_sampled,t_greedy,width_sampled,width_greedy,min_reject_sampled,min_reject_greedy,min_obdd_width,margin_epsilon,theta2,d_min_margin,d_min_general,error
+3,12,18,1,36,2,0.74999999999999978,0.74999999999999967,3,0.24999999999999967,0,,1,
+5,12,26,2,52,4,0.60349934637019409,0.62499999999999967,5,0.12499999999999967,0,,1,
+7,12,32,2,64,4,0.57185986143902445,0.39975778302439491,7,,,,,
+11,12,39,2,78,4,0.49458020535128289,0.32526532636052508,4,,,,,
+13,12,42,3,84,6,0.48493330824421388,0.31684735244302753,2,,,,,
+17,12,46,3,92,6,0.46476867950819201,0.31590873414853116,2,,,,,
+19,12,48,3,96,6,0.45637988344488112,0.26496899094154491,2,,,,,
+23,12,51,3,102,6,0.46544952460461653,0.23712866379970321,2,,,,,
+"""
+
+
+@pytest.mark.filterwarnings("ignore:modulus")
+def test_cli_sweep_rows_match_per_input_evaluation():
+    result = CliRunner().invoke(main, ["sweep", "--p-range", "3:23", "--n", "12"])
+    assert result.exit_code == 0, result.output
+    got = list(csv.reader(io.StringIO(result.stdout)))
+    want = list(csv.reader(io.StringIO(SWEEP_3_23_N12)))
+    assert got[0] == want[0] and len(got) == len(want)
+    for row, ref in zip(got[1:], want[1:]):
+        for name, cell, expected in zip(want[0], row, ref):
+            if "." in expected:  # a probability or a margin: block products may round differently
+                assert abs(float(cell) - float(expected)) <= 1e-15, (name, cell, expected)
+            else:
+                assert cell == expected, (name, cell, expected)

@@ -400,4 +400,4 @@ def test_permutation_bp_validation():
 def test_mod_truth_table_counts():
     t = mod_truth_table(3, 6)
     for v in range(64):
-        assert t.value(v) == (bin(v).count("1") % 3 == 0)
+        assert t.bits[v] == (bin(v).count("1") % 3 == 0)

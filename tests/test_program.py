@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbp import linalg
+from qbp import program as program_module
 from qbp.cli import ParseFailure, load_truth_table, save_truth_table
 from qbp.constructions import ModBlockSpec, build_mod_program, mod_block, universal_exact_qbp
 from qbp.program import (
@@ -22,6 +23,7 @@ from qbp.program import (
     QuantumTransformation,
     StableProbObdd,
     TruthTable,
+    accept_probability,
     bits_of_value,
     classify,
     classify_probability,
@@ -29,6 +31,7 @@ from qbp.program import (
     computes_sampled,
     evaluate,
     evaluate_all,
+    evaluate_batch,
     evaluate_stable_prob_obdd,
     final_configuration,
     is_read_once,
@@ -42,7 +45,7 @@ from qbp.program import (
 )
 from qbp.realify import realify_program
 
-from conftest import chain_probability, random_program
+from conftest import chain_probability, haar_unitary, random_program, random_state
 
 
 def identity_program(width=2, n_vars=1, accepting=frozenset({1}), initial=None, levels=1):
@@ -234,6 +237,202 @@ def test_evaluate_all_read_twice_fallback():
     probs = evaluate_all(p)
     assert probs[0b10] == pytest.approx(math.cos(1.0) ** 2, abs=1e-12)
     assert probs[0b01] == pytest.approx(1.0, abs=1e-12)  # x1 = 0, both levels idle
+
+
+# -- one evaluation block for every program ------------------------------------------
+
+def _level_unitary(rng, kind: str, d: int) -> np.ndarray:
+    if kind == "haar":
+        return haar_unitary(rng, d)
+    u = np.eye(d)[rng.permutation(d)].astype(np.complex128)
+    if kind == "phase":
+        u = u * np.exp(2j * np.pi * rng.random(d))[None, :]
+    return u
+
+
+@st.composite
+def read_k_programs(draw, read_once: bool = False):
+    """Programs with n <= 6 reading any variable any number of times (or each
+    at most once), with Haar, permutation and phase-permutation levels."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 6))
+    if read_once:
+        seq = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(0, n))]
+    else:
+        seq = draw(st.lists(st.integers(1, n), max_size=3 * n))
+    kinds = draw(st.lists(st.sampled_from(["haar", "perm", "phase"]),
+                          min_size=2 * len(seq), max_size=2 * len(seq)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tfs = tuple(
+        QuantumTransformation(j, _level_unitary(rng, kinds[2 * i], d),
+                              _level_unitary(rng, kinds[2 * i + 1], d))
+        for i, j in enumerate(seq)
+    )
+    accepting = draw(st.sets(st.integers(1, d)))
+    return QbProgram(n, d, tfs, random_state(rng, d), frozenset(accepting))
+
+
+@settings(max_examples=60, deadline=None)
+@given(read_k_programs(), st.integers(0, 2**32 - 1))
+def test_every_evaluator_matches_chain_oracle(p, seed):
+    n = p.n_vars
+    every = np.array([bits_of_value(v, n) for v in range(1 << n)])
+    want = np.array([chain_probability(p, bits) for bits in every])
+    assert np.max(np.abs(evaluate_all(p) - want)) <= 1e-12
+    assert np.max(np.abs(evaluate_batch(p, every) - want)) <= 1e-12
+    subset = np.random.default_rng(seed).integers(0, 1 << n, size=7)
+    assert np.max(np.abs(evaluate_batch(p, every[subset]) - want[subset])) <= 1e-12
+    for v in subset:
+        psi = final_configuration(p, every[v])
+        assert abs(float(np.sum(np.abs(psi[[s - 1 for s in p.accepting]]) ** 2)) - want[v]) <= 1e-12
+
+
+def reference_read_once_evaluate_all(p: QbProgram) -> np.ndarray:
+    """Read-once exhaustive evaluation as it was before the single block path:
+    both branch products, then interleaved; columns mapped to input values."""
+    cols = p.initial.reshape(-1, 1)
+    for tf in p.transformations:
+        a0 = tf.apply_to_columns(0, cols)
+        a1 = tf.apply_to_columns(1, cols)
+        nxt = np.empty((p.width, 2 * cols.shape[1]), dtype=np.complex128)
+        nxt[:, 0::2] = a0
+        nxt[:, 1::2] = a1
+        cols = nxt
+    if p.accepting:
+        acc = np.array(sorted(p.accepting)) - 1
+        probs = np.clip(np.sum(np.abs(cols[acc, :]) ** 2, axis=0), 0.0, 1.0)
+    else:
+        probs = np.zeros(cols.shape[1])
+    values = np.arange(1 << p.n_vars)
+    idx = np.zeros(1 << p.n_vars, dtype=np.int64)
+    for j in p.var_sequence:
+        idx = (idx << 1) | ((values >> (p.n_vars - j)) & 1)
+    return probs[idx]
+
+
+def reference_final_configuration(p: QbProgram, bits) -> np.ndarray:
+    """The per-input loop as it was: one vector, one level at a time."""
+    psi = p.initial
+    for tf in p.transformations:
+        bit = int(bits[tf.var_index - 1])
+        struct = tf._structure[bit]
+        psi = struct[1] * psi[struct[0]] if struct is not None else (tf.u1 if bit else tf.u0) @ psi
+    return psi
+
+
+@settings(max_examples=40, deadline=None)
+@given(read_k_programs(read_once=True))
+def test_read_once_evaluate_all_is_bit_identical_to_reference(p):
+    assert np.array_equal(evaluate_all(p), reference_read_once_evaluate_all(p))
+
+
+def test_read_once_constructions_bit_identical_to_reference(rng):
+    for p in (
+        build_mod_program(7, 14),
+        build_mod_program(5, 10, strategy="sampled", seed=2),
+        universal_exact_qbp(TruthTable.random(6, rng)),
+        realify_program(random_program(rng, d=3, n=5)),
+    ):
+        assert np.array_equal(evaluate_all(p), reference_read_once_evaluate_all(p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(read_k_programs())
+def test_single_input_is_bit_identical_to_reference_loop(p):
+    for v in range(min(1 << p.n_vars, 8)):
+        bits = bits_of_value(v, p.n_vars)
+        psi = reference_final_configuration(p, bits)
+        assert np.array_equal(final_configuration(p, bits), psi)
+        assert evaluate(p, bits) == accept_probability(psi, p.accepting)
+
+
+def reference_computes_sampled(p, f, criterion, samples, seed, max_recorded=16):
+    """computes_sampled as it was: one draw and one evaluation per sample."""
+    rng = np.random.default_rng(seed)
+    value = f.value if isinstance(f, TruthTable) else f
+    violations = 0
+    recorded = []
+    min_margin = 0.5
+    for _ in range(samples):
+        bits = tuple(int(b) for b in rng.integers(0, 2, size=p.n_vars))
+        prob = evaluate(p, bits)
+        min_margin = min(min_margin, abs(prob - 0.5))
+        fb = np.array([bool(value(bits))])
+        if not bool(program_module._criterion_mask(np.array([prob]), fb, criterion)[0]):
+            violations += 1
+            if len(recorded) < max_recorded:
+                recorded.append(bits)
+    return violations, min_margin, tuple(recorded)
+
+
+@pytest.mark.parametrize("n", [5, 6, 9, 16, 31, 32, 33])
+def test_computes_sampled_matches_per_sample_loop(rng, n):
+    p = random_program(rng, d=3, n=n)
+    seen, seen_ref = [], []
+
+    def parity(bits, log):
+        log.append(bits)
+        return sum(bits) % 2
+
+    crit = Margin(0.05)
+    got = computes_sampled(p, lambda b: parity(b, seen), crit, samples=200, seed=n, max_recorded=5)
+    ref = reference_computes_sampled(p, lambda b: parity(b, seen_ref), crit, 200, n, 5)
+    assert seen == seen_ref  # the same inputs, drawn in the same order
+    assert all(type(b) is int for b in seen[0])
+    assert (got.violations, got.counterexamples) == (ref[0], ref[2])
+    assert got.checked == 200
+    # a block product rounds differently from one vector product: a few ulps per level
+    assert abs(got.min_margin - ref[1]) <= n * p.width * np.finfo(float).eps
+    if n <= 9:
+        f = TruthTable.from_function(n, lambda bits: sum(bits) % 2)
+        got = computes_sampled(p, f, crit, samples=200, seed=n, max_recorded=5)
+        assert (got.violations, got.counterexamples) == (ref[0], ref[2])
+
+
+def test_computes_sampled_rejects_mismatched_table():
+    with pytest.raises(ValueError, match="n_vars 6, truth table has 5"):
+        computes_sampled(mod_block(ModBlockSpec(3, 1, 6)), TruthTable.constant(5, True),
+                         Margin(0.1), samples=4, seed=0)
+
+
+def test_evaluation_budget_refuses_before_allocating(monkeypatch):
+    p = random_program(np.random.default_rng(3), d=3, n=3)  # a 3 x 8 final block
+    every = np.array([bits_of_value(v, 3) for v in range(8)])
+    monkeypatch.setattr(program_module, "EVAL_BUDGET_BYTES", 3 * 8 * 16)
+    assert evaluate_all(p).shape == (8,)
+    assert evaluate_batch(p, every).shape == (8,)
+    monkeypatch.setattr(program_module, "EVAL_BUDGET_BYTES", 3 * 8 * 16 - 1)
+    with pytest.raises(ValueError, match="evaluation budget exceeded: a block of 2\\^3 configurations of width 3"):
+        evaluate_all(p)
+    with pytest.raises(ValueError, match="evaluation budget exceeded: a batch of 8 inputs"):
+        evaluate_batch(p, every)
+    assert evaluate_batch(p, every[:7]).shape == (7,)
+
+
+def test_evaluation_budget_width_8_at_n_24():
+    # the final block would take 2 GiB: refused at once, not after 1 GiB
+    ident = linalg.identity(8)
+    tfs = tuple(QuantumTransformation(j, ident, ident) for j in range(1, 25))
+    p = QbProgram(24, 8, tfs, np.eye(8)[0], frozenset({1}))
+    with pytest.raises(ValueError, match="evaluation budget exceeded"):
+        evaluate_all(p)
+    # a program on many variables that reads few still has 2^n outputs
+    wide = QbProgram(40, 2, (), np.array([1.0, 0.0]), frozenset({1}))
+    with pytest.raises(ValueError, match="per-input data of 2\\^40 inputs"):
+        evaluate_all(wide)
+
+
+@pytest.mark.parametrize("inputs", [
+    np.zeros(3, dtype=int), np.zeros((2, 4), dtype=int), np.zeros((1, 2, 3), dtype=int),
+])
+def test_evaluate_batch_rejects_bad_shape(inputs):
+    with pytest.raises(ValueError, match="shape"):
+        evaluate_batch(mod_block(ModBlockSpec(3, 1, 3)), inputs)
+
+
+def test_evaluate_batch_rejects_non_bits():
+    with pytest.raises(ValueError, match="other than 0 and 1"):
+        evaluate_batch(mod_block(ModBlockSpec(3, 1, 3)), [[0, 1, 2]])
 
 
 # -- structural predicates ----------------------------------------------------------
