@@ -35,15 +35,13 @@ from .program import (
     QbProgram,
     TruthTable,
     _as_bits,
+    _column_accept_probs,
     _leaf_indices,
     _leaf_matrix,
-    accept_probability,
     bits_of_value,
-    evaluate_all,
     is_read_once,
 )
 
-MAX_REACHABLE_LEVELS = 20
 # bytes of one level's candidate block (2m configurations of the width):
 # the universal program passes at n = 12 (256 MiB) and stops at n = 13
 CONFIG_BUDGET_BYTES = 1 << 29
@@ -52,28 +50,9 @@ MAX_WIDTH_VARS = 24
 
 CONFIG_DEDUP_TOL = 1e-9
 CHAIN_SLACK = 1e-12
-
-
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.rank = [1] * size
-
-    def find(self, u: int) -> int:
-        while self.parent[u] != u:
-            self.parent[u] = self.parent[self.parent[u]]
-            u = self.parent[u]
-        return u
-
-    def union(self, u: int, v: int) -> None:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return
-        if self.rank[ru] < self.rank[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        if self.rank[ru] == self.rank[rv]:
-            self.rank[ru] += 1
+# slack of the margin rule, so a margin equal to the measured one (up to
+# rounding) is met
+MARGIN_SLACK = 1e-12
 
 
 _PROJECTION_SEED = 20030205
@@ -228,14 +207,15 @@ def _greedy_dedup(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
 class LevelConfigurations:
     """Distinct configurations reachable at one level.
 
-    ``prefix_map[v]`` is the configuration index reached by the length-j
-    read-bit prefix with value v (first bit most significant).
-    ``prev_transitions[i, b]`` is the index at this level reached from
-    configuration i of the previous level on bit b (empty at level 0).
+    ``configs`` is a frozen (m, width) block, one configuration per row.
+    ``prefix_map[v]`` is the row reached by the length-j read-bit prefix
+    with value v (first bit most significant).  ``prev_transitions[i, b]``
+    is the row at this level reached from row i of the previous level on
+    bit b (empty at level 0).
     """
 
     level: int
-    configs: tuple[np.ndarray, ...]
+    configs: np.ndarray
     prefix_map: np.ndarray
     prev_transitions: np.ndarray
 
@@ -255,15 +235,9 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
     """
     if not is_read_once(p):
         raise ValueError("reachable-configuration enumeration requires a read-once program")
-    if p.length > MAX_REACHABLE_LEVELS:
-        raise ValueError(
-            f"level budget exceeded: {p.length} levels, limit {MAX_REACHABLE_LEVELS}"
-        )
     block = p.initial[None, :]
     prefix = np.zeros(1, dtype=np.int64)
-    levels = [
-        LevelConfigurations(0, (p.initial,), prefix, np.empty((0, 2), dtype=np.int64))
-    ]
+    levels = [LevelConfigurations(0, block, prefix, np.empty((0, 2), dtype=np.int64))]
     for tf in p.transformations:
         m = block.shape[0]
         need = 2 * m * p.width * 16
@@ -285,24 +259,51 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
         nxt_prefix[0::2] = trans[prefix, 0]
         nxt_prefix[1::2] = trans[prefix, 1]
         nxt_prefix.flags.writeable = False
-        levels.append(LevelConfigurations(len(levels), tuple(block), nxt_prefix, trans))
+        levels.append(LevelConfigurations(len(levels), block, nxt_prefix, trans))
         prefix = nxt_prefix
     return levels
 
 
 @dataclass(frozen=True, eq=False)
 class ThetaPartition:
-    """Partition of a configuration list into theta-components (union-find
-    over pairs at distance <= theta, with a 1e-12 slack)."""
+    """Partition of a block of configurations into theta-components (pairs
+    at distance <= theta, with a 1e-12 slack, chained transitively).
+
+    ``component_of[i]`` is the component of row i, as a frozen int array;
+    components are numbered in order of their smallest member.
+    """
 
     level: int
     theta: float
-    component_of: dict[int, int]
+    component_of: np.ndarray
     count: int
 
 
-def theta_components(configs: Sequence[np.ndarray], theta: float, level: int = 0) -> ThetaPartition:
-    """Union-find over the pairs at distance <= theta + 1e-12.
+def _connected_components(m: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Component of each vertex 0..m-1 of the graph with edges (i[k], j[k]),
+    numbered in order of the components' smallest members.
+
+    Hook and compress: every edge whose endpoints lie in different trees
+    hooks the larger root under the smaller one, then every vertex jumps to
+    its root.  Each round removes a root, and a root is the smallest vertex
+    of its tree, so when no edge joins two trees every root is the smallest
+    member of its component.
+    """
+    root = np.arange(m)
+    while True:
+        ri, rj = root[i], root[j]
+        cross = ri != rj
+        if not cross.any():
+            break
+        i, j, ri, rj = i[cross], j[cross], ri[cross], rj[cross]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    return np.unique(root, return_inverse=True)[1]
+
+
+def theta_components(configs: np.ndarray, theta: float, level: int = 0) -> ThetaPartition:
+    """Connected components of the pairs of rows at distance <= theta + 1e-12.
 
     The pairs come from ``_near_pairs``, an exact fixed-radius sort and
     sweep: each pair it returns, and each it rules out, is decided by its
@@ -311,22 +312,12 @@ def theta_components(configs: Sequence[np.ndarray], theta: float, level: int = 0
     """
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    m = len(configs)
-    if m == 0:
-        return ThetaPartition(level, theta, {}, 0)
-    mat = np.array([np.asarray(c, dtype=np.complex128) for c in configs])
-    uf = _UnionFind(m)
+    mat = np.asarray(configs, dtype=np.complex128)
     ii, jj, _ = _near_pairs(mat, theta + CHAIN_SLACK)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        uf.union(i, j)
-    ids: dict[int, int] = {}
-    component_of: dict[int, int] = {}
-    for i in range(m):
-        root = uf.find(i)
-        if root not in ids:
-            ids[root] = len(ids)
-        component_of[i] = ids[root]
-    return ThetaPartition(level, theta, component_of, len(ids))
+    component_of = _connected_components(len(mat), ii, jj)
+    component_of.flags.writeable = False
+    count = int(component_of.max()) + 1 if component_of.size else 0
+    return ThetaPartition(level, theta, component_of, count)
 
 
 # -- separation bounds -----------------------------------------------------------
@@ -360,16 +351,27 @@ def theta_bounds(epsilon: float, d: int) -> SeparationReport:
     return SeparationReport(epsilon, d, theta1, theta2, radicand)
 
 
+def _margin_split(probs: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The margin rule: masks of the acceptance probabilities that accept,
+    p >= 1/2 + epsilon - MARGIN_SLACK, and that reject, p <= 1/2 - epsilon +
+    MARGIN_SLACK.  A probability in neither lies inside the margin band."""
+    return probs >= 0.5 + epsilon - MARGIN_SLACK, probs <= 0.5 - epsilon + MARGIN_SLACK
+
+
 def _classified_final_configs(
     p: QbProgram, f: TruthTable, epsilon: float
-) -> tuple[list[np.ndarray], list[np.ndarray], list[LevelConfigurations] | None]:
-    """Distinct final configurations split into accepting and rejecting at
-    margin ``epsilon``; verifies first that the program computes ``f``.
+) -> tuple[np.ndarray, np.ndarray, list[LevelConfigurations] | None]:
+    """The distinct final configurations as an (m, width) block and the mask
+    of the rows that accept at margin ``epsilon``; every other row rejects.
     Also returns the reachable levels of a read-once program (None for any
     other program), so callers need not enumerate them again.
 
-    The verification allows 1e-12 of slack so a margin equal to the measured
-    one (up to rounding) is accepted."""
+    One leaf block (``_leaf_matrix``) is built.  It first gives every
+    input's acceptance probability, to verify that the program computes
+    ``f`` at the margin.  A read-once program's final configurations are
+    then its last reachable level; a read-k program's are the leaf block
+    itself, one row per input in input-value order, deduplicated at 1e-9.
+    """
     n = p.n_vars
     if n > MAX_SEPARATION_VARS:
         raise ValueError(f"separation scan limited to n <= {MAX_SEPARATION_VARS}, got {n}")
@@ -377,11 +379,11 @@ def _classified_final_configs(
         raise ValueError(f"program has n_vars {p.n_vars}, truth table has {f.n_vars}")
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
-    probs = evaluate_all(p)
-    ok = np.where(
-        f.bits, probs >= 0.5 + epsilon - 1e-12, probs <= 0.5 - epsilon + 1e-12
-    )
-    bad = np.nonzero(~ok)[0]
+    cols, order = _leaf_matrix(p)
+    leaves = _leaf_indices(order, n)
+    probs = _column_accept_probs(cols, p.accepting)[leaves]
+    accepts, rejects = _margin_split(probs, epsilon)
+    bad = np.flatnonzero(np.where(f.bits, ~accepts, ~rejects))
     if bad.size:
         v = int(bad[0])
         raise ValueError(
@@ -390,37 +392,30 @@ def _classified_final_configs(
         )
     levels = None
     if is_read_once(p):
+        del cols  # the last reachable level replaces it
         levels = reachable_configurations(p)
         configs = levels[-1].configs
     else:
-        cols, order = _leaf_matrix(p)
-        # one row per input, in input-value order
-        configs, _ = _greedy_dedup(cols[:, _leaf_indices(order, n)].T, CONFIG_DEDUP_TOL)
-    accepting: list[np.ndarray] = []
-    rejecting: list[np.ndarray] = []
-    for c in configs:
-        prob = accept_probability(c, p.accepting)
-        if prob >= 0.5 + epsilon - 1e-12:
-            accepting.append(c)
-        elif prob <= 0.5 - epsilon + 1e-12:
-            rejecting.append(c)
-        else:
-            raise RuntimeError(
-                f"final configuration with acceptance {prob!r} is inside the margin band"
-            )
-    return accepting, rejecting, levels
+        configs, _ = _greedy_dedup(cols[:, leaves].T, CONFIG_DEDUP_TOL)
+    probs = _column_accept_probs(configs.T, p.accepting)
+    accepts, rejects = _margin_split(probs, epsilon)
+    band = np.flatnonzero(~(accepts | rejects))
+    if band.size:
+        raise RuntimeError(
+            f"final configuration with acceptance {float(probs[band[0]])!r} "
+            f"is inside the margin band"
+        )
+    return configs, accepts, levels
 
 
-def _min_cross_distance(
-    a: Sequence[np.ndarray], b: Sequence[np.ndarray]
-) -> float:
-    if not a or not b:
+def _min_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Smallest distance between a row of ``a`` and a row of ``b``; inf when
+    either block is empty."""
+    if not len(a) or not len(b):
         return math.inf
-    ma = np.array(a)
-    mb = np.array(b)
-    sa = np.einsum("ij,ij->i", ma, ma.conj()).real
-    sb = np.einsum("ij,ij->i", mb, mb.conj()).real
-    gram = (ma @ mb.conj().T).real
+    sa = np.einsum("ij,ij->i", a, a.conj()).real
+    sb = np.einsum("ij,ij->i", b, b.conj()).real
+    gram = (a @ b.conj().T).real
     d2 = np.maximum(sa[:, None] + sb[None, :] - 2.0 * gram, 0.0)
     return float(math.sqrt(float(d2.min())))
 
@@ -433,8 +428,8 @@ def measured_separation(p: QbProgram, f: TruthTable, epsilon: float) -> float:
     program accepting every input).  Raises if the program does not compute
     ``f`` with the given margin.
     """
-    accepting, rejecting, _ = _classified_final_configs(p, f, epsilon)
-    return _min_cross_distance(accepting, rejecting)
+    configs, accepts, _ = _classified_final_configs(p, f, epsilon)
+    return _min_cross_distance(configs[accepts], configs[~accepts])
 
 
 def separation_report(p: QbProgram, f: TruthTable, epsilon: float) -> SeparationReport:
@@ -484,8 +479,7 @@ class DerivedObdd:
             bits = (values >> (self.n_vars - j)) & 1
             comp = table[comp, bits]
         mask = np.zeros(self.level_counts[-1], dtype=bool)
-        for c in self.accepting:
-            mask[c] = True
+        mask[sorted(self.accepting)] = True
         return mask[comp]
 
 
@@ -518,11 +512,11 @@ def derive_deterministic_obdd(
     """
     if theta is not None and theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    accepting_cfgs, rejecting_cfgs, levels = _classified_final_configs(p, f, epsilon)
-    sep = _min_cross_distance(accepting_cfgs, rejecting_cfgs)
+    configs, accepts, levels = _classified_final_configs(p, f, epsilon)
+    sep = _min_cross_distance(configs[accepts], configs[~accepts])
     if theta is None:
         theta = sep
-    elif theta > sep + 1e-12:
+    elif theta > sep + CHAIN_SLACK:
         raise ValueError(
             f"theta {theta} exceeds the measured accept/reject separation {sep}; "
             f"an accepting and a rejecting configuration lie at distance {sep}"
@@ -534,46 +528,37 @@ def derive_deterministic_obdd(
 
     tables: list[np.ndarray] = []
     for j in range(1, len(levels)):
-        prev_part, cur_part = parts[j - 1], parts[j]
-        trans = levels[j].prev_transitions
-        table = np.full((prev_part.count, 2), -1, dtype=np.int64)
-        for i in range(len(levels[j - 1].configs)):
-            c = prev_part.component_of[i]
-            for b in (0, 1):
-                tgt = cur_part.component_of[int(trans[i, b])]
-                if table[c, b] == -1:
-                    table[c, b] = tgt
-                elif table[c, b] != tgt:
-                    raise RuntimeError(
-                        f"transition ambiguity at level {j} on bit {b}: component {c} "
-                        f"maps to components {int(table[c, b])} and {tgt}; "
-                        f"distance preservation was violated"
-                    )
+        src = parts[j - 1].component_of
+        tgt = parts[j].component_of[levels[j].prev_transitions]
+        # each component moves as its smallest member does; any other member
+        # that moves elsewhere is a clash
+        table = tgt[np.unique(src, return_index=True)[1]]
+        clash = np.argwhere(table[src] != tgt)
+        if clash.size:
+            i, b = (int(x) for x in clash[0])
+            c = int(src[i])
+            raise RuntimeError(
+                f"transition ambiguity at level {j} on bit {b}: component {c} "
+                f"maps to components {int(table[c, b])} and {int(tgt[i, b])}; "
+                f"distance preservation was violated"
+            )
         table.flags.writeable = False
         tables.append(table)
 
-    final_part = parts[-1]
-    comp_class: dict[int, bool] = {}
-    for i, cfg in enumerate(levels[-1].configs):
-        prob = accept_probability(cfg, p.accepting)
-        is_acc = prob >= 0.5 + epsilon - 1e-12
-        is_rej = prob <= 0.5 - epsilon + 1e-12
-        if is_acc == is_rej:
-            raise RuntimeError(f"final configuration acceptance {prob!r} is unclassifiable")
-        c = final_part.component_of[i]
-        if c in comp_class and comp_class[c] != is_acc:
-            raise RuntimeError(
-                f"final component {c} mixes accepting and rejecting configurations"
-            )
-        comp_class[c] = is_acc
-    accepting = frozenset(c for c, v in comp_class.items() if v)
+    final = parts[-1].component_of
+    accepting = np.unique(final[accepts])
+    mixed = np.intersect1d(accepting, final[~accepts])
+    if mixed.size:
+        raise RuntimeError(
+            f"final component {int(mixed[0])} mixes accepting and rejecting configurations"
+        )
     return DerivedObdd(
         n_vars=p.n_vars,
         var_sequence=p.var_sequence,
         level_counts=tuple(pt.count for pt in parts),
         reachable_counts=tuple(len(lv.configs) for lv in levels),
         transitions=tuple(tables),
-        accepting=accepting,
+        accepting=frozenset(accepting.tolist()),
         theta=theta,
         qbp_width=p.width,
     )

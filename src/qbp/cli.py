@@ -123,9 +123,7 @@ def _parse_criterion(text: str) -> program.Margin | program.OneSided:
         if parts[0] == "margin" and len(parts) == 2:
             return program.Margin(float(parts[1]))
         if parts[0] == "one-sided" and len(parts) <= 3:
-            reject_min = float(parts[1]) if len(parts) >= 2 else 0.125
-            tol = float(parts[2]) if len(parts) == 3 else 1e-9
-            return program.OneSided(reject_min=reject_min, tol=tol)
+            return program.OneSided(**dict(zip(("reject_min", "tol"), map(float, parts[1:]))))
     except ValueError as e:
         raise ParseFailure(f"invalid criterion {text!r}: {e}") from e
     raise ParseFailure(
@@ -344,8 +342,7 @@ def analyze_cmd(ctx, program_path, table_path, epsilon, theta, auto_theta, out):
         for j, (reachable, components) in enumerate(zip(obdd.reachable_counts, obdd.level_counts))
     ]
     _write_csv(out, ["level", "reachable_count", "theta", "component_count", "bound_value"], rows)
-    probs = program.evaluate_all(prog)
-    agree = bool(np.array_equal(obdd.classify_all(), probs >= 0.5 + epsilon - 1e-12))
+    agree = bool(np.array_equal(obdd.classify_all(), f.bits))
     click.echo(f"verified={str(agree).lower()} max_width={obdd.max_width}", err=True)
     ExperimentRecord(
         command="analyze",

@@ -33,6 +33,8 @@ from . import linalg
 # bytes of one evaluation block: d x 2^|read| configurations for all inputs,
 # d x B for a batch; width 4 passes at n = 24 (1 GiB) and width 8 stops
 EVAL_BUDGET_BYTES = 1 << 30
+# entrywise tolerance under which two levels count as the same (``is_stable``)
+_STABLE_TOL = 1e-12
 
 Bits = Sequence[int] | str
 
@@ -133,7 +135,6 @@ class QbProgram:
     transformations: tuple[QuantumTransformation, ...]
     initial: np.ndarray
     accepting: frozenset[int]
-    unitary_tol: float = 1e-10
 
     def __post_init__(self):
         object.__setattr__(self, "transformations", tuple(self.transformations))
@@ -162,9 +163,10 @@ class QbProgram:
                     f"transformation at level {level} reads x_{tf.var_index}, "
                     f"outside [1, {self.n_vars}]"
                 )
-            if not tf._unitary_within(self.unitary_tol):
+            if not tf._unitary_within(linalg.DEFAULT_UNITARY_TOL):
                 raise ValueError(
-                    f"transformation at level {level} is not unitary within {self.unitary_tol}"
+                    f"transformation at level {level} is not unitary within "
+                    f"{linalg.DEFAULT_UNITARY_TOL}"
                 )
 
     @property
@@ -265,15 +267,15 @@ def is_read_once(p: QbProgram) -> bool:
     return len(set(seq)) == len(seq)
 
 
-def is_stable(p: QbProgram, tol: float = 1e-12) -> bool:
-    """True iff every level applies the same (u0, u1) pair, entrywise within tol."""
+def is_stable(p: QbProgram) -> bool:
+    """True iff every level applies the same (u0, u1) pair, entrywise within 1e-12."""
     if p.length <= 1:
         return True
     first = p.transformations[0]
     for tf in p.transformations[1:]:
-        if float(np.max(np.abs(tf.u0 - first.u0))) > tol:
+        if float(np.max(np.abs(tf.u0 - first.u0))) > _STABLE_TOL:
             return False
-        if float(np.max(np.abs(tf.u1 - first.u1))) > tol:
+        if float(np.max(np.abs(tf.u1 - first.u1))) > _STABLE_TOL:
             return False
     return True
 

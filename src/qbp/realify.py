@@ -69,4 +69,4 @@ def realify_program(p: QbProgram) -> QbProgram:
     accepting = frozenset(
         s for i in p.accepting for s in (2 * i - 1, 2 * i)
     )
-    return QbProgram(p.n_vars, 2 * p.width, tfs, initial, accepting, unitary_tol=p.unitary_tol)
+    return QbProgram(p.n_vars, 2 * p.width, tfs, initial, accepting)

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbp.analysis
+import qbp.program
 from qbp import linalg
 from qbp.analysis import (
     CONFIG_DEDUP_TOL,
+    _classified_final_configs,
     _greedy_dedup,
     _near_pairs,
     derive_deterministic_obdd,
@@ -84,12 +86,14 @@ def test_reachable_requires_read_once():
         reachable_configurations(p)
 
 
-def test_reachable_level_budget():
+def test_reachable_many_levels_of_one_config():
+    # no level cap: only the byte budget bounds the enumeration
     ident = linalg.identity(1)
     tfs = tuple(QuantumTransformation(i, ident, ident) for i in range(1, 22))
     p = QbProgram(21, 1, tfs, np.array([1.0]), frozenset({1}))
-    with pytest.raises(ValueError, match="level budget"):
-        reachable_configurations(p)
+    levels = reachable_configurations(p)
+    assert [len(lv.configs) for lv in levels] == [1] * 22
+    assert all(lv.configs.shape == (1, 1) and not lv.configs.flags.writeable for lv in levels)
 
 
 def test_distance_preserved_across_levels(rng):
@@ -272,7 +276,7 @@ def test_theta_components_match_brute_force_union_find(seed, m, d, theta):
     pts = list(rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d)))
     part = theta_components(pts, theta)
     assert part.count == brute_component_count(pts, theta + qbp.analysis.CHAIN_SLACK)
-    assert sorted(set(part.component_of.values())) == list(range(part.count))
+    assert sorted(set(part.component_of.tolist())) == list(range(part.count))
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.5), st.floats(0.55, 2.0))
@@ -349,6 +353,24 @@ def test_measured_separation_read_twice_matches_all_inputs():
     assert measured_separation(p, f, eps) == pytest.approx(expected, abs=1e-12)
 
 
+def test_read_k_classification_builds_the_leaf_block_once(monkeypatch):
+    block = mod_block(ModBlockSpec(5, 1, 4))
+    p = QbProgram(4, 2, block.transformations * 2, block.initial, block.accepting)
+    probs = evaluate_all(p)
+    f, eps = TruthTable(4, probs > 0.5), float(np.min(np.abs(probs - 0.5)))
+    real, calls = qbp.program._leaf_matrix, []
+
+    def counting(prog):
+        calls.append(prog)
+        return real(prog)
+
+    monkeypatch.setattr(qbp.program, "_leaf_matrix", counting)
+    monkeypatch.setattr(qbp.analysis, "_leaf_matrix", counting)
+    configs, accepts, levels = _classified_final_configs(p, f, eps)
+    assert len(calls) == 1 and levels is None
+    assert configs.shape[1] == 2 and accepts.dtype == bool and accepts.shape == configs.shape[:1]
+
+
 def test_random_programs_meet_theta1(rng):
     # margin is taken as the measured one, so the distance bound must follow
     for _ in range(15):
@@ -409,6 +431,30 @@ def test_derive_rejects_theta_above_separation():
         derive_deterministic_obdd(p, f, 2.0, 0.25)
 
 
+def plane_rotation_program(n, accepting):
+    # the initial state turns in the plane of states 2 and 3, by 2 pi / 5 on
+    # each one: five configurations, all with the same acceptance
+    u1 = np.eye(3, dtype=np.complex128)
+    u1[1:, 1:] = linalg.rotation_matrix(2 * math.pi / 5)
+    tfs = tuple(QuantumTransformation(i, np.eye(3), u1) for i in range(1, n + 1))
+    return QbProgram(n, 3, tfs, np.array([0.0, 1.0, 0.0]), frozenset(accepting))
+
+
+@pytest.mark.parametrize("accepting, value", [((), False), ((2, 3), True)])
+def test_derive_auto_theta_on_constant_table(accepting, value):
+    # one class is empty, so the separation and theta are infinite and every
+    # level is a single component
+    p = plane_rotation_program(5, accepting)
+    f = TruthTable.constant(5, value)
+    obdd = derive_deterministic_obdd(p, f, None, 0.5)
+    assert obdd.theta == math.inf
+    assert obdd.reachable_counts == (1, 2, 3, 4, 5, 5)
+    assert obdd.level_counts == (1,) * 6
+    assert obdd.accepting == (frozenset({0}) if value else frozenset())
+    assert np.array_equal(obdd.classify_all(), f.bits)
+    assert packing_width_bound(obdd.theta, p.width) == 1.0
+
+
 def test_derive_transition_ambiguity_is_hard_error(monkeypatch):
     # a partition that merges distinct mid-level configurations whose images
     # separate again cannot happen for distance-preserving transitions; force
@@ -417,13 +463,15 @@ def test_derive_transition_ambiguity_is_hard_error(monkeypatch):
 
     def lumpy(configs, theta, level=0):
         if level == 1 and len(configs) > 1:
-            return qbp.analysis.ThetaPartition(level, theta, {i: 0 for i in range(len(configs))}, 1)
+            return qbp.analysis.ThetaPartition(level, theta, np.zeros(len(configs), dtype=np.int64), 1)
         return real_theta_components(configs, theta, level)
 
     monkeypatch.setattr(qbp.analysis, "theta_components", lumpy)
     p = mod_block(ModBlockSpec(3, 1, 2))
     f = mod_truth_table(3, 2)
-    with pytest.raises(RuntimeError, match="ambiguity"):
+    # the first clash in (configuration, bit) order is named
+    with pytest.raises(RuntimeError, match="ambiguity at level 2 on bit 0: component 0 maps to "
+                                           "components 0 and 1;"):
         derive_deterministic_obdd(p, f, 0.5, 0.25)
 
 

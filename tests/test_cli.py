@@ -6,9 +6,9 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from qbp import analysis
-from qbp.cli import ExperimentRecord, main
-from qbp.program import load_program, program_digest
+from qbp import analysis, program
+from qbp.cli import ExperimentRecord, _parse_criterion, main
+from qbp.program import OneSided, load_program, program_digest
 
 
 @pytest.mark.filterwarnings("ignore:modulus 5 exceeds n/2")
@@ -179,3 +179,83 @@ def test_cli_sweep_rows_match_per_input_evaluation():
                 assert abs(float(cell) - float(expected)) <= 1e-15, (name, cell, expected)
             else:
                 assert cell == expected, (name, cell, expected)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("one-sided", OneSided()),
+    ("one-sided:0.2", OneSided(reject_min=0.2)),
+    ("one-sided:0.2:1e-6", OneSided(reject_min=0.2, tol=1e-6)),
+])
+def test_parse_one_sided_criterion_keeps_dataclass_defaults(text, want):
+    assert _parse_criterion(text) == want
+
+
+def test_eval_rejects_malformed_one_sided_criterion(tmp_path):
+    prog, table = tmp_path / "mod3.json", tmp_path / "mod3.tt"
+    table.write_text("6\n" + "".join("1" if bin(v).count("1") % 3 == 0 else "0" for v in range(64)))
+    runner = CliRunner()
+    built = runner.invoke(main, ["build", "mod", "--p", "3", "--n", "6", "-o", str(prog)])
+    assert built.exit_code == 0, built.output
+    args = ["eval", str(prog), "--exhaustive", "--truth-table", str(table), "--criterion"]
+    assert runner.invoke(main, [*args, "one-sided"]).exit_code == 0
+    result = runner.invoke(main, [*args, "one-sided:x"])
+    assert result.exit_code == 2
+    assert "invalid criterion 'one-sided:x'" in result.output
+
+
+def _universal_files(tmp_path):
+    table, univ = tmp_path / "f.tt", tmp_path / "univ.json"
+    table.write_text("3\n01101001\n")
+    built = CliRunner().invoke(main, ["build", "universal", "--truth-table", str(table), "-o", str(univ)])
+    assert built.exit_code == 0, built.output
+    return univ, table
+
+
+def test_analyze_builds_the_leaf_block_once(tmp_path, monkeypatch):
+    univ, table = _universal_files(tmp_path)
+    real, calls = program._leaf_matrix, []
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(program, "_leaf_matrix", counting)
+    monkeypatch.setattr(analysis, "_leaf_matrix", counting)
+    result = CliRunner().invoke(
+        main, ["analyze", str(univ), "--truth-table", str(table), "--epsilon", "0.5", "--auto-theta"]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
+def test_analyze_exits_1_when_the_derived_obdd_disagrees(tmp_path, monkeypatch):
+    univ, table = _universal_files(tmp_path)
+    real = analysis.DerivedObdd.classify_all
+
+    def flipped(self):
+        out = real(self).copy()
+        out[5] = not out[5]
+        return out
+
+    monkeypatch.setattr(analysis.DerivedObdd, "classify_all", flipped)
+    result = CliRunner().invoke(
+        main, ["analyze", str(univ), "--truth-table", str(table), "--epsilon", "0.5", "--auto-theta"]
+    )
+    assert result.exit_code == 1
+    assert "verified=false" in result.stderr
+    (record,) = _records(result.stderr)
+    assert record["metrics"]["verified"] is False
+
+
+@pytest.mark.parametrize("theta_args, message", [
+    (["--theta", "0.5", "--auto-theta"], "exactly one of --theta or --auto-theta"),
+    ([], "exactly one of --theta or --auto-theta"),
+    (["--theta", "5.0"], "exceeds the measured accept/reject separation"),
+])
+def test_analyze_theta_usage_errors_exit_2(tmp_path, theta_args, message):
+    univ, table = _universal_files(tmp_path)
+    result = CliRunner().invoke(
+        main, ["analyze", str(univ), "--truth-table", str(table), "--epsilon", "0.5", *theta_args]
+    )
+    assert result.exit_code == 2
+    assert message in result.output
