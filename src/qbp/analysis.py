@@ -31,13 +31,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .linalg import CHAIN_INSET, CHAIN_SLACK, CONFIG_DEDUP_TOL, NORM_DRIFT_TOL
 from .program import (
     QbProgram,
     TruthTable,
-    _as_bits,
     _column_accept_probs,
     _leaf_indices,
     _leaf_matrix,
+    _margin_masks,
     bits_of_value,
     is_read_once,
 )
@@ -47,13 +48,6 @@ from .program import (
 CONFIG_BUDGET_BYTES = 1 << 29
 MAX_SEPARATION_VARS = 16
 MAX_WIDTH_VARS = 24
-
-CONFIG_DEDUP_TOL = 1e-9
-CHAIN_SLACK = 1e-12
-# slack of the margin rule, so a margin equal to the measured one (up to
-# rounding) is met
-MARGIN_SLACK = 1e-12
-
 
 _PROJECTION_SEED = 20030205
 _GRAM_BLOCK_ROWS = 128
@@ -220,6 +214,11 @@ class LevelConfigurations:
     prev_transitions: np.ndarray
 
 
+def _require_read_once(p: QbProgram) -> None:
+    if not is_read_once(p):
+        raise ValueError("reachable-configuration enumeration requires a read-once program")
+
+
 def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
     """Enumerate distinct configurations per level, deduplicated at 1e-9.
 
@@ -233,8 +232,7 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
     not by comparing all pairs.  Before a level's candidates are built,
     2m * width * 16 bytes is checked against ``CONFIG_BUDGET_BYTES``.
     """
-    if not is_read_once(p):
-        raise ValueError("reachable-configuration enumeration requires a read-once program")
+    _require_read_once(p)
     block = p.initial[None, :]
     prefix = np.zeros(1, dtype=np.int64)
     levels = [LevelConfigurations(0, block, prefix, np.empty((0, 2), dtype=np.int64))]
@@ -251,7 +249,7 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
         candidates[1::2] = tf.apply_to_columns(1, block.T).T
         block, index = _greedy_dedup(candidates, CONFIG_DEDUP_TOL)
         del candidates  # release it before the next level allocates its own
-        if np.any(np.abs(np.linalg.norm(block, axis=1) - 1.0) > 1e-9):
+        if np.any(np.abs(np.linalg.norm(block, axis=1) - 1.0) > NORM_DRIFT_TOL):
             raise RuntimeError("reachable configuration drifted off unit norm")
         trans = index.reshape(-1, 2)
         trans.flags.writeable = False
@@ -351,13 +349,6 @@ def theta_bounds(epsilon: float, d: int) -> SeparationReport:
     return SeparationReport(epsilon, d, theta1, theta2, radicand)
 
 
-def _margin_split(probs: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """The margin rule: masks of the acceptance probabilities that accept,
-    p >= 1/2 + epsilon - MARGIN_SLACK, and that reject, p <= 1/2 - epsilon +
-    MARGIN_SLACK.  A probability in neither lies inside the margin band."""
-    return probs >= 0.5 + epsilon - MARGIN_SLACK, probs <= 0.5 - epsilon + MARGIN_SLACK
-
-
 def _classified_final_configs(
     p: QbProgram, f: TruthTable, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray, list[LevelConfigurations] | None]:
@@ -382,7 +373,7 @@ def _classified_final_configs(
     cols, order = _leaf_matrix(p)
     leaves = _leaf_indices(order, n)
     probs = _column_accept_probs(cols, p.accepting)[leaves]
-    accepts, rejects = _margin_split(probs, epsilon)
+    accepts, rejects = _margin_masks(probs, epsilon)
     bad = np.flatnonzero(np.where(f.bits, ~accepts, ~rejects))
     if bad.size:
         v = int(bad[0])
@@ -398,7 +389,7 @@ def _classified_final_configs(
     else:
         configs, _ = _greedy_dedup(cols[:, leaves].T, CONFIG_DEDUP_TOL)
     probs = _column_accept_probs(configs.T, p.accepting)
-    accepts, rejects = _margin_split(probs, epsilon)
+    accepts, rejects = _margin_masks(probs, epsilon)
     band = np.flatnonzero(~(accepts | rejects))
     if band.size:
         raise RuntimeError(
@@ -464,13 +455,6 @@ class DerivedObdd:
     def max_width(self) -> int:
         return max(self.level_counts)
 
-    def classify(self, input_bits) -> bool:
-        bits = _as_bits(input_bits, self.n_vars)
-        comp = self.initial_component
-        for table, j in zip(self.transitions, self.var_sequence):
-            comp = int(table[comp, bits[j - 1]])
-        return comp in self.accepting
-
     def classify_all(self) -> np.ndarray:
         """Boolean decision for every input value, vectorized."""
         values = np.arange(1 << self.n_vars, dtype=np.int64)
@@ -504,14 +488,17 @@ def derive_deterministic_obdd(
     ``epsilon``, under the hypothesis theta <= measured separation.  With
     ``theta`` None, the measured separation itself is used (``obdd.theta``).
 
-    Components are chained strictly inside ``theta`` (threshold theta - 1e-9)
-    so that accept/reject pairs at exactly the measured separation stay in
-    distinct components; ``theta`` itself is what the packing bound is
-    quoted against.  A transition mapping one component to two would
-    contradict distance preservation and raises RuntimeError.
+    Components are chained strictly inside ``theta`` (threshold theta -
+    CHAIN_INSET) so that accept/reject pairs at exactly the measured
+    separation stay in distinct components; ``theta`` itself is what the
+    packing bound is quoted against.  A transition mapping one component to
+    two would contradict distance preservation and raises RuntimeError.  A
+    program that is not read-once is refused before any configuration is
+    computed.
     """
     if theta is not None and theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
+    _require_read_once(p)
     configs, accepts, levels = _classified_final_configs(p, f, epsilon)
     sep = _min_cross_distance(configs[accepts], configs[~accepts])
     if theta is None:
@@ -521,9 +508,7 @@ def derive_deterministic_obdd(
             f"theta {theta} exceeds the measured accept/reject separation {sep}; "
             f"an accepting and a rejecting configuration lie at distance {sep}"
         )
-    if levels is None:
-        levels = reachable_configurations(p)  # raises: not read-once
-    chain_theta = theta - 1e-9 if theta > 2e-9 else theta / 2
+    chain_theta = theta - CHAIN_INSET if theta > 2 * CHAIN_INSET else theta / 2
     parts = [theta_components(lv.configs, chain_theta, level=lv.level) for lv in levels]
 
     tables: list[np.ndarray] = []

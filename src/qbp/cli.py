@@ -3,15 +3,25 @@
 Programs travel as JSON documents (see the program module), truth tables as
 two-line text files (variable count, then 2^n characters of {0,1} in
 input-value order).  Analysis commands emit CSV with a fixed header row to
-stdout or --out; a reproducibility record (command, seeds, program digest,
-wall time) goes to stderr as a JSON line.
+stdout or --out.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Every command body runs under one scaffold, ``_recorded``, placed below the
+click decorators; it holds the contract of all commands:
+
+* the body returns an ``ExperimentRecord``.  The scaffold times the body,
+  fills in the command name and wall time, and writes the record to stderr
+  as one line of strict JSON with the keys command, seed, program (digest),
+  wall_time_s and metrics;
+* exit 0 on success; exit 1 when the record is marked failed (a check that
+  does not hold), after the record is written;
+* exit 2 on a usage or parse error (``ParseFailure``, which every
+  ValueError of the body becomes); no record is written then.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import sys
@@ -21,7 +31,7 @@ from dataclasses import dataclass, field
 import click
 import numpy as np
 
-from . import analysis, constructions, program, realify
+from . import analysis, constructions, linalg, program, realify
 
 
 class ParseFailure(click.ClickException):
@@ -30,11 +40,12 @@ class ParseFailure(click.ClickException):
 
 @dataclass
 class ExperimentRecord:
-    command: str
+    command: str = ""
     seed: int | None = None
     program_digest: str | None = None
     wall_time_s: float = 0.0
     metrics: dict = field(default_factory=dict)
+    failed: bool = False  # not written; the command exits 1
 
     def emit(self) -> None:
         """Write the record as one line of strict JSON; a non-finite metric
@@ -53,6 +64,28 @@ def _finite_or_text(value):
     if isinstance(value, float) and not math.isfinite(value):
         return str(value)
     return value
+
+
+def _recorded(command: str):
+    """The scaffold of a command body that returns its ExperimentRecord (see
+    the module docstring)."""
+    def decorate(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                record = body(*args, **kwargs)
+            except ValueError as e:
+                raise ParseFailure(str(e)) from e
+            record.command = command
+            record.wall_time_s = time.perf_counter() - t0
+            record.emit()
+            if record.failed:
+                click.get_current_context().exit(1)
+
+        return run
+
+    return decorate
 
 
 # -- file formats ------------------------------------------------------------
@@ -94,6 +127,17 @@ def _load_program(path) -> program.QbProgram:
         raise ParseFailure(f"{path}: {e}") from e
     except OSError as e:
         raise ParseFailure(str(e)) from e
+
+
+def _write_program(p: program.QbProgram, out) -> str:
+    """Save a program, print its one-line summary and return its digest."""
+    digest = program.save_program(p, out)
+    click.echo(
+        f"width={p.width} length={p.length} n_vars={p.n_vars} "
+        f"read_once={program.is_read_once(p)} stable={program.is_stable(p)} "
+        f"digest={digest}"
+    )
+    return digest
 
 
 def _load_permutation_bp(path) -> constructions.PermutationBp:
@@ -148,14 +192,6 @@ def _write_csv(out_path, header: list[str], rows: list[list]) -> None:
             fh.close()
 
 
-def _program_summary(p: program.QbProgram, digest: str) -> str:
-    return (
-        f"width={p.width} length={p.length} n_vars={p.n_vars} "
-        f"read_once={program.is_read_once(p)} stable={program.is_stable(p)} "
-        f"digest={digest}"
-    )
-
-
 # -- commands ------------------------------------------------------------------
 
 @click.group()
@@ -179,43 +215,28 @@ def build():
 )
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for sampled strategy.")
 @click.option("--out", "-o", type=click.Path(dir_okay=False), required=True)
+@_recorded("build mod")
 def build_mod(modulus, n_vars, strategy, seed, out):
     """Divisibility-of-ones program from a certified good multiplier set."""
-    t0 = time.perf_counter()
-    try:
-        prog = constructions.build_mod_program(modulus, n_vars, strategy=strategy, seed=seed)
-    except ValueError as e:
-        raise ParseFailure(str(e)) from e
-    digest = program.save_program(prog, out)
-    click.echo(_program_summary(prog, digest))
-    ExperimentRecord(
-        command="build mod",
+    prog = constructions.build_mod_program(modulus, n_vars, strategy=strategy, seed=seed)
+    return ExperimentRecord(
         seed=seed if strategy == "sampled" else None,
-        program_digest=digest,
-        wall_time_s=time.perf_counter() - t0,
+        program_digest=_write_program(prog, out),
         metrics={"p": modulus, "n": n_vars, "strategy": strategy, "width": prog.width},
-    ).emit()
+    )
 
 
 @build.command("universal")
 @click.option("--truth-table", "table_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", "-o", type=click.Path(dir_okay=False), required=True)
+@_recorded("build universal")
 def build_universal(table_path, out):
     """Exact program of width 2^n for an arbitrary truth table."""
-    t0 = time.perf_counter()
     f = load_truth_table(table_path)
-    try:
-        prog = constructions.universal_exact_qbp(f)
-    except ValueError as e:
-        raise ParseFailure(str(e)) from e
-    digest = program.save_program(prog, out)
-    click.echo(_program_summary(prog, digest))
-    ExperimentRecord(
-        command="build universal",
-        program_digest=digest,
-        wall_time_s=time.perf_counter() - t0,
-        metrics={"n": f.n_vars, "width": prog.width},
-    ).emit()
+    prog = constructions.universal_exact_qbp(f)
+    return ExperimentRecord(
+        program_digest=_write_program(prog, out), metrics={"n": f.n_vars, "width": prog.width}
+    )
 
 
 @build.command("perm")
@@ -223,22 +244,11 @@ def build_universal(table_path, out):
               help="JSON file with width, start, accepting, levels[{var,perm0,perm1}].")
 @click.option("--n", "n_vars", type=int, default=None, help="Total variable count (default: max var read).")
 @click.option("--out", "-o", type=click.Path(dir_okay=False), required=True)
+@_recorded("build perm")
 def build_perm(bp_path, n_vars, out):
     """Embed a classical permutation branching program."""
-    t0 = time.perf_counter()
-    bp = _load_permutation_bp(bp_path)
-    try:
-        prog = constructions.permutation_bp_to_qbp(bp, n_vars=n_vars)
-    except ValueError as e:
-        raise ParseFailure(str(e)) from e
-    digest = program.save_program(prog, out)
-    click.echo(_program_summary(prog, digest))
-    ExperimentRecord(
-        command="build perm",
-        program_digest=digest,
-        wall_time_s=time.perf_counter() - t0,
-        metrics={"width": prog.width},
-    ).emit()
+    prog = constructions.permutation_bp_to_qbp(_load_permutation_bp(bp_path), n_vars=n_vars)
+    return ExperimentRecord(program_digest=_write_program(prog, out), metrics={"width": prog.width})
 
 
 @main.command("eval")
@@ -250,70 +260,46 @@ def build_perm(bp_path, n_vars, out):
               help="margin:EPS or one-sided[:REJECT_MIN[:TOL]].")
 @click.option("--max-listed", type=int, default=8, show_default=True,
               help="How many counterexamples to print.")
-@click.pass_context
-def eval_cmd(ctx, program_path, input_bits, exhaustive, table_path, criterion, max_listed):
+@_recorded("eval")
+def eval_cmd(program_path, input_bits, exhaustive, table_path, criterion, max_listed):
     """Acceptance probability on one input, or an exhaustive check."""
-    t0 = time.perf_counter()
     prog = _load_program(program_path)
-    if exhaustive:
-        if table_path is None:
-            raise ParseFailure("--exhaustive requires --truth-table")
-        f = load_truth_table(table_path)
-        crit = _parse_criterion(criterion)
-        try:
-            report = program.computes(prog, f, crit)
-        except ValueError as e:
-            raise ParseFailure(str(e)) from e
-        click.echo(f"holds={report.holds}")
-        click.echo(f"checked={report.checked}")
-        click.echo(f"min_margin={report.min_margin:.17g}")
-        click.echo(f"counterexamples={len(report.counterexamples)}")
-        for bits in report.counterexamples[:max_listed]:
-            click.echo("  " + "".join(map(str, bits)))
-        ExperimentRecord(
-            command="eval",
-            program_digest=program.program_digest(prog),
-            wall_time_s=time.perf_counter() - t0,
-            metrics={
-                "holds": report.holds,
-                "min_margin": report.min_margin,
-                "counterexamples": len(report.counterexamples),
-            },
-        ).emit()
-        if not report.holds:
-            ctx.exit(1)
-        return
-    if input_bits is None:
-        raise ParseFailure("provide --input BITS or --exhaustive --truth-table FILE")
-    try:
+    if not exhaustive:
+        if input_bits is None:
+            raise ParseFailure("provide --input BITS or --exhaustive --truth-table FILE")
         prob = program.evaluate(prog, input_bits)
-    except ValueError as e:
-        raise ParseFailure(str(e)) from e
-    click.echo(f"{prob:.17g}")
-    ExperimentRecord(
-        command="eval",
+        click.echo(f"{prob:.17g}")
+        return ExperimentRecord(program_digest=program.program_digest(prog), metrics={"probability": prob})
+    if table_path is None:
+        raise ParseFailure("--exhaustive requires --truth-table")
+    f = load_truth_table(table_path)
+    report = program.computes(prog, f, _parse_criterion(criterion))
+    click.echo(f"holds={report.holds}")
+    click.echo(f"checked={report.checked}")
+    click.echo(f"min_margin={report.min_margin:.17g}")
+    click.echo(f"counterexamples={len(report.counterexamples)}")
+    for bits in report.counterexamples[:max_listed]:
+        click.echo("  " + "".join(map(str, bits)))
+    return ExperimentRecord(
         program_digest=program.program_digest(prog),
-        wall_time_s=time.perf_counter() - t0,
-        metrics={"probability": prob},
-    ).emit()
+        metrics={"holds": report.holds, "min_margin": report.min_margin,
+                 "counterexamples": len(report.counterexamples)},
+        failed=not report.holds,
+    )
 
 
 @main.command("realify")
 @click.argument("program_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "-o", type=click.Path(dir_okay=False), required=True)
+@_recorded("realify")
 def realify_cmd(program_path, out):
     """Rewrite a program with real amplitudes at twice the width."""
-    t0 = time.perf_counter()
     prog = _load_program(program_path)
     real = realify.realify_program(prog)
-    digest = program.save_program(real, out)
-    click.echo(_program_summary(real, digest))
-    ExperimentRecord(
-        command="realify",
-        program_digest=digest,
-        wall_time_s=time.perf_counter() - t0,
+    return ExperimentRecord(
+        program_digest=_write_program(real, out),
         metrics={"source_width": prog.width, "width": real.width},
-    ).emit()
+    )
 
 
 @main.command("analyze")
@@ -323,18 +309,14 @@ def realify_cmd(program_path, out):
 @click.option("--theta", type=float, default=None, help="Component chain radius.")
 @click.option("--auto-theta", is_flag=True, help="Use the measured accept/reject separation.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="CSV destination (default stdout).")
-@click.pass_context
-def analyze_cmd(ctx, program_path, table_path, epsilon, theta, auto_theta, out):
+@_recorded("analyze")
+def analyze_cmd(program_path, table_path, epsilon, theta, auto_theta, out):
     """Per-level component analysis and the derived deterministic OBDD."""
-    t0 = time.perf_counter()
     prog = _load_program(program_path)
     f = load_truth_table(table_path)
     if (theta is None) == (not auto_theta):
         raise ParseFailure("provide exactly one of --theta or --auto-theta")
-    try:
-        obdd = analysis.derive_deterministic_obdd(prog, f, theta, epsilon)
-    except ValueError as e:
-        raise ParseFailure(str(e)) from e
+    obdd = analysis.derive_deterministic_obdd(prog, f, theta, epsilon)
     theta = obdd.theta
     bound = analysis.packing_width_bound(theta, prog.width)
     rows = [
@@ -344,29 +326,21 @@ def analyze_cmd(ctx, program_path, table_path, epsilon, theta, auto_theta, out):
     _write_csv(out, ["level", "reachable_count", "theta", "component_count", "bound_value"], rows)
     agree = bool(np.array_equal(obdd.classify_all(), f.bits))
     click.echo(f"verified={str(agree).lower()} max_width={obdd.max_width}", err=True)
-    ExperimentRecord(
-        command="analyze",
+    return ExperimentRecord(
         program_digest=program.program_digest(prog),
-        wall_time_s=time.perf_counter() - t0,
-        metrics={
-            "theta": theta,
-            "epsilon": epsilon,
-            "max_width": obdd.max_width,
-            "bound": bound,
-            "verified": agree,
-        },
-    ).emit()
-    if not agree:
-        ctx.exit(1)
+        metrics={"theta": theta, "epsilon": epsilon, "max_width": obdd.max_width, "bound": bound,
+                 "verified": agree},
+        failed=not agree,
+    )
 
 
 @main.command("widths")
 @click.option("--truth-table", "table_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--order", type=str, default=None, help="Comma-separated variable order, e.g. 2,1,3.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_recorded("widths")
 def widths_cmd(table_path, order, out):
     """Minimal deterministic OBDD width per level (subfunction counting)."""
-    t0 = time.perf_counter()
     f = load_truth_table(table_path)
     parsed_order = None
     if order is not None:
@@ -374,17 +348,10 @@ def widths_cmd(table_path, order, out):
             parsed_order = tuple(int(x) for x in order.split(","))
         except ValueError as e:
             raise ParseFailure(f"invalid order {order!r}: {e}") from e
-    try:
-        widths = analysis.min_obdd_width(f, parsed_order)
-    except ValueError as e:
-        raise ParseFailure(str(e)) from e
+    widths = analysis.min_obdd_width(f, parsed_order)
     _write_csv(out, ["level", "width"], [[j, w] for j, w in enumerate(widths.level_widths)])
     click.echo(f"max_width={widths.max_width}", err=True)
-    ExperimentRecord(
-        command="widths",
-        wall_time_s=time.perf_counter() - t0,
-        metrics={"n": f.n_vars, "max_width": widths.max_width},
-    ).emit()
+    return ExperimentRecord(metrics={"n": f.n_vars, "max_width": widths.max_width})
 
 
 def _parse_range(text: str, what: str) -> tuple[float, ...]:
@@ -399,7 +366,7 @@ def _parse_range(text: str, what: str) -> tuple[float, ...]:
     start, stop, step = parts
     values = []
     x = start
-    while x <= stop + 1e-12:
+    while x <= stop + linalg.RANGE_SLACK:
         values.append(round(x, 12))
         x += step
     return tuple(values)
@@ -452,9 +419,9 @@ MOD_SWEEP_HEADER = [
 @click.option("--t", "t_width", type=int, default=1 << 20, show_default=True,
               help="Minimal OBDD width used by the epsilon sweep bounds.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_recorded("sweep")
 def sweep_cmd(p_range, epsilon_range, n_vars, seed, t_width, out):
     """One CSV row per parameter point; per-row errors recorded, sweep continues."""
-    t0 = time.perf_counter()
     if (p_range is None) == (epsilon_range is None):
         raise ParseFailure("provide exactly one of --p-range or --epsilon-range")
     if p_range is not None:
@@ -467,13 +434,7 @@ def sweep_cmd(p_range, epsilon_range, n_vars, seed, t_width, out):
             except Exception as e:  # noqa: BLE001 - per-row errors are data
                 rows.append([p, n_vars] + [""] * (len(MOD_SWEEP_HEADER) - 3) + [str(e)])
         _write_csv(out, MOD_SWEEP_HEADER, rows)
-        ExperimentRecord(
-            command="sweep",
-            seed=seed,
-            wall_time_s=time.perf_counter() - t0,
-            metrics={"points": len(rows), "n": n_vars},
-        ).emit()
-        return
+        return ExperimentRecord(seed=seed, metrics={"points": len(rows), "n": n_vars})
     header = ["epsilon", "theta2_radicand", "theta2", "d_min_margin", "d_min_general"]
     rows = []
     for eps in _parse_range(epsilon_range, "epsilon range"):
@@ -492,11 +453,7 @@ def sweep_cmd(p_range, epsilon_range, n_vars, seed, t_width, out):
         except Exception as e:  # noqa: BLE001
             rows.append([f"{eps:.17g}", "", "", "", str(e)])
     _write_csv(out, header, rows)
-    ExperimentRecord(
-        command="sweep",
-        wall_time_s=time.perf_counter() - t0,
-        metrics={"points": len(rows), "t": t_width},
-    ).emit()
+    return ExperimentRecord(metrics={"points": len(rows), "t": t_width})
 
 
 if __name__ == "__main__":

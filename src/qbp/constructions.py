@@ -23,8 +23,6 @@ import numpy as np
 from . import linalg
 from .program import QbProgram, QuantumTransformation, TruthTable
 
-GOOD_COS2_SLACK = 1e-12
-
 
 def is_prime(p: int) -> bool:
     if p < 2:
@@ -158,7 +156,7 @@ def good_multipliers(p: int, l: int) -> frozenset[int]:
         )
     ks = np.arange(1, p)
     cos2 = np.cos(2.0 * np.pi * l * ks / p) ** 2
-    return frozenset(int(k) for k in ks[cos2 <= 0.5 + GOOD_COS2_SLACK])
+    return frozenset(int(k) for k in ks[cos2 <= 0.5 + linalg.GOOD_COS2_SLACK])
 
 
 def _good_table(p: int) -> np.ndarray:
@@ -166,7 +164,7 @@ def _good_table(p: int) -> np.ndarray:
     ls = np.arange(1, p).reshape(-1, 1)
     ks = np.arange(1, p).reshape(1, -1)
     cos2 = np.cos(2.0 * np.pi * ls * ks / p) ** 2
-    return cos2 <= 0.5 + GOOD_COS2_SLACK
+    return cos2 <= 0.5 + linalg.GOOD_COS2_SLACK
 
 
 def failing_residues(p: int, multipliers: Sequence[int]) -> tuple[int, ...]:
@@ -210,10 +208,6 @@ class GoodSet:
     @property
     def t(self) -> int:
         return len(self.multipliers)
-
-    def good_fraction(self, l: int) -> float:
-        good = good_multipliers(self.p, l)
-        return sum(1 for k in self.multipliers if k in good) / self.t
 
 
 def target_set_size(p: int) -> int:
@@ -287,8 +281,10 @@ def compose_parallel(blocks: Sequence[QbProgram], weights: Sequence[float] | Non
     weights = [float(w) for w in weights]
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise ValueError(f"weights sum to {sum(weights)!r}, expected 1 within 1e-12")
+    if abs(sum(weights) - 1.0) > linalg.WEIGHT_SUM_TOL:
+        raise ValueError(
+            f"weights sum to {sum(weights)!r}, expected 1 within {linalg.WEIGHT_SUM_TOL}"
+        )
     first = blocks[0]
     for b in blocks[1:]:
         if b.n_vars != first.n_vars:

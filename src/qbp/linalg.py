@@ -2,15 +2,27 @@
 
 Vectors and matrices are numpy ``complex128`` arrays frozen after
 construction (``writeable = False``), so they can be shared between
-programs and threads without defensive copies.  Unitarity is checked at
-1e-10 by default; metric assertions elsewhere in the package work at 1e-9.
+programs and threads without defensive copies.  Every tolerance of the
+package is defined once, in the table below.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_UNITARY_TOL = 1e-10
+# -- tolerances: every one the package uses, each with its reason -----------
+DEFAULT_UNITARY_TOL = 1e-10  # max-entry deviation of u* u from I of a unitary level
+NORMALIZATION_TOL = 1e-10  # unit norm of an initial configuration, unit sum of a distribution
+STABLE_TOL = 1e-12  # entrywise difference of two levels that count as the same (is_stable)
+MARGIN_SLACK = 1e-12  # margin rule slack: a margin equal to the measured one is met
+ONE_SIDED_TOL = 1e-9  # default OneSided.tol: an accepting probability's distance from 1
+CONFIG_DEDUP_TOL = 1e-9  # distance under which two reachable configurations are collapsed
+NORM_DRIFT_TOL = 1e-9  # drift off unit norm that a reachable configuration may accumulate
+CHAIN_SLACK = 1e-12  # slack on the theta-component radius and on theta vs the separation
+CHAIN_INSET = 1e-9  # components are chained at theta - CHAIN_INSET, strictly inside theta
+GOOD_COS2_SLACK = 1e-12  # slack on cos^2 <= 1/2 in the good-multiplier test
+WEIGHT_SUM_TOL = 1e-12  # distance of the compose_parallel weights' sum from 1
+RANGE_SLACK = 1e-12  # overshoot of a float range's stop that still includes it
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -65,14 +77,3 @@ def is_unitary(u, tol: float = DEFAULT_UNITARY_TOL) -> bool:
 
 def norm(psi) -> float:
     return float(np.linalg.norm(as_cvector(psi)))
-
-
-def distance(a, b) -> float:
-    """Euclidean distance between two complex vectors of equal dimension."""
-    a = as_cvector(a)
-    b = as_cvector(b)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"vector dimension {a.shape[0]} does not match vector dimension {b.shape[0]}"
-        )
-    return float(np.linalg.norm(a - b))

@@ -14,6 +14,10 @@ Programs are oblivious, so every evaluation advances one d x m block of
 configurations level by level (``_advance``): one column per input, or in
 ``evaluate_all`` per assignment to the variables read so far.  Each block is
 checked against ``EVAL_BUDGET_BYTES`` before it is allocated.
+
+Acceptance at a margin is decided by one rule, ``_margin_masks``, which
+``classify_probability``, ``computes``, ``computes_sampled`` and the
+theta-component analysis all use.
 """
 
 from __future__ import annotations
@@ -29,12 +33,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import linalg
+from .linalg import MARGIN_SLACK, NORMALIZATION_TOL, ONE_SIDED_TOL, STABLE_TOL
 
 # bytes of one evaluation block: d x 2^|read| configurations for all inputs,
 # d x B for a batch; width 4 passes at n = 24 (1 GiB) and width 8 stops
 EVAL_BUDGET_BYTES = 1 << 30
-# entrywise tolerance under which two levels count as the same (``is_stable``)
-_STABLE_TOL = 1e-12
 
 Bits = Sequence[int] | str
 
@@ -148,8 +151,8 @@ class QbProgram:
             raise ValueError(
                 f"initial vector dimension {self.initial.shape[0]} does not match width {self.width}"
             )
-        if abs(linalg.norm(self.initial) - 1.0) > 1e-10:
-            raise ValueError("initial configuration must have unit norm within 1e-10")
+        if abs(linalg.norm(self.initial) - 1.0) > NORMALIZATION_TOL:
+            raise ValueError(f"initial configuration must have unit norm within {NORMALIZATION_TOL}")
         for s in self.accepting:
             if not 1 <= s <= self.width:
                 raise ValueError(f"accepting state {s} outside [1, {self.width}]")
@@ -242,6 +245,18 @@ def evaluate_batch(p: QbProgram, inputs) -> np.ndarray:
     return _column_accept_probs(_final_block(p, inputs), p.accepting)
 
 
+def _margin_masks(probs, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The margin rule: (accepts, rejects) masks of acceptance probabilities.
+    With s = min(MARGIN_SLACK, epsilon), p rejects if p <= 1/2 - epsilon + s,
+    else accepts if p >= 1/2 + epsilon - s, else lies in the margin band.  So
+    a margin equal to the measured one is met despite rounding, and at
+    epsilon 0 exactly 1/2 rejects while anything above it accepts."""
+    s = min(MARGIN_SLACK, epsilon)
+    probs = np.asarray(probs)
+    rejects = probs <= 0.5 - epsilon + s
+    return (probs >= 0.5 + epsilon - s) & ~rejects, rejects
+
+
 def classify_probability(prob: float, epsilon: float) -> Classification:
     """Threshold an acceptance probability at margin ``epsilon``.
 
@@ -250,11 +265,10 @@ def classify_probability(prob: float, epsilon: float) -> Classification:
     """
     if not 0.0 <= epsilon <= 0.5:
         raise ValueError(f"epsilon must be in [0, 1/2], got {epsilon}")
-    if prob <= 0.5 - epsilon:
+    accepts, rejects = _margin_masks(prob, epsilon)
+    if rejects:
         return Classification.REJECTS
-    if prob >= 0.5 + epsilon:
-        return Classification.ACCEPTS
-    return Classification.UNDETERMINED
+    return Classification.ACCEPTS if accepts else Classification.UNDETERMINED
 
 
 def classify(p: QbProgram, input_bits: Bits, epsilon: float) -> Classification:
@@ -268,14 +282,14 @@ def is_read_once(p: QbProgram) -> bool:
 
 
 def is_stable(p: QbProgram) -> bool:
-    """True iff every level applies the same (u0, u1) pair, entrywise within 1e-12."""
+    """True iff every level applies the same (u0, u1) pair, entrywise within STABLE_TOL."""
     if p.length <= 1:
         return True
     first = p.transformations[0]
     for tf in p.transformations[1:]:
-        if float(np.max(np.abs(tf.u0 - first.u0))) > _STABLE_TOL:
+        if float(np.max(np.abs(tf.u0 - first.u0))) > STABLE_TOL:
             return False
-        if float(np.max(np.abs(tf.u1 - first.u1))) > _STABLE_TOL:
+        if float(np.max(np.abs(tf.u1 - first.u1))) > STABLE_TOL:
             return False
     return True
 
@@ -389,7 +403,7 @@ class OneSided:
     0-inputs are rejected with probability >= reject_min - tol."""
 
     reject_min: float = 0.125
-    tol: float = 1e-9
+    tol: float = ONE_SIDED_TOL
 
 
 Criterion = Margin | OneSided
@@ -405,9 +419,7 @@ class CheckReport:
 
 def _criterion_mask(probs: np.ndarray, fbits: np.ndarray, criterion: Criterion) -> np.ndarray:
     if isinstance(criterion, Margin):
-        eps = criterion.epsilon
-        rejects = probs <= 0.5 - eps
-        accepts = (probs >= 0.5 + eps) & ~rejects
+        accepts, rejects = _margin_masks(probs, criterion.epsilon)
         return np.where(fbits, accepts, rejects)
     if isinstance(criterion, OneSided):
         ok1 = np.abs(probs - 1.0) <= criterion.tol
@@ -480,10 +492,11 @@ def _as_stochastic(data, what: str) -> np.ndarray:
         row = int(np.nonzero((arr < 0).any(axis=1))[0][0])
         raise ValueError(f"{what} row {row + 1} has a negative entry")
     sums = arr.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > 1e-10)[0]
+    bad = np.nonzero(np.abs(sums - 1.0) > NORMALIZATION_TOL)[0]
     if bad.size:
+        row = int(bad[0])
         raise ValueError(
-            f"{what} row {int(bad[0]) + 1} sums to {sums[bad[0]]!r}, expected 1 within 1e-10"
+            f"{what} row {row + 1} sums to {float(sums[row])!r}, expected 1 within {NORMALIZATION_TOL}"
         )
     arr = arr.copy()
     arr.flags.writeable = False
@@ -510,8 +523,10 @@ class StableProbObdd:
         mu = np.asarray(self.initial_dist, dtype=np.float64)
         if mu.ndim != 1 or mu.shape[0] != self.width:
             raise ValueError(f"initial distribution must have length {self.width}")
-        if np.any(mu < 0) or abs(float(mu.sum()) - 1.0) > 1e-10:
-            raise ValueError("initial distribution must be nonnegative and sum to 1 within 1e-10")
+        if np.any(mu < 0) or abs(float(mu.sum()) - 1.0) > NORMALIZATION_TOL:
+            raise ValueError(
+                f"initial distribution must be nonnegative and sum to 1 within {NORMALIZATION_TOL}"
+            )
         mu = mu.copy()
         mu.flags.writeable = False
         object.__setattr__(self, "initial_dist", mu)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from qbp.analysis import (
     theta_bounds,
     theta_components,
 )
+from qbp.cli import main, save_truth_table
 from qbp.constructions import (
     ModBlockSpec,
     build_mod_program,
@@ -39,6 +41,7 @@ from qbp.program import (
     bits_of_value,
     evaluate_all,
     final_configuration,
+    save_program,
 )
 
 from conftest import chain_probability, random_program
@@ -104,12 +107,10 @@ def test_distance_preserved_across_levels(rng):
         for j, tf in enumerate(p.transformations):
             configs = levels[j].configs
             for a, b in itertools.combinations(range(len(configs)), 2):
-                before = linalg.distance(configs[a], configs[b])
+                before = np.linalg.norm(configs[a] - configs[b])
                 for bit in (0, 1):
-                    after = linalg.distance(
-                        *(tf.apply_to_columns(bit, configs[k][:, None])[:, 0] for k in (a, b))
-                    )
-                    assert abs(before - after) <= 1e-9
+                    ua, ub = (tf.apply_to_columns(bit, configs[k][:, None])[:, 0] for k in (a, b))
+                    assert abs(before - np.linalg.norm(ua - ub)) <= 1e-9
 
 
 @pytest.mark.parametrize("case", ["universal", "mod", "haar"])
@@ -353,6 +354,30 @@ def test_measured_separation_read_twice_matches_all_inputs():
     assert measured_separation(p, f, eps) == pytest.approx(expected, abs=1e-12)
 
 
+def test_derive_refuses_read_twice_before_any_configuration(monkeypatch, tmp_path):
+    # read-twice MOD_5 at n = 12: refused before the leaf block is built and
+    # its 4096 final configurations are deduplicated
+    block = mod_block(ModBlockSpec(5, 1, 12))
+    p = QbProgram(12, 2, block.transformations * 2, block.initial, block.accepting)
+    f = TruthTable(12, evaluate_all(p) > 0.5)
+    calls = []
+    for name in ("_leaf_matrix", "_greedy_dedup"):
+        monkeypatch.setattr(qbp.analysis, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(ValueError, match="requires a read-once program"):
+        derive_deterministic_obdd(p, f, None, 0.25)
+    assert calls == []
+
+    prog, table = tmp_path / "twice.json", tmp_path / "twice.tt"
+    save_program(p, prog)
+    save_truth_table(f, table)
+    result = CliRunner().invoke(
+        main, ["analyze", str(prog), "--truth-table", str(table), "--epsilon", "0.25", "--auto-theta"]
+    )
+    assert result.exit_code == 2
+    assert "requires a read-once program" in result.output
+    assert calls == []
+
+
 def test_read_k_classification_builds_the_leaf_block_once(monkeypatch):
     block = mod_block(ModBlockSpec(5, 1, 4))
     p = QbProgram(4, 2, block.transformations * 2, block.initial, block.accepting)
@@ -413,15 +438,6 @@ def test_derive_at_measured_separation():
     obdd = derive_deterministic_obdd(p, f, theta, 0.25)
     assert np.array_equal(obdd.classify_all(), f.bits)
     assert obdd.max_width <= packing_width_bound(theta, 2)
-
-
-def test_derive_classify_single_input_matches_bulk():
-    p = mod_block(ModBlockSpec(3, 2, 5))
-    f = mod_truth_table(3, 5)
-    obdd = derive_deterministic_obdd(p, f, 0.5, 0.25)
-    bulk = obdd.classify_all()
-    for v in range(1 << 5):
-        assert obdd.classify(bits_of_value(v, 5)) == bool(bulk[v])
 
 
 def test_derive_rejects_theta_above_separation():

@@ -54,21 +54,6 @@ def test_rejects_non_finite_entries():
         linalg.as_cmatrix([[1.0, 0.0], [0.0, float("inf")]])
 
 
-def test_distance_examples():
-    assert linalg.distance([1, 0], [1, 0]) == 0.0
-    assert linalg.distance([1, 0], [0, 1]) == pytest.approx(math.sqrt(2), abs=1e-15)
-    # chord between angle 0 and angle 72 degrees on the unit circle
-    assert linalg.distance([1, 0], [COS72, SIN72]) == pytest.approx(
-        2 * math.sin(math.pi / 5), abs=1e-12
-    )
-    assert linalg.distance([1, 0], [COS72, SIN72]) == pytest.approx(1.1755705045849463, abs=1e-12)
-
-
-def test_distance_dimension_mismatch():
-    with pytest.raises(ValueError):
-        linalg.distance([1, 0, 0], [1, 0])
-
-
 def test_vectors_are_frozen():
     v = linalg.as_cvector([1.0, 0.0])
     with pytest.raises(ValueError):
@@ -82,8 +67,8 @@ def test_unitaries_preserve_distance(seed, d):
     u = haar_unitary(rng, d)
     psi = random_state(rng, d)
     xi = random_state(rng, d)
-    before = linalg.distance(psi, xi)
-    after = linalg.distance(u @ psi, u @ xi)
+    before = np.linalg.norm(psi - xi)
+    after = np.linalg.norm(u @ psi - u @ xi)
     assert abs(before - after) <= 1e-9
 
 

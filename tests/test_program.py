@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qbp import linalg
 from qbp import program as program_module
+from qbp.analysis import measured_separation
 from qbp.cli import ParseFailure, load_truth_table, save_truth_table
 from qbp.constructions import ModBlockSpec, build_mod_program, mod_block, universal_exact_qbp
 from qbp.program import (
@@ -153,14 +154,47 @@ def test_classify_epsilon_out_of_range():
 )
 @settings(max_examples=300)
 def test_classify_probability_is_total_and_consistent(prob, eps):
+    # the margin rule gives each bound a slack of min(MARGIN_SLACK, eps)
+    s = min(linalg.MARGIN_SLACK, eps)
     got = classify_probability(prob, eps)
     if got is Classification.UNDETERMINED:
         assert eps > 0.0
-        assert 0.5 - eps < prob < 0.5 + eps
+        assert 0.5 - eps + s < prob < 0.5 + eps - s
     elif got is Classification.ACCEPTS:
-        assert prob >= 0.5 + eps
+        assert prob >= 0.5 + eps - s and prob > 0.5 - eps + s
     else:
-        assert prob <= 0.5 - eps
+        assert prob <= 0.5 - eps + s
+
+
+@pytest.mark.parametrize("prob, want", [
+    (0.75 - 0.5e-12, Classification.ACCEPTS),
+    (0.75 - 2e-12, Classification.UNDETERMINED),
+    (0.25 + 0.5e-12, Classification.REJECTS),
+    (0.25 + 2e-12, Classification.UNDETERMINED),
+])
+def test_margin_slack_is_pinned(prob, want):
+    assert classify_probability(prob, 0.25) is want
+
+
+def _margin_rule_agrees(prob: float) -> None:
+    # a program checked at its own reported min_margin computes its table,
+    # in computes and in the separation analysis alike
+    p = probability_program(prob)
+    f = TruthTable.constant(1, evaluate(p, "0") > 0.5)
+    m = computes(p, f, Margin(0.0)).min_margin
+    assert computes(p, f, Margin(m)).holds
+    if m > 0.0:
+        assert measured_separation(p, f, m) == math.inf
+
+
+def test_margin_rule_holds_at_the_reported_min_margin():
+    _margin_rule_agrees(0.2)
+
+
+@given(st.floats(0.0, 1.0, allow_nan=False))
+@settings(max_examples=300, deadline=None)
+def test_margin_rule_holds_at_the_reported_min_margin_everywhere(prob):
+    _margin_rule_agrees(prob)
 
 
 # -- computes ---------------------------------------------------------------------
@@ -568,7 +602,8 @@ def test_stable_prob_obdd_distributions_stay_probability_vectors(rng):
 
 def test_stable_prob_obdd_rejects_non_stochastic_row():
     bad = np.array([[0.5, 0.6], [0.5, 0.5]])
-    with pytest.raises(ValueError, match="row 1"):
+    # the sum is formatted as a plain float, not np.float64(...)
+    with pytest.raises(ValueError, match=r"a0 row 1 sums to 1\.1, expected 1 within 1e-10$"):
         StableProbObdd(2, bad, np.eye(2), np.array([1.0, 0.0]), frozenset({1}), (1,))
 
 
