@@ -17,16 +17,22 @@ those whose projections lie within the radius.  The projection is
 skipped, and every pair kept or ruled out is decided by its explicit
 distance: the result is exact, not an approximation, in any width.
 
+The derived OBDD and the minimal OBDD of a function share one type,
+``Obdd``.  The minimal one is built bottom up, as a quasi-reduced OBDD with
+one unique table per level: the leaves are the table's values in
+input-value order for the variable order, and the nodes of a level are the
+distinct (low, high) pairs of nodes of the level below, keyed as
+low * width + high and found with one ``np.unique``.
+
 Also here: the measured accept/reject separation of a program, the two
-closed-form separation lower bounds, a brute-force minimal OBDD width
-oracle (distinct-subfunction counting), and integer width lower bounds
-derived from the packing inequality.
+closed-form separation lower bounds, and integer width lower bounds derived
+from the packing inequality.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -322,8 +328,7 @@ def theta_components(configs: np.ndarray, theta: float, level: int = 0) -> Theta
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Closed-form separation bounds for a margin and width, plus the
-    measured minimum accept/reject distance when available.
+    """Closed-form separation bounds for a margin and width.
 
     theta1 = epsilon / sqrt(d).  theta2 = sqrt(1 + 2 eps - 4 sqrt(1/2 - eps))
     when the radicand is positive (roughly eps > 0.33), else 0; the radicand
@@ -335,7 +340,6 @@ class SeparationReport:
     theta1: float
     theta2: float
     theta2_radicand: float
-    measured: float | None = None
 
 
 def theta_bounds(epsilon: float, d: int) -> SeparationReport:
@@ -401,14 +405,27 @@ def _classified_final_configs(
 
 def _min_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Smallest distance between a row of ``a`` and a row of ``b``; inf when
-    either block is empty."""
+    either block is empty.
+
+    The Gram minimum g of ||x||^2 + ||y||^2 - 2 Re<x, y> is kept when the
+    distances its rounding bound allows span less than CHAIN_INSET, the
+    accuracy the component chain at theta - CHAIN_INSET needs.  Otherwise (a
+    small distance, where the Gram form cancels) the minimum is taken over
+    the explicit distances of the pairs within sqrt(g + bound), found by
+    ``_near_pairs``.
+    """
     if not len(a) or not len(b):
         return math.inf
     sa = np.einsum("ij,ij->i", a, a.conj()).real
     sb = np.einsum("ij,ij->i", b, b.conj()).real
     gram = (a @ b.conj().T).real
     d2 = np.maximum(sa[:, None] + sb[None, :] - 2.0 * gram, 0.0)
-    return float(math.sqrt(float(d2.min())))
+    g = float(d2.min())
+    # the rounding bound of _near_pairs' Gram values, for rows of length 2d
+    err = 4.0 * (2 * a.shape[1] + 4) * np.finfo(np.float64).eps * (max(sa.max(), sb.max()) + g)
+    if math.sqrt(g + err) - math.sqrt(max(g - err, 0.0)) < CHAIN_INSET:
+        return math.sqrt(g)
+    return math.sqrt(float(_near_pairs(a, math.sqrt(g + err), b)[2].min()))
 
 
 def measured_separation(p: QbProgram, f: TruthTable, epsilon: float) -> float:
@@ -423,48 +440,44 @@ def measured_separation(p: QbProgram, f: TruthTable, epsilon: float) -> float:
     return _min_cross_distance(configs[accepts], configs[~accepts])
 
 
-def separation_report(p: QbProgram, f: TruthTable, epsilon: float) -> SeparationReport:
-    rep = theta_bounds(epsilon, p.width)
-    return replace(rep, measured=measured_separation(p, f, epsilon))
-
-
-# -- derived deterministic OBDD ------------------------------------------------------
+# -- OBDDs ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class DerivedObdd:
-    """Deterministic OBDD over theta-components of reachable configurations.
-
-    ``transitions[j][c, b]`` is the component at level j+1 reached from
-    component c of level j on bit b.  The initial component has index 0.
-    ``reachable_counts[j]`` is the number of distinct reachable
-    configurations at level j, which the components of ``level_counts[j]``
-    partition.
+class Obdd:
+    """Leveled deterministic OBDD: ``transitions[j][c, b]`` is the node at
+    level j+1 reached from node c of level j when variable
+    ``var_sequence[j]`` is b.  The root is node 0; ``accepting`` holds
+    accepting nodes of the last level.  Only a derived OBDD sets ``theta``
+    and ``reachable_counts``: its nodes at level j are theta-components of
+    the ``reachable_counts[j]`` distinct reachable configurations.
     """
 
     n_vars: int
     var_sequence: tuple[int, ...]
-    level_counts: tuple[int, ...]
-    reachable_counts: tuple[int, ...]
+    level_widths: tuple[int, ...]
     transitions: tuple[np.ndarray, ...]
     accepting: frozenset[int]
-    theta: float
-    qbp_width: int
-    initial_component: int = 0
+    theta: float | None = None
+    reachable_counts: tuple[int, ...] | None = None
+
+    @property
+    def level_counts(self) -> tuple[int, ...]:
+        """Alias of ``level_widths``; ``perfbench/workloads.py`` reads this name."""
+        return self.level_widths
 
     @property
     def max_width(self) -> int:
-        return max(self.level_counts)
+        return max(self.level_widths)
 
     def classify_all(self) -> np.ndarray:
         """Boolean decision for every input value, vectorized."""
         values = np.arange(1 << self.n_vars, dtype=np.int64)
-        comp = np.full(values.shape, self.initial_component, dtype=np.int64)
+        node = np.zeros(values.shape, dtype=np.int64)
         for table, j in zip(self.transitions, self.var_sequence):
-            bits = (values >> (self.n_vars - j)) & 1
-            comp = table[comp, bits]
-        mask = np.zeros(self.level_counts[-1], dtype=bool)
+            node = table[node, (values >> (self.n_vars - j)) & 1]
+        mask = np.zeros(self.level_widths[-1], dtype=bool)
         mask[sorted(self.accepting)] = True
-        return mask[comp]
+        return mask[node]
 
 
 def packing_width_bound(theta: float, d: int) -> float:
@@ -483,7 +496,7 @@ def packing_width_bound(theta: float, d: int) -> float:
 
 def derive_deterministic_obdd(
     p: QbProgram, f: TruthTable, theta: float | None, epsilon: float
-) -> DerivedObdd:
+) -> Obdd:
     """Build the component OBDD for a program that computes ``f`` with margin
     ``epsilon``, under the hypothesis theta <= measured separation.  With
     ``theta`` None, the measured separation itself is used (``obdd.theta``).
@@ -537,49 +550,47 @@ def derive_deterministic_obdd(
         raise RuntimeError(
             f"final component {int(mixed[0])} mixes accepting and rejecting configurations"
         )
-    return DerivedObdd(
+    return Obdd(
         n_vars=p.n_vars,
         var_sequence=p.var_sequence,
-        level_counts=tuple(pt.count for pt in parts),
-        reachable_counts=tuple(len(lv.configs) for lv in levels),
+        level_widths=tuple(pt.count for pt in parts),
         transitions=tuple(tables),
         accepting=frozenset(accepting.tolist()),
         theta=theta,
-        qbp_width=p.width,
+        reachable_counts=tuple(len(lv.configs) for lv in levels),
     )
 
 
-# -- minimal OBDD width oracle ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class ObddWidths:
-    order: tuple[int, ...]
-    level_widths: tuple[int, ...]
-    max_width: int
-
-
-def min_obdd_width(f: TruthTable, order: Sequence[int] | None = None) -> ObddWidths:
-    """Level widths of the minimal (quasi-reduced) deterministic OBDD for a
-    fixed variable order: the width at level j is the number of distinct
+def min_obdd_width(f: TruthTable, order: Sequence[int] | None = None) -> Obdd:
+    """The minimal quasi-reduced OBDD of ``f`` for a variable order (default
+    1..n), built bottom up with one unique table per level (Bryant 1986; see
+    the module docstring).  Its nodes at level j are the distinct
     subfunctions after fixing the first j variables of the order."""
     n = f.n_vars
     if n > MAX_WIDTH_VARS:
         raise ValueError(f"width oracle limited to n <= {MAX_WIDTH_VARS}, got {n}")
-    if order is None:
-        order = tuple(range(1, n + 1))
-    else:
-        order = tuple(int(v) for v in order)
-        if sorted(order) != list(range(1, n + 1)):
-            raise ValueError(f"order must be a permutation of 1..{n}, got {order}")
-    arr = f.bits.reshape((2,) * n)
-    arr = np.transpose(arr, [v - 1 for v in order])
-    widths = []
-    for j in range(n + 1):
-        rows = np.ascontiguousarray(arr.reshape(1 << j, -1))
-        packed = np.ascontiguousarray(np.packbits(rows, axis=1))
-        view = packed.view(np.dtype((np.void, packed.shape[1])))
-        widths.append(int(np.unique(view).size))
-    return ObddWidths(order, tuple(widths), max(widths))
+    order = tuple(range(1, n + 1)) if order is None else tuple(int(v) for v in order)
+    if sorted(order) != list(range(1, n + 1)):
+        raise ValueError(f"order must be a permutation of 1..{n}, got {order}")
+    leaves = np.transpose(f.bits.reshape((2,) * n), [v - 1 for v in order]).reshape(-1)
+    values = np.unique(leaves)
+    # a leaf's id is the rank of its value among the values present
+    ids = leaves.astype(np.uint8) - np.uint8(values[0])
+    widths, tables = [values.size], []
+    for _ in range(n):
+        w = widths[-1]
+        keys, ids = np.unique(ids[0::2] * w + ids[1::2], return_inverse=True)
+        table = np.stack([keys // w, keys % w], axis=1)
+        table.flags.writeable = False
+        widths.append(keys.size)
+        tables.append(table)
+    return Obdd(
+        n_vars=n,
+        var_sequence=order,
+        level_widths=tuple(widths[::-1]),
+        transitions=tuple(tables[::-1]),
+        accepting=frozenset(np.flatnonzero(values).tolist()),
+    )
 
 
 def lower_bound_width(t: int, epsilon: float, mode: str = "general") -> int:

@@ -311,7 +311,13 @@ def realify_cmd(program_path, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="CSV destination (default stdout).")
 @_recorded("analyze")
 def analyze_cmd(program_path, table_path, epsilon, theta, auto_theta, out):
-    """Per-level component analysis and the derived deterministic OBDD."""
+    """Per-level component analysis and the derived deterministic OBDD.
+
+    Verified means that the derived OBDD classifies every input as the table
+    does, and that at every level the paper's width chain holds: minimal
+    OBDD width (in the program's read order, then the unread variables
+    ascending) <= component count <= packing bound.
+    """
     prog = _load_program(program_path)
     f = load_truth_table(table_path)
     if (theta is None) == (not auto_theta):
@@ -321,16 +327,25 @@ def analyze_cmd(program_path, table_path, epsilon, theta, auto_theta, out):
     bound = analysis.packing_width_bound(theta, prog.width)
     rows = [
         [j, reachable, f"{theta:.17g}", components, f"{bound:.17g}"]
-        for j, (reachable, components) in enumerate(zip(obdd.reachable_counts, obdd.level_counts))
+        for j, (reachable, components) in enumerate(zip(obdd.reachable_counts, obdd.level_widths))
     ]
     _write_csv(out, ["level", "reachable_count", "theta", "component_count", "bound_value"], rows)
-    agree = bool(np.array_equal(obdd.classify_all(), f.bits))
-    click.echo(f"verified={str(agree).lower()} max_width={obdd.max_width}", err=True)
+    verified = bool(np.array_equal(obdd.classify_all(), f.bits))
+    read = prog.var_sequence
+    unread = tuple(v for v in range(1, f.n_vars + 1) if v not in read)
+    minimal = analysis.min_obdd_width(f, read + unread)
+    for j, (width, components) in enumerate(zip(minimal.level_widths, obdd.level_widths)):
+        if not width <= components <= bound:
+            click.echo(f"chain broken at level {j}: minimal width {width}, "
+                       f"components {components}, bound {bound:.17g}", err=True)
+            verified = False
+            break
+    click.echo(f"verified={str(verified).lower()} max_width={obdd.max_width}", err=True)
     return ExperimentRecord(
         program_digest=program.program_digest(prog),
         metrics={"theta": theta, "epsilon": epsilon, "max_width": obdd.max_width, "bound": bound,
-                 "verified": agree},
-        failed=not agree,
+                 "verified": verified},
+        failed=not verified,
     )
 
 

@@ -21,7 +21,6 @@ from qbp.analysis import (
     min_obdd_width,
     packing_width_bound,
     reachable_configurations,
-    separation_report,
     theta_bounds,
     theta_components,
 )
@@ -333,11 +332,23 @@ def test_measured_separation_detects_non_computation():
         measured_separation(p, mod_truth_table(5, 6), 0.4)
 
 
-def test_separation_report_includes_measured():
-    p = mod_block(ModBlockSpec(3, 1, 6))
-    rep = separation_report(p, mod_truth_table(3, 6), 0.25)
-    assert rep.measured == pytest.approx(math.sqrt(3), abs=1e-12)
-    assert rep.measured >= rep.theta1 - 1e-9
+@pytest.mark.parametrize("delta", [1e-8, 1e-9])
+def test_measured_separation_is_exact_at_small_distances(delta):
+    # one accepting and one rejecting final configuration, 2 sin(delta)
+    # apart; the Gram form ||a||^2 + ||b||^2 - 2 Re<a, b> cancels there
+    # (2.107e-8 at delta = 1e-8, and 0 at delta = 1e-9)
+    tf = QuantumTransformation(
+        1, linalg.rotation_matrix(math.pi / 4 - delta), linalg.rotation_matrix(math.pi / 4 + delta)
+    )
+    p = QbProgram(1, 2, (tf,), np.array([1.0, 0.0]), frozenset({1}))
+    f = TruthTable(1, np.array([True, False]))
+    acc, rej = reachable_configurations(p)[-1].configs
+    explicit = math.sqrt(float(np.sum(np.abs(rej - acc) ** 2)))
+    assert explicit == pytest.approx(2 * math.sin(delta), rel=1e-6)
+    assert measured_separation(p, f, 0.9 * delta) == explicit
+    obdd = derive_deterministic_obdd(p, f, None, 0.9 * delta)
+    assert obdd.theta == explicit
+    assert np.array_equal(obdd.classify_all(), f.bits)
 
 
 def test_measured_separation_read_twice_matches_all_inputs():
@@ -504,6 +515,24 @@ def test_derive_enumerates_levels_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("kind", ["universal", "mod"])
+def test_derived_obdd_meets_the_width_chain(kind, rng):
+    # the paper's chain, level by level in the read order: minimal OBDD width
+    # <= component count <= packing bound
+    if kind == "universal":
+        p = universal_exact_qbp(TruthTable.random(5, rng))
+    else:
+        p = build_mod_program(5, 12)
+    probs = evaluate_all(p)
+    f, eps = TruthTable(p.n_vars, probs > 0.5), float(np.min(np.abs(probs - 0.5)))
+    obdd = derive_deterministic_obdd(p, f, None, eps)
+    minimal = min_obdd_width(f, p.var_sequence)
+    bound = packing_width_bound(obdd.theta, p.width)
+    assert len(minimal.level_widths) == len(obdd.level_widths)
+    for width, components in zip(minimal.level_widths, obdd.level_widths):
+        assert width <= components <= bound
+
+
 # -- minimal OBDD width oracle ----------------------------------------------------------------------
 
 def brute_force_widths(f: TruthTable, order):
@@ -549,6 +578,27 @@ def test_min_obdd_width_matches_brute_force(rng):
         f = TruthTable.random(5, rng)
         order = tuple(int(v) + 1 for v in rng.permutation(5))
         assert min_obdd_width(f, order).level_widths == tuple(brute_force_widths(f, order))
+
+
+@given(st.data(), st.integers(1, 8), st.sampled_from(["random", "false", "true"]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_min_obdd_is_reduced_and_reachable(data, n, kind, seed):
+    if kind == "random":
+        f = TruthTable.random(n, np.random.default_rng(seed))
+    else:
+        f = TruthTable.constant(n, kind == "true")
+    order = tuple(data.draw(st.permutations(range(1, n + 1))))
+    obdd = min_obdd_width(f, order)
+    assert obdd.var_sequence == order
+    assert obdd.level_widths == tuple(brute_force_widths(f, order))
+    assert np.array_equal(obdd.classify_all(), f.bits)
+    for j, table in enumerate(obdd.transitions):
+        # reduced: no two nodes of level j have the same children; reachable:
+        # every node of level j+1 is a child of one of them
+        assert table.shape == (obdd.level_widths[j], 2)
+        assert len(np.unique(table, axis=0)) == len(table)
+        assert np.array_equal(np.unique(table), np.arange(obdd.level_widths[j + 1]))
 
 
 def test_min_obdd_width_validates_order():

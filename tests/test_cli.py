@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -230,18 +231,41 @@ def test_analyze_builds_the_leaf_block_once(tmp_path, monkeypatch):
 
 def test_analyze_exits_1_when_the_derived_obdd_disagrees(tmp_path, monkeypatch):
     univ, table = _universal_files(tmp_path)
-    real = analysis.DerivedObdd.classify_all
+    real = analysis.Obdd.classify_all
 
     def flipped(self):
         out = real(self).copy()
         out[5] = not out[5]
         return out
 
-    monkeypatch.setattr(analysis.DerivedObdd, "classify_all", flipped)
+    monkeypatch.setattr(analysis.Obdd, "classify_all", flipped)
     result = CliRunner().invoke(
         main, ["analyze", str(univ), "--truth-table", str(table), "--epsilon", "0.5", "--auto-theta"]
     )
     assert result.exit_code == 1
+    assert "verified=false" in result.stderr
+    (record,) = _records(result.stderr)
+    assert record["metrics"]["verified"] is False
+
+
+def test_analyze_exits_1_when_the_width_chain_breaks(tmp_path, monkeypatch):
+    # parity of 3 variables: the universal program's components per level are
+    # 1, 2, 4, 8; a minimal OBDD wider than 4 at level 2 breaks the chain
+    univ, table = _universal_files(tmp_path)
+    real = analysis.min_obdd_width
+
+    def wider(f, order=None):
+        minimal = real(f, order)
+        widths = list(minimal.level_widths)
+        widths[2] = 9
+        return dataclasses.replace(minimal, level_widths=tuple(widths))
+
+    monkeypatch.setattr(analysis, "min_obdd_width", wider)
+    result = CliRunner().invoke(
+        main, ["analyze", str(univ), "--truth-table", str(table), "--epsilon", "0.5", "--auto-theta"]
+    )
+    assert result.exit_code == 1
+    assert "chain broken at level 2: minimal width 9, components 4, bound " in result.stderr
     assert "verified=false" in result.stderr
     (record,) = _records(result.stderr)
     assert record["metrics"]["verified"] is False

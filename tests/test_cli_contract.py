@@ -189,7 +189,7 @@ def test_failed_exhaustive_eval_exits_1_with_record(files):
 
 def test_failed_analyze_exits_1_with_record(files, monkeypatch):
     bits = load_truth_table(files["f.tt"]).bits
-    monkeypatch.setattr(analysis.DerivedObdd, "classify_all", lambda self: ~bits)
+    monkeypatch.setattr(analysis.Obdd, "classify_all", lambda self: ~bits)
     result = CliRunner().invoke(
         main, ["analyze", files["univ.json"], "--truth-table", files["f.tt"], "--epsilon", "0.5",
                "--auto-theta"]
