@@ -37,10 +37,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import CHAIN_INSET, CHAIN_SLACK, CONFIG_DEDUP_TOL, NORM_DRIFT_TOL
+from .linalg import CHAIN_INSET, CHAIN_SLACK, CONFIG_DEDUP_TOL, NORM_DRIFT_TOL, check_budget
 from .program import (
     QbProgram,
     TruthTable,
+    _check_per_input,
     _column_accept_probs,
     _leaf_indices,
     _leaf_matrix,
@@ -48,12 +49,6 @@ from .program import (
     bits_of_value,
     is_read_once,
 )
-
-# bytes of one level's candidate block (2m configurations of the width):
-# the universal program passes at n = 12 (256 MiB) and stops at n = 13
-CONFIG_BUDGET_BYTES = 1 << 29
-MAX_SEPARATION_VARS = 16
-MAX_WIDTH_VARS = 24
 
 _PROJECTION_SEED = 20030205
 _GRAM_BLOCK_ROWS = 128
@@ -235,8 +230,9 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
     b is candidate 2i + b) greedily in candidate order: a candidate within
     1e-9 of a kept earlier one maps to the nearest, lowest index on ties.
     Near candidates are found by an exact sort and sweep (``_near_pairs``),
-    not by comparing all pairs.  Before a level's candidates are built,
-    2m * width * 16 bytes is checked against ``CONFIG_BUDGET_BYTES``.
+    not by comparing all pairs.  Before a level's candidates are built, they
+    and the kept block of their dedup, 2 * 2m * width * 16 bytes, are checked
+    against ``linalg.MEMORY_BUDGET_BYTES``.
     """
     _require_read_once(p)
     block = p.initial[None, :]
@@ -244,12 +240,8 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
     levels = [LevelConfigurations(0, block, prefix, np.empty((0, 2), dtype=np.int64))]
     for tf in p.transformations:
         m = block.shape[0]
-        need = 2 * m * p.width * 16
-        if need > CONFIG_BUDGET_BYTES:
-            raise ValueError(
-                f"configuration budget exceeded: level {len(levels)} needs {need} bytes "
-                f"for {2 * m} candidates of width {p.width}, limit {CONFIG_BUDGET_BYTES}"
-            )
+        check_budget(2 * 2 * m * p.width * 16, "configuration",
+                     f"level {len(levels)} ({2 * m} candidates of width {p.width} and their kept block)")
         candidates = np.empty((2 * m, p.width), dtype=np.complex128)
         candidates[0::2] = tf.apply_to_columns(0, block.T).T
         candidates[1::2] = tf.apply_to_columns(1, block.T).T
@@ -314,7 +306,7 @@ def theta_components(configs: np.ndarray, theta: float, level: int = 0) -> Theta
     explicit distance, so the partition is that of a dense all-pairs scan
     without the m x m distance matrix.
     """
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
     mat = np.asarray(configs, dtype=np.complex128)
     ii, jj, _ = _near_pairs(mat, theta + CHAIN_SLACK)
@@ -366,14 +358,19 @@ def _classified_final_configs(
     ``f`` at the margin.  A read-once program's final configurations are
     then its last reachable level; a read-k program's are the leaf block
     itself, one row per input in input-value order, deduplicated at 1e-9.
+    The per-input data and, for a read-k program, the leaf rows and their kept
+    block are checked against ``linalg.MEMORY_BUDGET_BYTES`` first.
     """
     n = p.n_vars
-    if n > MAX_SEPARATION_VARS:
-        raise ValueError(f"separation scan limited to n <= {MAX_SEPARATION_VARS}, got {n}")
     if p.n_vars != f.n_vars:
         raise ValueError(f"program has n_vars {p.n_vars}, truth table has {f.n_vars}")
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
+    _check_per_input(n, "separation")
+    read_once = is_read_once(p)
+    if not read_once:
+        check_budget(2 * p.width * 16 << n, "separation",
+                     f"2^{n} leaf rows of width {p.width} and their kept block")
     cols, order = _leaf_matrix(p)
     leaves = _leaf_indices(order, n)
     probs = _column_accept_probs(cols, p.accepting)[leaves]
@@ -386,7 +383,7 @@ def _classified_final_configs(
             f"{''.join(map(str, bits_of_value(v, n)))} has acceptance {float(probs[v])!r}"
         )
     levels = None
-    if is_read_once(p):
+    if read_once:
         del cols  # the last reachable level replaces it
         levels = reachable_configurations(p)
         configs = levels[-1].configs
@@ -412,10 +409,13 @@ def _min_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
     accuracy the component chain at theta - CHAIN_INSET needs.  Otherwise (a
     small distance, where the Gram form cancels) the minimum is taken over
     the explicit distances of the pairs within sqrt(g + bound), found by
-    ``_near_pairs``.
+    ``_near_pairs``.  The Gram block and its temporaries, 32 bytes per pair,
+    are checked against ``linalg.MEMORY_BUDGET_BYTES`` first.
     """
     if not len(a) or not len(b):
         return math.inf
+    check_budget(32 * len(a) * len(b), "separation",
+                 f"the Gram matrix of {len(a)} x {len(b)} final configurations")
     sa = np.einsum("ij,ij->i", a, a.conj()).real
     sb = np.einsum("ij,ij->i", b, b.conj()).real
     gram = (a @ b.conj().T).real
@@ -484,7 +484,7 @@ def packing_width_bound(theta: float, d: int) -> float:
     """Sphere-packing bound (1 + 2/theta)^(2d) on the number of
     theta-components of unit-norm configurations in width d; ``math.inf``
     when it exceeds the float range (about 10^308)."""
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
     if d < 1:
         raise ValueError(f"width must be >= 1, got {d}")
@@ -509,7 +509,7 @@ def derive_deterministic_obdd(
     program that is not read-once is refused before any configuration is
     computed.
     """
-    if theta is not None and theta <= 0:
+    if theta is not None and not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
     _require_read_once(p)
     configs, accepts, levels = _classified_final_configs(p, f, epsilon)
@@ -565,10 +565,11 @@ def min_obdd_width(f: TruthTable, order: Sequence[int] | None = None) -> Obdd:
     """The minimal quasi-reduced OBDD of ``f`` for a variable order (default
     1..n), built bottom up with one unique table per level (Bryant 1986; see
     the module docstring).  Its nodes at level j are the distinct
-    subfunctions after fixing the first j variables of the order."""
+    subfunctions after fixing the first j variables of the order.  Its arrays
+    peak at 16.25 bytes per table entry, checked against
+    ``linalg.MEMORY_BUDGET_BYTES`` first."""
     n = f.n_vars
-    if n > MAX_WIDTH_VARS:
-        raise ValueError(f"width oracle limited to n <= {MAX_WIDTH_VARS}, got {n}")
+    check_budget((65 << n) // 4, "width oracle", f"a table of 2^{n} entries")
     order = tuple(range(1, n + 1)) if order is None else tuple(int(v) for v in order)
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"order must be a permutation of 1..{n}, got {order}")

@@ -369,6 +369,11 @@ def widths_cmd(table_path, order, out):
     return ExperimentRecord(metrics={"n": f.n_vars, "max_width": widths.max_width})
 
 
+# bytes per point of a sweep range: its float plus one CSV row of the
+# epsilon sweep, the heavier of the two sweeps (measured with tracemalloc)
+_SWEEP_POINT_BYTES = 296
+
+
 def _parse_range(text: str, what: str) -> tuple[float, ...]:
     try:
         parts = [float(x) for x in text.split(":")]
@@ -379,10 +384,17 @@ def _parse_range(text: str, what: str) -> tuple[float, ...]:
     if len(parts) != 3 or parts[2] <= 0:
         raise ParseFailure(f"invalid {what} {text!r}; use START:STOP[:STEP]")
     start, stop, step = parts
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ParseFailure(f"invalid {what} {text!r}: the number of points is not finite")
+    count = math.floor(span) + 1
+    linalg.check_budget(count * _SWEEP_POINT_BYTES, "sweep", f"the {what} {text!r} of {count} points")
     values = []
     x = start
     while x <= stop + linalg.RANGE_SLACK:
         values.append(round(x, 12))
+        if x + step == x:
+            raise ParseFailure(f"invalid {what} {text!r}: step {step} does not advance from {x}")
         x += step
     return tuple(values)
 

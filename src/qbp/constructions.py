@@ -43,19 +43,16 @@ def _require_prime(p: int) -> None:
 
 
 def mod_truth_table(p: int, n: int) -> TruthTable:
-    """MOD_p: 1 iff the number of ones in the input is divisible by p."""
+    """MOD_p: 1 iff the number of ones in the input is divisible by p.  One
+    popcount of the uint32 input values; 5 bytes per entry at the peak."""
     _require_prime(p)
-    values = np.arange(1 << n, dtype=np.int64)
-    counts = np.zeros(1 << n, dtype=np.int64)
-    for _ in range(n):
-        counts += values & 1
-        values >>= 1
-    return TruthTable(n, counts % p == 0)
+    linalg.check_budget(5 << n, "truth table", f"MOD_{p} on 2^{n} inputs")
+    counts = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    # a uint8 count is at most 32: a larger p divides only a count of 0
+    return TruthTable(n, counts == 0 if p > 32 else counts % p == 0)
 
 
 # -- universal exact program ---------------------------------------------------
-
-MAX_UNIVERSAL_VARS = 20
 
 
 @lru_cache(maxsize=32)
@@ -85,11 +82,13 @@ def universal_exact_qbp(f: TruthTable) -> QbProgram:
     2^(n-i) positions to the right (cyclically); the final position is
     therefore 1 plus the input value, distinct for distinct inputs.  The
     accepting set marks the positions of the inputs mapped to 1; it is
-    empty for the constant-0 function.  Memory scales as n * 4^n.
+    empty for the constant-0 function.  Its n + 1 distinct dense levels (the
+    identity and n shifts) take (n + 1) * 4^n * 16 bytes, checked against
+    ``linalg.MEMORY_BUDGET_BYTES`` first: n = 11 passes and n = 12 stops.
     """
     n = f.n_vars
-    if n > MAX_UNIVERSAL_VARS:
-        raise ValueError(f"universal construction limited to n <= {MAX_UNIVERSAL_VARS}, got {n}")
+    linalg.check_budget((n + 1) * 16 << 2 * n, "universal construction",
+                        f"{n + 1} dense levels of width 2^{n}")
     width = 1 << n
     initial = np.zeros(width, dtype=np.complex128)
     initial[0] = 1.0
@@ -160,7 +159,9 @@ def good_multipliers(p: int, l: int) -> frozenset[int]:
 
 
 def _good_table(p: int) -> np.ndarray:
-    """Boolean table[l-1, k-1]: is multiplier k good for residue l."""
+    """Boolean table[l-1, k-1]: is multiplier k good for residue l.  Its
+    temporaries peak at 16 bytes per entry."""
+    linalg.check_budget(16 * (p - 1) ** 2, "good set", f"the {p - 1} x {p - 1} multiplier table")
     ls = np.arange(1, p).reshape(-1, 1)
     ks = np.arange(1, p).reshape(1, -1)
     cos2 = np.cos(2.0 * np.pi * ls * ks / p) ** 2
@@ -265,6 +266,11 @@ def greedy_good_set(p: int) -> GoodSet:
 
 # -- parallel composition -----------------------------------------------------------
 
+# bytes per state and level of a composed program beyond its dense u0 and u1:
+# the level objects of the blocks and of the composite (measured)
+_LEVEL_BYTES_PER_STATE = 768
+
+
 def compose_parallel(blocks: Sequence[QbProgram], weights: Sequence[float] | None = None) -> QbProgram:
     """Block-diagonal composition of programs over the same variable sequence.
 
@@ -318,7 +324,8 @@ def build_mod_program(p: int, n: int, strategy: str = "greedy", seed: int = 0) -
     Accepts inputs whose count of ones is divisible by p with probability 1
     and rejects the rest with probability at least 1/8.  Width is twice the
     good-set size.  The usual regime is p <= n/2; outside it a warning is
-    emitted but the construction still goes through.
+    emitted but the construction still goes through.  The n composed levels
+    are checked against ``linalg.MEMORY_BUDGET_BYTES`` before any block is built.
     """
     _require_prime(p)
     if strategy == "greedy":
@@ -327,6 +334,9 @@ def build_mod_program(p: int, n: int, strategy: str = "greedy", seed: int = 0) -
         good = sample_good_set(p, seed)
     else:
         raise ValueError(f"unknown strategy {strategy!r}; use 'greedy' or 'sampled'")
+    width = 2 * good.t
+    linalg.check_budget(n * width * (2 * 16 * width + _LEVEL_BYTES_PER_STATE), "mod construction",
+                        f"{n} composed levels of width {width}")
     if p > n / 2:
         warnings.warn(
             f"modulus {p} exceeds n/2 = {n / 2}; counts of ones cover fewer residues",

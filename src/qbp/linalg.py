@@ -3,7 +3,8 @@
 Vectors and matrices are numpy ``complex128`` arrays frozen after
 construction (``writeable = False``), so they can be shared between
 programs and threads without defensive copies.  Every tolerance of the
-package is defined once, in the table below.
+package is defined once, in the table below, and so is its one resource
+limit, ``MEMORY_BUDGET_BYTES``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,19 @@ CHAIN_INSET = 1e-9  # components are chained at theta - CHAIN_INSET, strictly in
 GOOD_COS2_SLACK = 1e-12  # slack on cos^2 <= 1/2 in the good-multiplier test
 WEIGHT_SUM_TOL = 1e-12  # distance of the compose_parallel weights' sum from 1
 RANGE_SLACK = 1e-12  # overshoot of a float range's stop that still includes it
+
+# -- memory: the package's one resource limit -----------------------------------
+# Every array sized by an outside integer (n, p, a table's length) is counted
+# in bytes where that size is first known, and refused before it is allocated.
+MEMORY_BUDGET_BYTES = 1 << 30
+
+
+def check_budget(need: int, stage: str, what: str) -> None:
+    """Refuse a step whose arrays need more than ``MEMORY_BUDGET_BYTES``."""
+    if need > MEMORY_BUDGET_BYTES:
+        raise ValueError(
+            f"{stage} budget exceeded: {what} needs {need} bytes, limit {MEMORY_BUDGET_BYTES}"
+        )
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ JSON file format used by the command line tools.
 
 Programs are oblivious, so every evaluation advances one d x m block of
 configurations level by level (``_advance``): one column per input, or in
-``evaluate_all`` per assignment to the variables read so far.  Each block is
-checked against ``EVAL_BUDGET_BYTES`` before it is allocated.
+``evaluate_all`` per assignment to the variables read so far.  Each block
+is checked against ``linalg.MEMORY_BUDGET_BYTES`` before it is allocated.
 
 Acceptance at a margin is decided by one rule, ``_margin_masks``, which
 ``classify_probability``, ``computes``, ``computes_sampled`` and the
@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -34,10 +35,6 @@ import numpy as np
 
 from . import linalg
 from .linalg import MARGIN_SLACK, NORMALIZATION_TOL, ONE_SIDED_TOL, STABLE_TOL
-
-# bytes of one evaluation block: d x 2^|read| configurations for all inputs,
-# d x B for a batch; width 4 passes at n = 24 (1 GiB) and width 8 stops
-EVAL_BUDGET_BYTES = 1 << 30
 
 Bits = Sequence[int] | str
 
@@ -200,11 +197,9 @@ def _column_accept_probs(cols: np.ndarray, accepting: frozenset[int]) -> np.ndar
     return np.clip(probs, 0.0, 1.0)
 
 
-def _check_budget(need: int, what: str) -> None:
-    if need > EVAL_BUDGET_BYTES:
-        raise ValueError(
-            f"evaluation budget exceeded: {what} needs {need} bytes, limit {EVAL_BUDGET_BYTES}"
-        )
+def _check_per_input(n_vars: int, stage: str) -> None:
+    # input values, leaf indices, one temporary and the result: 8 bytes each
+    linalg.check_budget(32 << n_vars, stage, f"the per-input data of 2^{n_vars} inputs")
 
 
 def _advance(tf: QuantumTransformation, cols: np.ndarray, bits: np.ndarray) -> None:
@@ -221,8 +216,9 @@ def _final_block(p: QbProgram, inputs) -> np.ndarray:
         raise ValueError(f"inputs must have shape (B, {p.n_vars}), got {rows.shape}")
     if not ((rows == 0) | (rows == 1)).all():
         raise ValueError("inputs contain values other than 0 and 1")
-    _check_budget(p.width * 16 * rows.shape[0], f"a batch of {rows.shape[0]} inputs of width {p.width}")
-    cols = np.repeat(p.initial[:, None], rows.shape[0], axis=1)
+    b = rows.shape[0]
+    linalg.check_budget(p.width * 16 * b, "evaluation", f"a batch of {b} inputs of width {p.width}")
+    cols = np.repeat(p.initial[:, None], b, axis=1)
     for tf in p.transformations:
         _advance(tf, cols, rows[:, tf.var_index - 1])
     return cols
@@ -241,7 +237,7 @@ def evaluate(p: QbProgram, input_bits: Bits) -> float:
 def evaluate_batch(p: QbProgram, inputs) -> np.ndarray:
     """Acceptance probabilities of the rows of a (B, n) array of 0/1 input
     bits, advanced together as one d x B block (B * width * 16 bytes, checked
-    against ``EVAL_BUDGET_BYTES``)."""
+    against ``linalg.MEMORY_BUDGET_BYTES``)."""
     return _column_accept_probs(_final_block(p, inputs), p.accepting)
 
 
@@ -301,9 +297,10 @@ def _leaf_matrix(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
     (first-read order, first most significant), and that order.  A fresh
     variable doubles the block (column c becomes 2c and 2c + 1); a re-read
     one takes each column's bit from its index.  The final, largest block is
-    checked against ``EVAL_BUDGET_BYTES`` before the first is allocated."""
+    checked against ``linalg.MEMORY_BUDGET_BYTES`` before the first is allocated."""
     k = len(set(p.var_sequence))
-    _check_budget(p.width * 16 << k, f"a block of 2^{k} configurations of width {p.width}")
+    linalg.check_budget(p.width * 16 << k, "evaluation",
+                        f"a block of 2^{k} configurations of width {p.width}")
     cols = p.initial.reshape(-1, 1)
     position: dict[int, int] = {}
     for tf in p.transformations:
@@ -337,11 +334,10 @@ def evaluate_all(p: QbProgram) -> np.ndarray:
     Any program, read-once or not, is evaluated on one block (``_leaf_matrix``)
     where inputs with a common prefix in read order share their work.  The
     block (d x 2^|read| x 16 bytes) and the per-input arrays (2^n x 32 bytes)
-    must each fit in ``EVAL_BUDGET_BYTES``, else ValueError is raised first.
+    must each fit in ``linalg.MEMORY_BUDGET_BYTES``, else ValueError is raised first.
     """
     n = p.n_vars
-    # input values, leaf indices, one temporary and the result: 8 bytes each
-    _check_budget(32 << n, f"the per-input data of 2^{n} inputs")
+    _check_per_input(n, "evaluation")
     cols, order = _leaf_matrix(p)
     probs = _column_accept_probs(cols, p.accepting)
     if order == tuple(range(1, n + 1)):
@@ -404,6 +400,12 @@ class OneSided:
 
     reject_min: float = 0.125
     tol: float = ONE_SIDED_TOL
+
+    def __post_init__(self):
+        if not 0.0 <= self.reject_min <= 1.0:
+            raise ValueError(f"reject_min must be in [0, 1], got {self.reject_min}")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 Criterion = Margin | OneSided

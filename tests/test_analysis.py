@@ -132,9 +132,10 @@ def test_reachable_universal_n10_final_count():
 
 
 def test_reachable_configuration_budget(monkeypatch):
-    # level 3 of the universal n=4 program has 8 candidates of width 16
-    monkeypatch.setattr(qbp.analysis, "CONFIG_BUDGET_BYTES", 2 * 4 * 16 * 16 - 1)
+    # level 3 of the universal n=4 program has 8 candidates of width 16, and
+    # their kept block as many again
     p = universal_exact_qbp(TruthTable.random(4, np.random.default_rng(4)))
+    monkeypatch.setattr(qbp.linalg, "MEMORY_BUDGET_BYTES", 2 * 2 * 4 * 16 * 16 - 1)
     with pytest.raises(ValueError, match="configuration budget exceeded: level 3"):
         reachable_configurations(p)
 
@@ -256,6 +257,17 @@ def test_theta_components_requires_positive_theta():
         theta_components([np.array([1.0])], 0.0)
 
 
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.nan])
+def test_every_theta_guard_refuses_nan(theta):
+    p = mod_block(ModBlockSpec(3, 1, 6))
+    with pytest.raises(ValueError, match="theta must be positive"):
+        theta_components([np.array([1.0])], theta)
+    with pytest.raises(ValueError, match="theta must be positive"):
+        packing_width_bound(theta, 2)
+    with pytest.raises(ValueError, match="theta must be positive"):
+        derive_deterministic_obdd(p, mod_truth_table(3, 6), theta, 0.25)
+
+
 def brute_component_count(pts, radius):
     parent = list(range(len(pts)))
 
@@ -324,6 +336,13 @@ def test_measured_separation_mod3_block():
     sep = measured_separation(p, mod_truth_table(3, 6), 0.25)
     assert sep == pytest.approx(math.sqrt(3), abs=1e-12)
     assert sep >= 0.25 / math.sqrt(2) - 1e-9
+
+
+def test_separation_of_a_read_once_program_beyond_16_variables():
+    # separation is bounded by bytes, not by the variable count: MOD_3 at n = 17
+    p = mod_block(ModBlockSpec(3, 1, 17))
+    sep = measured_separation(p, mod_truth_table(3, 17), 0.25)
+    assert sep == pytest.approx(math.sqrt(3), abs=1e-12)
 
 
 def test_measured_separation_detects_non_computation():

@@ -16,7 +16,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from qbp import analysis, constructions, program
+from qbp import analysis, constructions, linalg, program
 from qbp.cli import load_truth_table, main, save_truth_table
 
 RECORD_KEYS = {"command", "seed", "program", "wall_time_s", "metrics"}
@@ -27,7 +27,7 @@ def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("contract")
     paths = {name: d / name for name in (
         "f.tt", "univ.json", "mod3.json", "mod3.tt", "flipped.tt", "bp.json",
-        "bad.tt", "bad.json", "bad_bp.json",
+        "bad.tt", "bad.json", "bad_bp.json", "n12.tt",
     )}
     f = program.TruthTable(3, [c == "1" for c in "01101001"])
     save_truth_table(f, paths["f.tt"])
@@ -43,6 +43,7 @@ def files(tmp_path_factory):
     paths["bad.tt"].write_text("3\n0110100x\n")
     paths["bad.json"].write_text("{")
     paths["bad_bp.json"].write_text('{"width": 3}')
+    save_truth_table(program.TruthTable.constant(12, True), paths["n12.tt"])
     paths["out"] = d / "out.json"
     return {k: str(v) for k, v in paths.items()}
 
@@ -160,6 +161,30 @@ USAGE = {
     "sweep no range": (lambda f: ["sweep"], "exactly one of --p-range or --epsilon-range"),
     "sweep zero step": (
         lambda f: ["sweep", "--epsilon-range", "0.1:0.2:0"], "use START:STOP[:STEP]"),
+    "build universal over budget": (
+        lambda f: ["build", "universal", "--truth-table", f["n12.tt"], "-o", f["out"]],
+        "universal construction budget exceeded: 13 dense levels of width 2^12"),
+    "sweep p-range over budget": (
+        lambda f: ["sweep", "--p-range", "3:1e12"], "sweep budget exceeded"),
+    "sweep epsilon-range over budget": (
+        lambda f: ["sweep", "--epsilon-range", "1e20:1e21:1"], "sweep budget exceeded"),
+    "sweep step that does not advance": (
+        lambda f: ["sweep", "--epsilon-range", "1e20:100000000000000065536:1"],
+        "step 1.0 does not advance"),
+    "sweep non-finite range": (
+        lambda f: ["sweep", "--p-range", "3:inf"], "the number of points is not finite"),
+    "analyze nan theta": (
+        lambda f: ["analyze", f["univ.json"], "--truth-table", f["f.tt"], "--epsilon", "0.5",
+                   "--theta", "nan"], "theta must be positive, got nan"),
+    "eval one-sided nan": (
+        lambda f: ["eval", f["mod3.json"], "--exhaustive", "--truth-table", f["mod3.tt"],
+                   "--criterion", "one-sided:nan"], "reject_min must be in [0, 1], got nan"),
+    "eval one-sided negative": (
+        lambda f: ["eval", f["mod3.json"], "--exhaustive", "--truth-table", f["mod3.tt"],
+                   "--criterion", "one-sided:-3:-1"], "reject_min must be in [0, 1], got -3.0"),
+    "eval one-sided nan tol": (
+        lambda f: ["eval", f["mod3.json"], "--exhaustive", "--truth-table", f["mod3.tt"],
+                   "--criterion", "one-sided:0.5:nan"], "tol must be finite and >= 0, got nan"),
 }
 
 
@@ -171,6 +196,15 @@ def test_usage_error_exits_2_without_traceback_or_record(files, case):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert message in result.output
+    assert _records(result.stderr) == []
+
+
+def test_widths_over_budget_exits_2(files, monkeypatch):
+    # a table of 2^6 entries needs 16.25 bytes each
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", (65 << 6) // 4 - 1)
+    result = CliRunner().invoke(main, ["widths", "--truth-table", files["mod3.tt"]])
+    assert result.exit_code == 2, result.output
+    assert "width oracle budget exceeded: a table of 2^6 entries needs 1040 bytes" in result.output
     assert _records(result.stderr) == []
 
 

@@ -99,7 +99,7 @@ def test_universal_final_positions_are_injective(rng):
 
 
 def test_universal_guards_large_n():
-    with pytest.raises(ValueError, match="n <= 20"):
+    with pytest.raises(ValueError, match="universal construction budget exceeded"):
         universal_exact_qbp(TruthTable(21, np.zeros(1 << 21, dtype=bool)))
 
 
@@ -400,3 +400,13 @@ def test_mod_truth_table_counts():
     t = mod_truth_table(3, 6)
     for v in range(64):
         assert t.bits[v] == (bin(v).count("1") % 3 == 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 37, 257, 65537])
+def test_mod_truth_table_matches_popcount_for_every_modulus(p):
+    # moduli past the largest count (32) and past a uint8 (255) included
+    for n in (0, 1, 7, 12):
+        counts = np.array([bin(v).count("1") for v in range(1 << n)])
+        t = mod_truth_table(p, n)
+        assert t.n_vars == n
+        assert np.array_equal(t.bits, counts % p == 0)

@@ -234,6 +234,24 @@ def test_computes_one_sided():
     assert report.holds  # single block is good for every residue of 3
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"reject_min": math.nan}, "reject_min must be in \\[0, 1\\]"),
+    ({"reject_min": -3.0, "tol": -1.0}, "reject_min must be in \\[0, 1\\]"),
+    ({"reject_min": 1.5}, "reject_min must be in \\[0, 1\\]"),
+    ({"tol": math.nan}, "tol must be finite and >= 0"),
+    ({"tol": math.inf}, "tol must be finite and >= 0"),
+    ({"tol": -1e-9}, "tol must be finite and >= 0"),
+])
+def test_one_sided_refuses_out_of_range_parameters(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        OneSided(**kwargs)
+
+
+def test_one_sided_accepts_its_closed_range():
+    assert OneSided(reject_min=0.0, tol=0.0) == OneSided(0.0, 0.0)
+    assert OneSided(reject_min=1.0).reject_min == 1.0
+
+
 def test_computes_sampled_reports_counts(rng):
     p = mod_block(ModBlockSpec(3, 1, 6))
     f = TruthTable.from_function(6, lambda bits: sum(bits) % 3 == 0)
@@ -432,10 +450,10 @@ def test_computes_sampled_rejects_mismatched_table():
 def test_evaluation_budget_refuses_before_allocating(monkeypatch):
     p = random_program(np.random.default_rng(3), d=3, n=3)  # a 3 x 8 final block
     every = np.array([bits_of_value(v, 3) for v in range(8)])
-    monkeypatch.setattr(program_module, "EVAL_BUDGET_BYTES", 3 * 8 * 16)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 3 * 8 * 16)
     assert evaluate_all(p).shape == (8,)
     assert evaluate_batch(p, every).shape == (8,)
-    monkeypatch.setattr(program_module, "EVAL_BUDGET_BYTES", 3 * 8 * 16 - 1)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 3 * 8 * 16 - 1)
     with pytest.raises(ValueError, match="evaluation budget exceeded: a block of 2\\^3 configurations of width 3"):
         evaluate_all(p)
     with pytest.raises(ValueError, match="evaluation budget exceeded: a batch of 8 inputs"):
