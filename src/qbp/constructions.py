@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .program import QbProgram, QuantumTransformation, TruthTable
+from .program import Monomial, QbProgram, QuantumTransformation, TruthTable
 
 
 def is_prime(p: int) -> bool:
@@ -55,26 +54,6 @@ def mod_truth_table(p: int, n: int) -> TruthTable:
 # -- universal exact program ---------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _cyclic_shift(dim: int, shift: int) -> np.ndarray:
-    """Permutation matrix moving position j to position j + shift (mod dim)."""
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    src = np.arange(dim)
-    m[(src + shift) % dim, src] = 1.0
-    m.flags.writeable = False
-    return m
-
-
-@lru_cache(maxsize=32)
-def _universal_transformations(n: int) -> tuple[QuantumTransformation, ...]:
-    width = 1 << n
-    ident = linalg.identity(width)
-    return tuple(
-        QuantumTransformation(i, ident, _cyclic_shift(width, 1 << (n - i)))
-        for i in range(1, n + 1)
-    )
-
-
 def universal_exact_qbp(f: TruthTable) -> QbProgram:
     """Read-once program of width 2^n that exactly computes ``f``.
 
@@ -82,18 +61,23 @@ def universal_exact_qbp(f: TruthTable) -> QbProgram:
     2^(n-i) positions to the right (cyclically); the final position is
     therefore 1 plus the input value, distinct for distinct inputs.  The
     accepting set marks the positions of the inputs mapped to 1; it is
-    empty for the constant-0 function.  Its n + 1 distinct dense levels (the
-    identity and n shifts) take (n + 1) * 4^n * 16 bytes, checked against
-    ``linalg.MEMORY_BUDGET_BYTES`` first: n = 11 passes and n = 12 stops.
+    empty for the constant-0 function.  Its levels are n + 1 Monomials (the
+    identity and n shifts) sharing one phase vector.  24 bytes per state and
+    level, which also cover the initial vector and the accepting set, are
+    checked against ``linalg.MEMORY_BUDGET_BYTES`` first: n = 20 passes and
+    n = 21 stops.
     """
     n = f.n_vars
-    linalg.check_budget((n + 1) * 16 << 2 * n, "universal construction",
-                        f"{n + 1} dense levels of width 2^{n}")
+    linalg.check_budget((n + 1) * 24 << n, "universal construction",
+                        f"{n + 1} monomial levels of width 2^{n}")
     width = 1 << n
-    initial = np.zeros(width, dtype=np.complex128)
-    initial[0] = 1.0
+    states = np.arange(width)
+    ident = Monomial(states, np.ones(width))
+    # row j of the shift by s reads position j - s
+    tfs = tuple(QuantumTransformation(i, ident, Monomial(np.roll(states, 1 << (n - i)), ident.phases))
+                for i in range(1, n + 1))
     accepting = frozenset(int(v) + 1 for v in np.nonzero(f.bits)[0])
-    return QbProgram(n, width, _universal_transformations(n), initial, accepting)
+    return QbProgram(n, width, tfs, np.eye(1, width)[0], accepting)
 
 
 # -- rotation blocks -------------------------------------------------------------
@@ -122,7 +106,7 @@ def mod_block(spec: ModBlockSpec) -> QbProgram:
     """Stable read-once (2, n) program: reading a one rotates the plane by
     2*pi*k/p, reading a zero does nothing; accepting state is the first axis.
     """
-    u0 = linalg.identity(2)
+    u0 = Monomial(np.arange(2), np.ones(2))
     u1 = linalg.rotation_matrix(spec.angle)
     tfs = tuple(QuantumTransformation(i, u0, u1) for i in range(1, spec.n + 1))
     return QbProgram(spec.n, 2, tfs, np.array([1.0, 0.0]), frozenset({1}))
@@ -372,6 +356,13 @@ def amplify(
 
 # -- permutation branching programs ---------------------------------------------------
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int when it is a Python or numpy integer other than a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True, eq=False)
 class PermutationBp:
     """Classical leveled permutation branching program.
@@ -387,11 +378,16 @@ class PermutationBp:
 
     def __post_init__(self):
         levels = tuple(
-            (int(var), tuple(int(x) for x in p0), tuple(int(x) for x in p1))
-            for var, p0, p1 in self.levels
+            (_integer(var, f"level {i} var"),
+             tuple(_integer(x, f"level {i} perm0 entry") for x in p0),
+             tuple(_integer(x, f"level {i} perm1 entry") for x in p1))
+            for i, (var, p0, p1) in enumerate(self.levels, start=1)
         )
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "accepting", frozenset(int(s) for s in self.accepting))
+        object.__setattr__(self, "width", _integer(self.width, "width"))
+        object.__setattr__(self, "start", _integer(self.start, "start state"))
+        object.__setattr__(self, "accepting",
+                           frozenset(_integer(s, "accepting state") for s in self.accepting))
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
         if not 1 <= self.start <= self.width:
@@ -407,24 +403,14 @@ class PermutationBp:
                     raise ValueError(f"level {i} {name} is not a permutation of 1..{self.width}")
 
 
-def _permutation_matrix(perm: Sequence[int]) -> np.ndarray:
-    w = len(perm)
-    m = np.zeros((w, w), dtype=np.complex128)
-    for src, dst in enumerate(perm):
-        m[dst - 1, src] = 1.0
-    return m
-
-
 def permutation_bp_to_qbp(b: PermutationBp, n_vars: int | None = None) -> QbProgram:
     """Exact quantum embedding: permutation matrices keep the configuration a
     standard basis vector, so acceptance is 0 or 1 and equals the classical
     decision."""
     if n_vars is None:
         n_vars = max(var for var, _, _ in b.levels) if b.levels else 1
-    tfs = tuple(
-        QuantumTransformation(var, _permutation_matrix(p0), _permutation_matrix(p1))
-        for var, p0, p1 in b.levels
-    )
-    initial = np.zeros(b.width, dtype=np.complex128)
-    initial[b.start - 1] = 1.0
-    return QbProgram(n_vars, b.width, tfs, initial, b.accepting)
+    # state s moves to perm[s - 1]: row k reads column argsort(perm)[k]
+    ones = linalg.as_cvector(np.ones(b.width))
+    tfs = tuple(QuantumTransformation(var, Monomial(np.argsort(p0), ones), Monomial(np.argsort(p1), ones))
+                for var, p0, p1 in b.levels)
+    return QbProgram(n_vars, b.width, tfs, np.eye(1, b.width, b.start - 1)[0], b.accepting)

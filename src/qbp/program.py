@@ -4,7 +4,11 @@ A program of width d applies, at each level, one of two d x d unitaries
 depending on the value of one input variable, then measures the final
 configuration against a set of accepting basis states.  Bit i of an input
 string is the value of variable x_{i+1}; the transformation at a level
-reads ``input[var_index - 1]``.
+reads ``input[var_index - 1]``.  A unitary is stored as a dense matrix or as
+a ``Monomial`` (perm, phases): the universal and permutation constructions
+build Monomials, and a dense matrix of that shape is read as one.
+Evaluation reads the stored form; only ``u0``/``u1`` build a Monomial's
+dense matrix (for the file format and realify).
 
 Also included: the classical stable probabilistic OBDD model (a fixed pair
 of row-stochastic matrices driven over a distribution row vector), and the
@@ -26,10 +30,10 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,61 +69,88 @@ def bits_of_value(value: int, n_vars: int) -> tuple[int, ...]:
     return tuple((value >> (n_vars - 1 - i)) & 1 for i in range(n_vars))
 
 
-def _phase_permutation(u: np.ndarray):
-    """Decompose ``u`` as (perm, phases) when it has exactly one nonzero per
-    row and column; used as an exact O(d) application path.  All remaining
-    entries must be exact zeros, so the gather reproduces the dense product
-    bit for bit.  Returns None for matrices without this structure."""
-    nz = u != 0
-    if not (nz.sum(axis=1) == 1).all() or not (nz.sum(axis=0) == 1).all():
-        return None
-    perm = nz.argmax(axis=1)
-    phases = u[np.arange(u.shape[0]), perm]
-    return perm, phases
-
-
 @dataclass(frozen=True, eq=False)
-class QuantumTransformation:
-    """One program level: variable index plus the unitary applied per bit."""
+class Monomial:
+    """A unitary stored as built: row i holds ``phases[i]`` in column
+    ``perm[i]`` and exact zeros elsewhere, so it is applied as a gather, bit
+    for bit the dense product.  ``dense`` builds the matrix once, on first use."""
 
-    var_index: int
-    u0: np.ndarray
-    u1: np.ndarray
+    perm: np.ndarray
+    phases: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u0", linalg.as_cmatrix(self.u0))
-        object.__setattr__(self, "u1", linalg.as_cmatrix(self.u1))
-        if self.var_index < 1:
-            raise ValueError(f"var_index must be >= 1, got {self.var_index}")
-        if self.u0.shape != self.u1.shape:
-            raise ValueError(
-                f"u0 dimension {self.u0.shape[0]} does not match u1 dimension {self.u1.shape[0]}"
-            )
+        phases = linalg.as_cvector(self.phases)
+        if not np.array_equal(np.sort(self.perm), np.arange(phases.size)):
+            raise ValueError(f"perm must be a permutation of 0..{phases.size - 1}")
+        object.__setattr__(self, "perm", linalg._frozen(np.array(self.perm, dtype=np.intp)))
+        object.__setattr__(self, "phases", phases)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.phases.shape * 2
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        d = self.phases.size
+        linalg.check_budget(16 * d * d, "dense level", f"a {d} x {d} matrix")
+        u = np.zeros((d, d), dtype=np.complex128)
+        u[np.arange(d), self.perm] = self.phases
+        return linalg._frozen(u)
+
+
+def _stored(u) -> np.ndarray | Monomial:
+    """A matrix with exactly one nonzero per row and column as a Monomial
+    whose dense form it is (-0.0 entries included), else ``u`` as it is."""
+    if isinstance(u, Monomial):
+        return u
+    u = linalg.as_cmatrix(u)
+    nz = u != 0
+    if not (nz.sum(axis=1) == 1).all() or not (nz.sum(axis=0) == 1).all():
+        return u
+    perm = nz.argmax(axis=1)
+    m = Monomial(perm, u[np.arange(u.shape[0]), perm])
+    m.__dict__["dense"] = u  # where cached_property keeps it
+    return m
+
+
+def _dense(u: np.ndarray | Monomial) -> np.ndarray:
+    return u.dense if isinstance(u, Monomial) else u
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class QuantumTransformation:
+    """One program level: variable index plus the unitary applied per bit,
+    each a dense matrix or a ``Monomial``, kept in ``unitaries`` by ``_stored``."""
+
+    var_index: int
+    unitaries: tuple[np.ndarray | Monomial, np.ndarray | Monomial]
+
+    def __init__(self, var_index: int, u0: np.ndarray | Monomial, u1: np.ndarray | Monomial):
+        object.__setattr__(self, "var_index", var_index)
+        object.__setattr__(self, "unitaries", (_stored(u0), _stored(u1)))
+        if var_index < 1:
+            raise ValueError(f"var_index must be >= 1, got {var_index}")
+        (d0, _), (d1, _) = (u.shape for u in self.unitaries)
+        if d0 != d1:
+            raise ValueError(f"u0 dimension {d0} does not match u1 dimension {d1}")
+
+    u0 = property(lambda self: _dense(self.unitaries[0]))
+    u1 = property(lambda self: _dense(self.unitaries[1]))
 
     @property
     def dim(self) -> int:
-        return self.u0.shape[0]
-
-    @cached_property
-    def _structure(self):
-        return (_phase_permutation(self.u0), _phase_permutation(self.u1))
+        return self.unitaries[0].shape[0]
 
     def _unitary_within(self, tol: float) -> bool:
-        for u, struct in zip((self.u0, self.u1), self._structure):
-            if struct is not None:
-                if float(np.max(np.abs(np.abs(struct[1]) - 1.0))) <= tol:
-                    continue
-            if not linalg.is_unitary(u, tol):
-                return False
-        return True
+        return all(float(np.max(np.abs(np.abs(u.phases) - 1.0))) <= tol if isinstance(u, Monomial)
+                   else linalg.is_unitary(u, tol) for u in self.unitaries)
 
     def apply_to_columns(self, bit: int, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``u_bit @ cols`` for a d x m block, into ``out`` when given."""
-        struct = self._structure[1 if bit else 0]
-        if struct is not None:
-            perm, phases = struct
-            return np.multiply(phases[:, None], cols[perm, :], out=out)
-        return np.matmul(self.u1 if bit else self.u0, cols, out=out)
+        u = self.unitaries[1 if bit else 0]
+        if isinstance(u, Monomial):
+            return np.multiply(u.phases[:, None], cols[u.perm, :], out=out)
+        return np.matmul(u, cols, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,17 +308,17 @@ def is_read_once(p: QbProgram) -> bool:
     return len(set(seq)) == len(seq)
 
 
+def _same_unitary(a: np.ndarray | Monomial, b: np.ndarray | Monomial) -> bool:
+    """Entrywise equal within STABLE_TOL (unitary Monomials: same perm, close phases)."""
+    if isinstance(a, Monomial) and isinstance(b, Monomial):
+        return np.array_equal(a.perm, b.perm) and float(np.max(np.abs(a.phases - b.phases))) <= STABLE_TOL
+    return float(np.max(np.abs(_dense(a) - _dense(b)))) <= STABLE_TOL
+
+
 def is_stable(p: QbProgram) -> bool:
     """True iff every level applies the same (u0, u1) pair, entrywise within STABLE_TOL."""
-    if p.length <= 1:
-        return True
-    first = p.transformations[0]
-    for tf in p.transformations[1:]:
-        if float(np.max(np.abs(tf.u0 - first.u0))) > STABLE_TOL:
-            return False
-        if float(np.max(np.abs(tf.u1 - first.u1))) > STABLE_TOL:
-            return False
-    return True
+    first = p.transformations[0].unitaries if p.length else ()
+    return all(_same_unitary(a, b) for tf in p.transformations[1:] for a, b in zip(tf.unitaries, first))
 
 
 # -- exhaustive evaluation ---------------------------------------------------
@@ -586,7 +617,8 @@ class ProgramFormatError(ValueError):
 
 
 def _expect(obj, typ, where: str, what: str):
-    if not isinstance(obj, typ):
+    # bool is an int subclass, but true and false are not integers here
+    if not isinstance(obj, typ) or (typ is int and isinstance(obj, bool)):
         raise ProgramFormatError(where, f"expected {what}, got {type(obj).__name__}")
     return obj
 
@@ -648,16 +680,8 @@ def _pairs(a: np.ndarray) -> list:
 
 
 def program_to_obj(p: QbProgram) -> dict:
-    return {
-        "n_vars": p.n_vars,
-        "width": p.width,
-        "initial": _pairs(p.initial),
-        "accepting": sorted(p.accepting),
-        "transformations": [
-            {"var": tf.var_index, "u0": _pairs(tf.u0), "u1": _pairs(tf.u1)}
-            for tf in p.transformations
-        ],
-    }
+    """The JSON object of the program's file."""
+    return json.loads(_program_texts(p)[0])
 
 
 def program_from_obj(obj) -> QbProgram:
@@ -693,14 +717,27 @@ def program_from_obj(obj) -> QbProgram:
         raise ProgramFormatError("$", str(e)) from e
 
 
+# bytes per complex entry that formatting a program holds at its peak: its
+# texts, one level's float lists and the dense levels it builds.  Measured up
+# to 209.4 with 24-character reprs (the longest) in both parts, 178 with Haar
+# entries and 51 with the 0/1 entries of universal programs.
+_FORMAT_BYTES_PER_ENTRY = 216
+
+
 def _program_texts(p: QbProgram) -> tuple[str, str]:
     """(file text, canonical text) of a program, formatting each array once.
 
-    The file text equals ``json.dumps(program_to_obj(p))`` and the canonical
-    text equals the same dump with ``sort_keys=True, separators=(",", ":")``.
+    The file text is the object of the format notes dumped with json's
+    defaults, the canonical text the same dump with ``sort_keys=True,
+    separators=(",", ":")``.
     An array's compact dump holds only numbers, brackets and commas, so its
-    file form is that dump with every comma widened to ", ".
+    file form is that dump with every comma widened to ", ".  The bytes of
+    every entry are checked against ``linalg.MEMORY_BUDGET_BYTES`` first.
     """
+    entries = p.width * (1 + 2 * p.width * p.length)
+    linalg.check_budget(entries * _FORMAT_BYTES_PER_ENTRY, "program format",
+                        f"the text of {entries} complex entries")
+
     def compact(x) -> str:
         return json.dumps(x, separators=(",", ":"))
 

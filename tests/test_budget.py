@@ -78,8 +78,20 @@ def _width_oracle():
 
 
 def _universal():
-    f = TruthTable.random(7, np.random.default_rng(7))
-    return (lambda: constructions.universal_exact_qbp(f)), 8 * 16 << 14, "universal construction", None
+    f = TruthTable.random(13, np.random.default_rng(13))
+    return (lambda: constructions.universal_exact_qbp(f)), 14 * 24 << 13, "universal construction", None
+
+
+def _dense_level():
+    m = program.Monomial(np.arange(512)[::-1], np.ones(512))
+    return (lambda: m.dense), 16 * 512 * 512, "dense level", None
+
+
+def _program_format():
+    # width 64, two levels: 64 * (1 + 2 * 64 * 2) complex entries
+    p = _identity_program(2, 64, (1, 2))
+    return ((lambda: program.program_digest(p)), 64 * 257 * program._FORMAT_BYTES_PER_ENTRY,
+            "program format", None)
 
 
 def _mod_construction():
@@ -111,6 +123,8 @@ SITES = {
     "separation Gram matrix": _gram,
     "min_obdd_width": _width_oracle,
     "universal_exact_qbp": _universal,
+    "Monomial.dense": _dense_level,
+    "program format": _program_format,
     "build_mod_program": _mod_construction,
     "_good_table": _good_set,
     "mod_truth_table": _truth_table,

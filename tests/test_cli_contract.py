@@ -22,6 +22,20 @@ from qbp.cli import load_truth_table, main, save_truth_table
 RECORD_KEYS = {"command", "seed", "program", "wall_time_s", "metrics"}
 
 
+# permutation programs with a field that is not an integer: (mutation, message)
+PERM_FIELDS = {
+    "perm float entry": (lambda bp: bp["levels"][1].update(perm0=[1, 2.7, 3]),
+                         "level 2 perm0 entry must be an integer, got 2.7"),
+    "perm string": (lambda bp: bp["levels"][0].update(perm0="123"),
+                    "level 1 perm0 entry must be an integer, got '1'"),
+    "accepting float": (lambda bp: bp.update(accepting=[1.9]),
+                        "accepting state must be an integer, got 1.9"),
+    "var bool": (lambda bp: bp["levels"][2].update(var=True),
+                 "level 3 var must be an integer, got True"),
+    "start float": (lambda bp: bp.update(start=1.5), "start state must be an integer, got 1.5"),
+}
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("contract")
@@ -29,6 +43,7 @@ def files(tmp_path_factory):
         "f.tt", "univ.json", "mod3.json", "mod3.tt", "flipped.tt", "bp.json",
         "bad.tt", "bad.json", "bad_bp.json", "n12.tt",
     )}
+    paths.update({name: d / f"{name}.json" for name in PERM_FIELDS})
     f = program.TruthTable(3, [c == "1" for c in "01101001"])
     save_truth_table(f, paths["f.tt"])
     program.save_program(constructions.universal_exact_qbp(f), paths["univ.json"])
@@ -36,10 +51,15 @@ def files(tmp_path_factory):
     table = constructions.mod_truth_table(3, 6)
     save_truth_table(table, paths["mod3.tt"])
     save_truth_table(program.TruthTable(6, ~table.bits), paths["flipped.tt"])
-    paths["bp.json"].write_text(json.dumps({
+    bp = {
         "width": 3, "start": 1, "accepting": [1],
         "levels": [{"var": v, "perm0": [1, 2, 3], "perm1": [2, 3, 1]} for v in (1, 2, 3)],
-    }))
+    }
+    paths["bp.json"].write_text(json.dumps(bp))
+    for name, (mutate, _) in PERM_FIELDS.items():
+        bad = json.loads(json.dumps(bp))
+        mutate(bad)
+        paths[name].write_text(json.dumps(bad))
     paths["bad.tt"].write_text("3\n0110100x\n")
     paths["bad.json"].write_text("{")
     paths["bad_bp.json"].write_text('{"width": 3}')
@@ -141,6 +161,9 @@ USAGE = {
     "build perm bad bp": (
         lambda f: ["build", "perm", "--bp", f["bad_bp.json"], "-o", f["out"]],
         "invalid permutation program"),
+    **{f"build perm {name}": (
+        lambda f, name=name: ["build", "perm", "--bp", f[name], "-o", f["out"]],
+        f"invalid permutation program: {message}") for name, (_, message) in PERM_FIELDS.items()},
     "eval bad input": (
         lambda f: ["eval", f["mod3.json"], "--input", "01x000"], "non-bit characters"),
     "eval no table": (
@@ -163,7 +186,7 @@ USAGE = {
         lambda f: ["sweep", "--epsilon-range", "0.1:0.2:0"], "use START:STOP[:STEP]"),
     "build universal over budget": (
         lambda f: ["build", "universal", "--truth-table", f["n12.tt"], "-o", f["out"]],
-        "universal construction budget exceeded: 13 dense levels of width 2^12"),
+        "program format budget exceeded: the text of 402657280 complex entries"),
     "sweep p-range over budget": (
         lambda f: ["sweep", "--p-range", "3:1e12"], "sweep budget exceeded"),
     "sweep epsilon-range over budget": (

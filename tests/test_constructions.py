@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from qbp.constructions import (
 )
 from qbp.program import (
     Margin,
+    Monomial,
     OneSided,
     QbProgram,
     TruthTable,
@@ -96,6 +99,55 @@ def test_universal_final_positions_are_injective(rng):
                     pos = (pos + (1 << (n - i))) % (1 << n)
             positions.add(pos)
         assert len(positions) == 1 << n
+
+
+def reference_cyclic_shift(dim: int, shift: int) -> np.ndarray:
+    """The dense level universal programs were built from: a permutation
+    matrix moving position j to position j + shift (mod dim)."""
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    src = np.arange(dim)
+    m[(src + shift) % dim, src] = 1.0
+    return m
+
+
+def reference_permutation_matrix(perm) -> np.ndarray:
+    """The dense level permutation programs were embedded with."""
+    w = len(perm)
+    m = np.zeros((w, w), dtype=np.complex128)
+    for src, dst in enumerate(perm):
+        m[dst - 1, src] = 1.0
+    return m
+
+
+def bit_pattern(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_universal_levels_are_monomials_with_the_reference_dense_form(rng, n):
+    p = universal_exact_qbp(TruthTable.random(n, rng))
+    for i, tf in enumerate(p.transformations, start=1):
+        assert all(isinstance(u, Monomial) for u in tf.unitaries)
+        assert np.array_equal(bit_pattern(tf.u0), bit_pattern(np.eye(1 << n, dtype=np.complex128)))
+        shift = reference_cyclic_shift(1 << n, 1 << (n - i))
+        assert np.array_equal(bit_pattern(tf.u1), bit_pattern(shift))
+
+
+def test_universal_n10_holds_only_its_stored_form():
+    # the dense levels took 176 MiB and stayed cached after the program was gone
+    f = TruthTable.random(10, np.random.default_rng(10))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        p = universal_exact_qbp(f)
+        held, peak = tracemalloc.get_traced_memory()
+        del p
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= peak < 1 << 20
+    assert after < 64 << 10
 
 
 def test_universal_guards_large_n():
@@ -389,6 +441,30 @@ def test_permutation_bp_matches_classical_walk(rng):
         prob = evaluate(q, bits)
         assert prob == pytest.approx(1.0 if classical_bp_decision(bp, bits) else 0.0, abs=1e-9)
         assert min(abs(prob - 0.0), abs(prob - 1.0)) <= 1e-9
+
+
+def test_permutation_levels_are_monomials_with_the_reference_dense_form(rng):
+    for width in (1, 2, 5, 9):
+        levels = tuple(
+            (1 + int(rng.integers(3)), *(tuple(int(x) + 1 for x in rng.permutation(width)) for _ in "01"))
+            for _ in range(4)
+        )
+        q = permutation_bp_to_qbp(PermutationBp(width, levels, 1, frozenset({1})), n_vars=3)
+        for tf, (_, p0, p1) in zip(q.transformations, levels):
+            assert all(isinstance(u, Monomial) for u in tf.unitaries)
+            assert np.array_equal(bit_pattern(tf.u0), bit_pattern(reference_permutation_matrix(p0)))
+            assert np.array_equal(bit_pattern(tf.u1), bit_pattern(reference_permutation_matrix(p1)))
+
+
+def test_permutation_bp_fields_are_integers():
+    bp = PermutationBp(np.int64(2), ((np.int32(1), (1, 2), (np.uint8(2), 1)),), np.int8(1),
+                       frozenset({np.int16(2)}))
+    assert (bp.width, bp.levels, bp.start, bp.accepting) == (2, ((1, (1, 2), (2, 1)),), 1, {2})
+    assert all(type(x) is int for x in (bp.width, bp.start, bp.levels[0][0], *bp.levels[0][2]))
+    with pytest.raises(ValueError, match="^start state must be an integer, got True$"):
+        PermutationBp(2, (), True, frozenset({1}))
+    with pytest.raises(ValueError, match=r"^level 1 perm1 entry must be an integer, got 2\.0$"):
+        PermutationBp(2, ((1, (1, 2), (2.0, 1)),), 1, frozenset({1}))
 
 
 def test_permutation_bp_validation():

@@ -18,6 +18,7 @@ from qbp.constructions import ModBlockSpec, build_mod_program, mod_block, univer
 from qbp.program import (
     Classification,
     Margin,
+    Monomial,
     OneSided,
     ProgramFormatError,
     QbProgram,
@@ -293,26 +294,32 @@ def test_evaluate_all_read_twice_fallback():
 
 # -- one evaluation block for every program ------------------------------------------
 
-def _level_unitary(rng, kind: str, d: int) -> np.ndarray:
+def _level_unitary(rng, kind: str, d: int) -> np.ndarray | Monomial:
     if kind == "haar":
         return haar_unitary(rng, d)
-    u = np.eye(d)[rng.permutation(d)].astype(np.complex128)
-    if kind == "phase":
-        u = u * np.exp(2j * np.pi * rng.random(d))[None, :]
+    perm = rng.permutation(d)
+    phases = np.exp(2j * np.pi * rng.random(d)) if kind.endswith("phase") else np.ones(d)
+    return Monomial(perm, phases) if kind.startswith("monomial") else _dense_of(perm, phases)
+
+
+def _dense_of(perm, phases) -> np.ndarray:
+    u = np.zeros((len(perm), len(perm)), dtype=np.complex128)
+    u[np.arange(len(perm)), perm] = phases
     return u
 
 
 @st.composite
 def read_k_programs(draw, read_once: bool = False):
     """Programs with n <= 6 reading any variable any number of times (or each
-    at most once), with Haar, permutation and phase-permutation levels."""
+    at most once), with Haar, permutation and phase-permutation levels, the
+    last two given as dense matrices or as Monomials."""
     n = draw(st.integers(1, 6))
     d = draw(st.integers(1, 6))
     if read_once:
         seq = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(0, n))]
     else:
         seq = draw(st.lists(st.integers(1, n), max_size=3 * n))
-    kinds = draw(st.lists(st.sampled_from(["haar", "perm", "phase"]),
+    kinds = draw(st.lists(st.sampled_from(["haar", "perm", "phase", "monomial perm", "monomial phase"]),
                           min_size=2 * len(seq), max_size=2 * len(seq)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tfs = tuple(
@@ -366,9 +373,8 @@ def reference_final_configuration(p: QbProgram, bits) -> np.ndarray:
     """The per-input loop as it was: one vector, one level at a time."""
     psi = p.initial
     for tf in p.transformations:
-        bit = int(bits[tf.var_index - 1])
-        struct = tf._structure[bit]
-        psi = struct[1] * psi[struct[0]] if struct is not None else (tf.u1 if bit else tf.u0) @ psi
+        u = tf.unitaries[int(bits[tf.var_index - 1])]
+        psi = u.phases * psi[u.perm] if isinstance(u, Monomial) else u @ psi
     return psi
 
 
@@ -396,6 +402,36 @@ def test_single_input_is_bit_identical_to_reference_loop(p):
         psi = reference_final_configuration(p, bits)
         assert np.array_equal(final_configuration(p, bits), psi)
         assert evaluate(p, bits) == accept_probability(psi, p.accepting)
+
+
+def _with_levels_as(p: QbProgram, monomial: bool) -> QbProgram:
+    """``p`` with every monomial level given as a Monomial, or as the dense
+    matrix built here from its (perm, phases)."""
+    def level(u):
+        if not isinstance(u, Monomial):
+            return u
+        return Monomial(u.perm, u.phases) if monomial else _dense_of(u.perm, u.phases)
+
+    tfs = tuple(QuantumTransformation(tf.var_index, *map(level, tf.unitaries)) for tf in p.transformations)
+    return QbProgram(p.n_vars, p.width, tfs, p.initial, p.accepting)
+
+
+@settings(max_examples=40, deadline=None)
+@given(read_k_programs())
+def test_monomial_and_dense_levels_are_bit_identical(p):
+    mono, dense = _with_levels_as(p, True), _with_levels_as(p, False)
+    assert np.array_equal(evaluate_all(mono), evaluate_all(dense))
+    for v in range(min(1 << p.n_vars, 8)):
+        bits = bits_of_value(v, p.n_vars)
+        assert np.array_equal(final_configuration(mono, bits), final_configuration(dense, bits))
+    saved = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, q in enumerate((mono, dense)):
+            path = os.path.join(tmp, f"{i}.json")
+            digest = save_program(q, path)
+            with open(path, "rb") as fh:
+                saved.append((digest, program_digest(q), fh.read()))
+    assert saved[0] == saved[1]
 
 
 def reference_computes_sampled(p, f, criterion, samples, seed, max_recorded=16):
@@ -519,6 +555,50 @@ def test_is_stable():
         np.array([1.0, 0.0]), frozenset({1}),
     )
     assert is_stable(single)
+
+
+def _two_level_program(u, v) -> QbProgram:
+    tfs = (QuantumTransformation(1, u, u), QuantumTransformation(2, v, v))
+    return QbProgram(2, 2, tfs, np.array([1.0, 0.0]), frozenset({1}))
+
+
+@pytest.mark.parametrize("v, stable", [
+    (Monomial([1, 0], [1.0, 1.0 + 1e-13]), True),
+    (Monomial([1, 0], [1.0, 1j]), False),
+    (Monomial([0, 1], [1.0, 1.0]), False),
+])
+def test_is_stable_reads_stored_monomials_as_their_dense_matrices(v, stable):
+    swap = Monomial([1, 0], [1.0, 1.0])
+    assert is_stable(_two_level_program(swap, v)) == stable
+    assert is_stable(_two_level_program(np.array(swap.dense), np.array(v.dense))) == stable
+
+
+@pytest.mark.parametrize("angle, stable", [(1e-14, True), (0.3, False)])
+def test_is_stable_compares_a_monomial_with_a_dense_level(angle, stable):
+    rotation = linalg.rotation_matrix(angle)
+    assert is_stable(_two_level_program(Monomial([0, 1], [1.0, 1.0]), rotation)) == stable
+
+
+def test_evaluation_reads_monomials_without_building_dense_levels(rng):
+    p = universal_exact_qbp(TruthTable.random(6, rng))
+    evaluate_all(p)
+    evaluate_batch(p, np.eye(6, dtype=np.int8))
+    final_configuration(p, "011010")
+    assert not is_stable(p)
+    QbProgram(p.n_vars, p.width, p.transformations, p.initial, p.accepting)
+    assert not any("dense" in vars(u) for tf in p.transformations for u in tf.unitaries)
+
+
+@pytest.mark.parametrize("perm", [[0, 0], [0, 2], [0], [1, 0, 2], [0.5, 1]])
+def test_monomial_perm_must_permute_its_rows(perm):
+    with pytest.raises(ValueError, match=r"^perm must be a permutation of 0\.\.1$"):
+        Monomial(perm, [1.0, 1.0])
+
+
+def test_program_reports_non_unitary_monomial_level():
+    ident = Monomial([0, 1], [1.0, 1.0])
+    with pytest.raises(ValueError, match="level 2 is not unitary"):
+        _two_level_program(ident, Monomial([1, 0], [1.0, 1.0 + 1e-9]))
 
 
 def test_accepting_order_does_not_matter(rng):
@@ -820,6 +900,10 @@ U0, U1 = ("transformations", 0, "u0"), ("transformations", 1, "u1")
         (_set(("initial", 0), 1.0), "$.initial[0]: expected a [re, im] pair, got float"),
         (_set(("initial",), []), "$: vector must be nonempty"),
         (_set(("initial", 0), [float("nan"), 0.0]), "$: vector contains non-finite entries"),
+        (_set(("n_vars",), True), "$.n_vars: expected an integer, got bool"),
+        (_set(("width",), False), "$.width: expected an integer, got bool"),
+        (_set(("accepting", 0), True), "$.accepting[0]: expected an integer, got bool"),
+        (_set(("transformations", 1, "var"), True), "$.transformations[1].var: expected an integer, got bool"),
     ],
 )
 def test_load_program_locates_malformed_entries(tmp_path, mutate, message):
