@@ -102,10 +102,12 @@ def load_truth_table(path) -> program.TruthTable:
     if n < 1:
         raise ParseFailure(f"{path}: line 1: number of variables must be >= 1")
     if len(lines) < 2:
-        raise ParseFailure(f"{path}: line 2: expected {1 << n} bits")
+        raise ParseFailure(f"{path}: line 2: expected 2^{n} bits")
     bits = lines[1].strip()
-    if len(bits) != 1 << n:
-        raise ParseFailure(f"{path}: line 2: expected {1 << n} bits, got {len(bits)}")
+    # 2^n is never built: a huge n on line 1 would allocate it
+    m = len(bits)
+    if m & (m - 1) or m.bit_length() != n + 1:
+        raise ParseFailure(f"{path}: line 2: expected 2^{n} bits, got {m}")
     if bits.count("0") + bits.count("1") != len(bits):  # locate the first bad character
         for col, c in enumerate(bits, start=1):
             if c not in "01":
@@ -258,7 +260,7 @@ def build_perm(bp_path, n_vars, out):
 @click.option("--truth-table", "table_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--criterion", type=str, default="margin:0.5", show_default=True,
               help="margin:EPS or one-sided[:REJECT_MIN[:TOL]].")
-@click.option("--max-listed", type=int, default=8, show_default=True,
+@click.option("--max-listed", type=click.IntRange(min=0), default=8, show_default=True,
               help="How many counterexamples to print.")
 @_recorded("eval")
 def eval_cmd(program_path, input_bits, exhaustive, table_path, criterion, max_listed):

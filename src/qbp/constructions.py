@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -200,17 +200,21 @@ def target_set_size(p: int) -> int:
     return math.ceil(16.0 * math.log(p))
 
 
-def sample_good_set(p: int, seed: int, max_attempts: int = 64) -> GoodSet:
+# seeds that sample_good_set tries, seed, seed + 1, ..., before it gives up
+_SAMPLE_ATTEMPTS = 64
+
+
+def sample_good_set(p: int, seed: int) -> GoodSet:
     """Draw ceil(16 ln p) multipliers i.i.d. uniformly from [1, p-1] with a
     PCG64 generator seeded by ``seed`` and certify the result exhaustively
-    over residues; on failure retry with seed+1, up to ``max_attempts``.
+    over residues; on failure retry with seed+1, up to ``_SAMPLE_ATTEMPTS`` draws.
     """
     _require_prime(p)
     if p < 3:
         raise ValueError(f"randomized selection needs p >= 3, got {p}")
     t = target_set_size(p)
     failing: tuple[int, ...] = ()
-    for attempt in range(max_attempts):
+    for attempt in range(_SAMPLE_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         ks = tuple(int(k) for k in rng.integers(1, p, size=t))
         failing = failing_residues(p, ks)
@@ -218,7 +222,7 @@ def sample_good_set(p: int, seed: int, max_attempts: int = 64) -> GoodSet:
             return GoodSet(p, ks)
     raise GoodSetError(
         p, failing,
-        f"no certified draw after {max_attempts} attempts from seed {seed}; "
+        f"no certified draw after {_SAMPLE_ATTEMPTS} attempts from seed {seed}; "
         f"last failing residues {failing}",
     )
 
@@ -255,26 +259,15 @@ def greedy_good_set(p: int) -> GoodSet:
 _LEVEL_BYTES_PER_STATE = 768
 
 
-def compose_parallel(blocks: Sequence[QbProgram], weights: Sequence[float] | None = None) -> QbProgram:
+def compose_parallel(blocks: Sequence[QbProgram]) -> QbProgram:
     """Block-diagonal composition of programs over the same variable sequence.
 
     The initial configuration concatenates the blocks' initial vectors scaled
-    by sqrt(weight); acceptance of the composite is then the weighted sum of
+    by sqrt(1/len(blocks)); acceptance of the composite is then the mean of
     the blocks' acceptances.
     """
     if not blocks:
         raise ValueError("need at least one block")
-    if weights is None:
-        weights = [1.0 / len(blocks)] * len(blocks)
-    if len(weights) != len(blocks):
-        raise ValueError(f"{len(blocks)} blocks but {len(weights)} weights")
-    weights = [float(w) for w in weights]
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be nonnegative")
-    if abs(sum(weights) - 1.0) > linalg.WEIGHT_SUM_TOL:
-        raise ValueError(
-            f"weights sum to {sum(weights)!r}, expected 1 within {linalg.WEIGHT_SUM_TOL}"
-        )
     first = blocks[0]
     for b in blocks[1:]:
         if b.n_vars != first.n_vars:
@@ -294,7 +287,7 @@ def compose_parallel(blocks: Sequence[QbProgram], weights: Sequence[float] | Non
             u1[sl, sl] = b.transformations[level].u1
         tfs.append(QuantumTransformation(first.transformations[level].var_index, u0, u1))
 
-    initial = np.concatenate([math.sqrt(w) * b.initial for b, w in zip(blocks, weights)])
+    initial = np.concatenate([math.sqrt(1.0 / len(blocks)) * b.initial for b in blocks])
     accepting = frozenset(
         int(off) + s for b, off in zip(blocks, offsets) for s in b.accepting
     )
@@ -303,7 +296,7 @@ def compose_parallel(blocks: Sequence[QbProgram], weights: Sequence[float] | Non
 
 def build_mod_program(p: int, n: int, strategy: str = "greedy", seed: int = 0) -> QbProgram:
     """Divisibility program: one rotation block per multiplier in a certified
-    good set, composed in parallel with uniform weights.
+    good set, composed in parallel.
 
     Accepts inputs whose count of ones is divisible by p with probability 1
     and rejects the rest with probability at least 1/8.  Width is twice the
@@ -328,30 +321,6 @@ def build_mod_program(p: int, n: int, strategy: str = "greedy", seed: int = 0) -
         )
     blocks = [mod_block(ModBlockSpec(p, k, n)) for k in good.multipliers]
     return compose_parallel(blocks)
-
-
-def amplify(
-    p: QbProgram,
-    copies: int,
-    resample: Callable[[int], QbProgram] | None = None,
-) -> QbProgram:
-    """Parallel composition of ``copies`` programs with uniform weights.
-
-    By default every copy is ``p`` itself, which preserves probability-1
-    acceptance and keeps the rejection floor (the composite acceptance is the
-    average of the copies').  Pass ``resample`` to supply independently
-    constructed copies, e.g. divisibility programs from fresh seeds; copy i
-    is then ``resample(i)``.
-    """
-    if copies < 1:
-        raise ValueError(f"copies must be >= 1, got {copies}")
-    if resample is None:
-        if copies == 1:
-            return p
-        progs = [p] * copies
-    else:
-        progs = [resample(i) for i in range(copies)]
-    return compose_parallel(progs)
 
 
 # -- permutation branching programs ---------------------------------------------------

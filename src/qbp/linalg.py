@@ -13,7 +13,7 @@ import numpy as np
 
 # -- tolerances: every one the package uses, each with its reason -----------
 DEFAULT_UNITARY_TOL = 1e-10  # max-entry deviation of u* u from I of a unitary level
-NORMALIZATION_TOL = 1e-10  # unit norm of an initial configuration, unit sum of a distribution
+NORMALIZATION_TOL = 1e-10  # unit norm of an initial configuration
 STABLE_TOL = 1e-12  # entrywise difference of two levels that count as the same (is_stable)
 MARGIN_SLACK = 1e-12  # margin rule slack: a margin equal to the measured one is met
 ONE_SIDED_TOL = 1e-9  # default OneSided.tol: an accepting probability's distance from 1
@@ -22,7 +22,6 @@ NORM_DRIFT_TOL = 1e-9  # drift off unit norm that a reachable configuration may 
 CHAIN_SLACK = 1e-12  # slack on the theta-component radius and on theta vs the separation
 CHAIN_INSET = 1e-9  # components are chained at theta - CHAIN_INSET, strictly inside theta
 GOOD_COS2_SLACK = 1e-12  # slack on cos^2 <= 1/2 in the good-multiplier test
-WEIGHT_SUM_TOL = 1e-12  # distance of the compose_parallel weights' sum from 1
 RANGE_SLACK = 1e-12  # overshoot of a float range's stop that still includes it
 
 # -- memory: the package's one resource limit -----------------------------------
@@ -68,10 +67,6 @@ def as_cmatrix(data) -> np.ndarray:
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"matrix must be square, got shape {arr.shape}")
     return arr
-
-
-def identity(dim: int) -> np.ndarray:
-    return _frozen(np.eye(dim, dtype=np.complex128))
 
 
 def rotation_matrix(angle: float) -> np.ndarray:

@@ -8,11 +8,8 @@ reads ``input[var_index - 1]``.  A unitary is stored as a dense matrix or as
 a ``Monomial`` (perm, phases): the universal and permutation constructions
 build Monomials, and a dense matrix of that shape is read as one.
 Evaluation reads the stored form; only ``u0``/``u1`` build a Monomial's
-dense matrix (for the file format and realify).
-
-Also included: the classical stable probabilistic OBDD model (a fixed pair
-of row-stochastic matrices driven over a distribution row vector), and the
-JSON file format used by the command line tools.
+dense matrix (for the file format and realify).  Also included: the JSON
+file format used by the command line tools.
 
 Programs are oblivious, so every evaluation advances one d x m block of
 configurations level by level (``_advance``): one column per input, or in
@@ -20,13 +17,12 @@ configurations level by level (``_advance``): one column per input, or in
 is checked against ``linalg.MEMORY_BUDGET_BYTES`` before it is allocated.
 
 Acceptance at a margin is decided by one rule, ``_margin_masks``, which
-``classify_probability``, ``computes``, ``computes_sampled`` and the
-theta-component analysis all use.
+``computes`` under a ``Margin`` criterion and the theta-component analysis
+use.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 import math
@@ -41,12 +37,6 @@ from . import linalg
 from .linalg import MARGIN_SLACK, NORMALIZATION_TOL, ONE_SIDED_TOL, STABLE_TOL
 
 Bits = Sequence[int] | str
-
-
-class Classification(enum.Enum):
-    ACCEPTS = "accepts"
-    REJECTS = "rejects"
-    UNDETERMINED = "undetermined"
 
 
 def _as_bits(input_bits: Bits, n_vars: int) -> tuple[int, ...]:
@@ -284,24 +274,6 @@ def _margin_masks(probs, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     return (probs >= 0.5 + epsilon - s) & ~rejects, rejects
 
 
-def classify_probability(prob: float, epsilon: float) -> Classification:
-    """Threshold an acceptance probability at margin ``epsilon``.
-
-    Exactly 1/2 with epsilon 0 resolves to REJECTS (acceptance requires
-    strictly more than 1/2 in the unbounded-error reading).
-    """
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError(f"epsilon must be in [0, 1/2], got {epsilon}")
-    accepts, rejects = _margin_masks(prob, epsilon)
-    if rejects:
-        return Classification.REJECTS
-    return Classification.ACCEPTS if accepts else Classification.UNDETERMINED
-
-
-def classify(p: QbProgram, input_bits: Bits, epsilon: float) -> Classification:
-    return classify_probability(evaluate(p, input_bits), epsilon)
-
-
 def is_read_once(p: QbProgram) -> bool:
     """True iff no variable is read by more than one level."""
     seq = p.var_sequence
@@ -479,120 +451,6 @@ def computes(p: QbProgram, f: TruthTable, criterion: Criterion) -> CheckReport:
     )
 
 
-@dataclass(frozen=True)
-class SampledReport:
-    violations: int
-    checked: int
-    min_margin: float
-    counterexamples: tuple[tuple[int, ...], ...]
-
-
-def computes_sampled(
-    p: QbProgram,
-    f: TruthTable | Callable[[tuple[int, ...]], object],
-    criterion: Criterion,
-    samples: int,
-    seed: int,
-    max_recorded: int = 16,
-) -> SampledReport:
-    """Sampling-mode check for inputs too numerous to enumerate.
-
-    Reports a violation count over uniformly random inputs, evaluated as one
-    batch; no "holds" verdict is produced.  A callable ``f`` is called once
-    per sample with the input's bits as a tuple.
-    """
-    if isinstance(f, TruthTable) and f.n_vars != p.n_vars:
-        raise ValueError(f"program has n_vars {p.n_vars}, truth table has {f.n_vars}")
-    rng = np.random.default_rng(seed)
-    inputs = rng.integers(0, 2, size=(samples, p.n_vars))
-    probs = evaluate_batch(p, inputs)
-    if isinstance(f, TruthTable):
-        fbits = f.bits[inputs @ (1 << np.arange(p.n_vars - 1, -1, -1))]
-    else:
-        fbits = np.array([bool(f(tuple(row))) for row in inputs.tolist()], dtype=bool)
-    bad = np.nonzero(~_criterion_mask(probs, fbits, criterion))[0]
-    recorded = tuple(tuple(inputs[i].tolist()) for i in bad[:max_recorded])
-    return SampledReport(bad.size, samples, float(np.min(np.abs(probs - 0.5), initial=0.5)), recorded)
-
-
-# -- stable probabilistic OBDDs ----------------------------------------------
-
-def _as_stochastic(data, what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {arr.shape}")
-    if np.any(arr < 0):
-        row = int(np.nonzero((arr < 0).any(axis=1))[0][0])
-        raise ValueError(f"{what} row {row + 1} has a negative entry")
-    sums = arr.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > NORMALIZATION_TOL)[0]
-    if bad.size:
-        row = int(bad[0])
-        raise ValueError(
-            f"{what} row {row + 1} sums to {float(sums[row])!r}, expected 1 within {NORMALIZATION_TOL}"
-        )
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class StableProbObdd:
-    """Level-independent probabilistic OBDD: one stochastic matrix per bit
-    value, iterated over a distribution row vector in variable order."""
-
-    width: int
-    a0: np.ndarray
-    a1: np.ndarray
-    initial_dist: np.ndarray
-    accepting: frozenset[int]
-    var_order: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a0", _as_stochastic(self.a0, "a0"))
-        object.__setattr__(self, "a1", _as_stochastic(self.a1, "a1"))
-        object.__setattr__(self, "accepting", frozenset(int(s) for s in self.accepting))
-        object.__setattr__(self, "var_order", tuple(int(v) for v in self.var_order))
-        mu = np.asarray(self.initial_dist, dtype=np.float64)
-        if mu.ndim != 1 or mu.shape[0] != self.width:
-            raise ValueError(f"initial distribution must have length {self.width}")
-        if np.any(mu < 0) or abs(float(mu.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(
-                f"initial distribution must be nonnegative and sum to 1 within {NORMALIZATION_TOL}"
-            )
-        mu = mu.copy()
-        mu.flags.writeable = False
-        object.__setattr__(self, "initial_dist", mu)
-        if self.a0.shape[0] != self.width or self.a1.shape[0] != self.width:
-            raise ValueError("stochastic matrices must match the declared width")
-        n = len(self.var_order)
-        if sorted(self.var_order) != list(range(1, n + 1)):
-            raise ValueError(f"var_order must be a permutation of 1..{n}")
-        for s in self.accepting:
-            if not 1 <= s <= self.width:
-                raise ValueError(f"accepting state {s} outside [1, {self.width}]")
-
-
-def state_distributions(m: StableProbObdd, input_bits: Bits) -> list[np.ndarray]:
-    """Distribution row vector after every step, starting with the initial one."""
-    bits = _as_bits(input_bits, len(m.var_order))
-    mu = m.initial_dist
-    out = [mu]
-    for j in m.var_order:
-        mu = mu @ (m.a1 if bits[j - 1] else m.a0)
-        out.append(mu)
-    return out
-
-
-def evaluate_stable_prob_obdd(m: StableProbObdd, input_bits: Bits) -> float:
-    """Acceptance probability: final distribution mass on accepting states."""
-    mu = state_distributions(m, input_bits)[-1]
-    if not m.accepting:
-        return 0.0
-    p = float(mu[_accept_indices(m.accepting)].sum())
-    return min(max(p, 0.0), 1.0)
-
-
 # -- program file format -------------------------------------------------------
 #
 # A program file is one JSON object followed by a newline, with keys in this
@@ -677,11 +535,6 @@ def _complex_matrix(obj, where: str) -> np.ndarray:
 def _pairs(a: np.ndarray) -> list:
     """[re, im] float pairs of a complex array, nested like the array."""
     return np.stack([a.real, a.imag], -1).tolist()
-
-
-def program_to_obj(p: QbProgram) -> dict:
-    """The JSON object of the program's file."""
-    return json.loads(_program_texts(p)[0])
 
 
 def program_from_obj(obj) -> QbProgram:

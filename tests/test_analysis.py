@@ -47,7 +47,7 @@ from conftest import chain_probability, random_program
 
 
 def identity_program(n=4):
-    ident = linalg.identity(2)
+    ident = np.eye(2)
     tfs = tuple(QuantumTransformation(i, ident, ident) for i in range(1, n + 1))
     return QbProgram(n, 2, tfs, np.array([1.0, 0.0]), frozenset({1}))
 
@@ -81,7 +81,7 @@ def test_reachable_prefix_map_consistent():
 
 
 def test_reachable_requires_read_once():
-    ident = linalg.identity(2)
+    ident = np.eye(2)
     tfs = (QuantumTransformation(1, ident, ident), QuantumTransformation(1, ident, ident))
     p = QbProgram(2, 2, tfs, np.array([1.0, 0.0]), frozenset({1}))
     with pytest.raises(ValueError, match="read-once"):
@@ -90,7 +90,7 @@ def test_reachable_requires_read_once():
 
 def test_reachable_many_levels_of_one_config():
     # no level cap: only the byte budget bounds the enumeration
-    ident = linalg.identity(1)
+    ident = np.eye(1)
     tfs = tuple(QuantumTransformation(i, ident, ident) for i in range(1, 22))
     p = QbProgram(21, 1, tfs, np.array([1.0]), frozenset({1}))
     levels = reachable_configurations(p)

@@ -14,7 +14,7 @@ MiB = 1 << 20
 
 
 def _identity_program(n: int, width: int, var_sequence) -> QbProgram:
-    ident = linalg.identity(width)
+    ident = np.eye(width)
     tfs = tuple(QuantumTransformation(j, ident, ident) for j in var_sequence)
     return QbProgram(n, width, tfs, np.eye(width)[0], frozenset({1}))
 

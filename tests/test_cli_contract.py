@@ -12,6 +12,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -208,6 +209,9 @@ USAGE = {
     "eval one-sided nan tol": (
         lambda f: ["eval", f["mod3.json"], "--exhaustive", "--truth-table", f["mod3.tt"],
                    "--criterion", "one-sided:0.5:nan"], "tol must be finite and >= 0, got nan"),
+    "eval negative max-listed": (
+        lambda f: ["eval", f["mod3.json"], "--exhaustive", "--truth-table", f["flipped.tt"],
+                   "--criterion", "one-sided", "--max-listed", "-1"], "-1 is not in the range x>=0"),
 }
 
 
@@ -228,6 +232,22 @@ def test_widths_over_budget_exits_2(files, monkeypatch):
     result = CliRunner().invoke(main, ["widths", "--truth-table", files["mod3.tt"]])
     assert result.exit_code == 2, result.output
     assert "width oracle budget exceeded: a table of 2^6 entries needs 1040 bytes" in result.output
+    assert _records(result.stderr) == []
+
+
+def test_huge_variable_count_exits_2_before_allocating(tmp_path):
+    # 2^4000000000 bits would be a 500 MB integer before any check ran
+    path = tmp_path / "huge.tt"
+    path.write_text("4000000000\n0\n")
+    tracemalloc.start()
+    try:
+        result = CliRunner().invoke(main, ["widths", "--truth-table", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2, result.output
+    assert f"{path}: line 2: expected 2^4000000000 bits, got 1" in result.output
+    assert peak < 1 << 20
     assert _records(result.stderr) == []
 
 

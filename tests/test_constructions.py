@@ -6,13 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qbp import linalg
+from qbp import constructions, linalg
 from qbp.constructions import (
     GoodSet,
     GoodSetError,
     ModBlockSpec,
     PermutationBp,
-    amplify,
     block_final_amplitudes,
     build_mod_program,
     compose_parallel,
@@ -258,6 +257,14 @@ def test_good_multipliers_rejects_zero_residue():
         good_multipliers(5, 5)
 
 
+def test_good_table_rows_are_good_multipliers():
+    # the closed form is the oracle of the table every good-set test reads
+    for p in (p for p in PRIMES_TO_100 if p < 60):
+        table = constructions._good_table(p)
+        for l in range(1, p):
+            assert frozenset(int(k) + 1 for k in np.flatnonzero(table[l - 1])) == good_multipliers(p, l)
+
+
 def test_failing_residues_reports_deficits():
     assert failing_residues(5, [1]) == (2, 3)
     assert failing_residues(5, [1, 2]) == ()
@@ -321,7 +328,7 @@ def test_greedy_good_set_all_primes_to_100():
 
 def test_compose_single_block_preserves_acceptance():
     b = mod_block(ModBlockSpec(5, 1, 6))
-    c = compose_parallel([b], [1.0])
+    c = compose_parallel([b])
     assert np.allclose(evaluate_all(c), evaluate_all(b), atol=1e-12)
 
 
@@ -332,12 +339,10 @@ def test_compose_two_identical_blocks():
     assert np.allclose(evaluate_all(c), evaluate_all(b), atol=1e-12)
 
 
-def test_compose_acceptance_is_weighted_sum(rng):
+def test_compose_acceptance_is_mean_of_blocks():
     blocks = [mod_block(ModBlockSpec(5, k, 6)) for k in (1, 2, 3)]
-    w = rng.uniform(0.1, 1.0, size=3)
-    w /= w.sum()
-    c = compose_parallel(blocks, list(w))
-    expected = sum(wi * evaluate_all(b) for wi, b in zip(w, blocks))
+    c = compose_parallel(blocks)
+    expected = sum(evaluate_all(b) for b in blocks) / 3
     assert np.allclose(evaluate_all(c), expected, atol=1e-9)
 
 
@@ -346,10 +351,8 @@ def test_compose_validation_errors():
     b3 = mod_block(ModBlockSpec(3, 1, 5))
     with pytest.raises(ValueError, match="n_vars"):
         compose_parallel([b5, b3])
-    with pytest.raises(ValueError, match="weights sum"):
-        compose_parallel([b5, b5], [0.5, 0.6])
-    with pytest.raises(ValueError, match="weights"):
-        compose_parallel([b5, b5], [1.5, -0.5])
+    with pytest.raises(ValueError, match="at least one block"):
+        compose_parallel([])
 
 
 # -- the full divisibility program --------------------------------------------------------------
@@ -381,21 +384,9 @@ def test_build_mod_program_rejects_composite_modulus():
         build_mod_program(4, 12)
 
 
-def test_amplify_single_copy_unchanged():
-    prog = build_mod_program(3, 8, strategy="greedy")
-    assert amplify(prog, 1) is prog
-
-
-def test_amplify_width_and_acceptance():
-    prog = build_mod_program(5, 12, strategy="greedy")
-    amped = amplify(prog, 3)
-    assert amped.width == 3 * prog.width
-    assert np.allclose(evaluate_all(amped), evaluate_all(prog), atol=1e-9)
-
-
-def test_amplify_with_resampled_copies():
+def test_compose_sampled_mod5_programs_computes_mod5():
     copies = [build_mod_program(5, 12, strategy="sampled", seed=10 + i) for i in range(2)]
-    amped = amplify(copies[0], 2, resample=lambda i: copies[i])
+    amped = compose_parallel(copies)
     assert amped.width == copies[0].width + copies[1].width
     table = mod_truth_table(5, 12)
     probs = evaluate_all(amped)

@@ -16,7 +16,7 @@ SIN72 = 0.9510565162951535
 
 def test_apply_identity_leaves_vector_unchanged():
     psi = np.array([0.6, 0.8j])
-    out = linalg.identity(2) @ psi
+    out = np.eye(2) @ psi
     assert np.allclose(out, psi, atol=1e-15)
 
 
@@ -33,7 +33,7 @@ def test_apply_signed_permutation():
 
 
 def test_is_unitary_identity_and_rotations():
-    assert linalg.is_unitary(linalg.identity(4))
+    assert linalg.is_unitary(np.eye(4))
     for angle in (0.1, 1.0, 2 * math.pi / 5, math.pi):
         assert linalg.is_unitary(linalg.rotation_matrix(angle))
 

@@ -16,34 +16,26 @@ from qbp.analysis import measured_separation
 from qbp.cli import ParseFailure, load_truth_table, save_truth_table
 from qbp.constructions import ModBlockSpec, build_mod_program, mod_block, universal_exact_qbp
 from qbp.program import (
-    Classification,
     Margin,
     Monomial,
     OneSided,
     ProgramFormatError,
     QbProgram,
     QuantumTransformation,
-    StableProbObdd,
     TruthTable,
     accept_probability,
     bits_of_value,
-    classify,
-    classify_probability,
     computes,
-    computes_sampled,
     evaluate,
     evaluate_all,
     evaluate_batch,
-    evaluate_stable_prob_obdd,
     final_configuration,
     is_read_once,
     is_stable,
     load_program,
     program_digest,
     program_from_obj,
-    program_to_obj,
     save_program,
-    state_distributions,
 )
 from qbp.realify import realify_program
 
@@ -54,7 +46,7 @@ def identity_program(width=2, n_vars=1, accepting=frozenset({1}), initial=None, 
     if initial is None:
         initial = np.zeros(width)
         initial[0] = 1.0
-    ident = linalg.identity(width)
+    ident = np.eye(width)
     tfs = tuple(QuantumTransformation(1, ident, ident) for _ in range(levels))
     return QbProgram(n_vars, width, tfs, initial, accepting)
 
@@ -126,27 +118,32 @@ def test_evaluate_matches_projection_of_final_configuration(rng):
         assert evaluate(p, bits) == pytest.approx(proj, abs=1e-12)
 
 
-# -- classify -------------------------------------------------------------------
+# -- classification by the margin rule -------------------------------------------
+
+def margin_class(prob: float, epsilon: float) -> str:
+    accepts, rejects = program_module._margin_masks(prob, epsilon)
+    return "rejects" if rejects else "accepts" if accepts else "undetermined"
+
 
 def test_classify_exact_accept():
-    assert classify(probability_program(1.0), "0", 0.5) is Classification.ACCEPTS
+    assert margin_class(evaluate(probability_program(1.0), "0"), 0.5) == "accepts"
 
 
 def test_classify_seven_eighths_margin_quarter():
-    assert classify(probability_program(7 / 8), "1", 0.25) is Classification.ACCEPTS
+    assert margin_class(evaluate(probability_program(7 / 8), "1"), 0.25) == "accepts"
 
 
 def test_classify_undetermined():
-    assert classify(probability_program(0.6), "0", 0.2) is Classification.UNDETERMINED
+    assert margin_class(evaluate(probability_program(0.6), "0"), 0.2) == "undetermined"
 
 
 def test_classify_half_with_zero_margin_rejects():
-    assert classify_probability(0.5, 0.0) is Classification.REJECTS
+    assert margin_class(0.5, 0.0) == "rejects"
 
 
 def test_classify_epsilon_out_of_range():
-    with pytest.raises(ValueError):
-        classify_probability(0.5, 0.7)
+    with pytest.raises(ValueError, match="epsilon must be in"):
+        Margin(0.7)
 
 
 @given(
@@ -157,24 +154,24 @@ def test_classify_epsilon_out_of_range():
 def test_classify_probability_is_total_and_consistent(prob, eps):
     # the margin rule gives each bound a slack of min(MARGIN_SLACK, eps)
     s = min(linalg.MARGIN_SLACK, eps)
-    got = classify_probability(prob, eps)
-    if got is Classification.UNDETERMINED:
+    got = margin_class(prob, eps)
+    if got == "undetermined":
         assert eps > 0.0
         assert 0.5 - eps + s < prob < 0.5 + eps - s
-    elif got is Classification.ACCEPTS:
+    elif got == "accepts":
         assert prob >= 0.5 + eps - s and prob > 0.5 - eps + s
     else:
         assert prob <= 0.5 - eps + s
 
 
 @pytest.mark.parametrize("prob, want", [
-    (0.75 - 0.5e-12, Classification.ACCEPTS),
-    (0.75 - 2e-12, Classification.UNDETERMINED),
-    (0.25 + 0.5e-12, Classification.REJECTS),
-    (0.25 + 2e-12, Classification.UNDETERMINED),
+    (0.75 - 0.5e-12, "accepts"),
+    (0.75 - 2e-12, "undetermined"),
+    (0.25 + 0.5e-12, "rejects"),
+    (0.25 + 2e-12, "undetermined"),
 ])
 def test_margin_slack_is_pinned(prob, want):
-    assert classify_probability(prob, 0.25) is want
+    assert margin_class(prob, 0.25) == want
 
 
 def _margin_rule_agrees(prob: float) -> None:
@@ -253,14 +250,6 @@ def test_one_sided_accepts_its_closed_range():
     assert OneSided(reject_min=1.0).reject_min == 1.0
 
 
-def test_computes_sampled_reports_counts(rng):
-    p = mod_block(ModBlockSpec(3, 1, 6))
-    f = TruthTable.from_function(6, lambda bits: sum(bits) % 3 == 0)
-    report = computes_sampled(p, f, OneSided(reject_min=0.5), samples=64, seed=5)
-    assert report.checked == 64
-    assert report.violations == 0
-
-
 def test_evaluate_all_matches_per_input_evaluation(rng):
     p = random_program(rng, d=3, n=4)
     probs = evaluate_all(p)
@@ -269,7 +258,7 @@ def test_evaluate_all_matches_per_input_evaluation(rng):
 
 
 def test_evaluate_all_nonnatural_read_order(rng):
-    ident = linalg.identity(2)
+    ident = np.eye(2)
     rot = linalg.rotation_matrix(1.0)
     tfs = (
         QuantumTransformation(3, ident, rot),
@@ -283,7 +272,7 @@ def test_evaluate_all_nonnatural_read_order(rng):
 
 
 def test_evaluate_all_read_twice_fallback():
-    ident = linalg.identity(2)
+    ident = np.eye(2)
     rot = linalg.rotation_matrix(0.5)
     tfs = (QuantumTransformation(1, ident, rot), QuantumTransformation(1, ident, rot))
     p = QbProgram(2, 2, tfs, np.array([1.0, 0.0]), frozenset({1}))
@@ -434,53 +423,14 @@ def test_monomial_and_dense_levels_are_bit_identical(p):
     assert saved[0] == saved[1]
 
 
-def reference_computes_sampled(p, f, criterion, samples, seed, max_recorded=16):
-    """computes_sampled as it was: one draw and one evaluation per sample."""
-    rng = np.random.default_rng(seed)
-    value = f.value if isinstance(f, TruthTable) else f
-    violations = 0
-    recorded = []
-    min_margin = 0.5
-    for _ in range(samples):
-        bits = tuple(int(b) for b in rng.integers(0, 2, size=p.n_vars))
-        prob = evaluate(p, bits)
-        min_margin = min(min_margin, abs(prob - 0.5))
-        fb = np.array([bool(value(bits))])
-        if not bool(program_module._criterion_mask(np.array([prob]), fb, criterion)[0]):
-            violations += 1
-            if len(recorded) < max_recorded:
-                recorded.append(bits)
-    return violations, min_margin, tuple(recorded)
-
-
 @pytest.mark.parametrize("n", [5, 6, 9, 16, 31, 32, 33])
-def test_computes_sampled_matches_per_sample_loop(rng, n):
+def test_evaluate_batch_matches_per_input_loop(rng, n):
     p = random_program(rng, d=3, n=n)
-    seen, seen_ref = [], []
-
-    def parity(bits, log):
-        log.append(bits)
-        return sum(bits) % 2
-
-    crit = Margin(0.05)
-    got = computes_sampled(p, lambda b: parity(b, seen), crit, samples=200, seed=n, max_recorded=5)
-    ref = reference_computes_sampled(p, lambda b: parity(b, seen_ref), crit, 200, n, 5)
-    assert seen == seen_ref  # the same inputs, drawn in the same order
-    assert all(type(b) is int for b in seen[0])
-    assert (got.violations, got.counterexamples) == (ref[0], ref[2])
-    assert got.checked == 200
+    inputs = np.random.default_rng(n).integers(0, 2, size=(200, n))
+    got = evaluate_batch(p, inputs)
+    ref = np.array([evaluate(p, row) for row in inputs.tolist()])
     # a block product rounds differently from one vector product: a few ulps per level
-    assert abs(got.min_margin - ref[1]) <= n * p.width * np.finfo(float).eps
-    if n <= 9:
-        f = TruthTable.from_function(n, lambda bits: sum(bits) % 2)
-        got = computes_sampled(p, f, crit, samples=200, seed=n, max_recorded=5)
-        assert (got.violations, got.counterexamples) == (ref[0], ref[2])
-
-
-def test_computes_sampled_rejects_mismatched_table():
-    with pytest.raises(ValueError, match="n_vars 6, truth table has 5"):
-        computes_sampled(mod_block(ModBlockSpec(3, 1, 6)), TruthTable.constant(5, True),
-                         Margin(0.1), samples=4, seed=0)
+    assert np.max(np.abs(got - ref)) <= n * p.width * np.finfo(float).eps
 
 
 def test_evaluation_budget_refuses_before_allocating(monkeypatch):
@@ -499,7 +449,7 @@ def test_evaluation_budget_refuses_before_allocating(monkeypatch):
 
 def test_evaluation_budget_width_8_at_n_24():
     # the final block would take 2 GiB: refused at once, not after 1 GiB
-    ident = linalg.identity(8)
+    ident = np.eye(8)
     tfs = tuple(QuantumTransformation(j, ident, ident) for j in range(1, 25))
     p = QbProgram(24, 8, tfs, np.eye(8)[0], frozenset({1}))
     with pytest.raises(ValueError, match="evaluation budget exceeded"):
@@ -527,7 +477,7 @@ def test_evaluate_batch_rejects_non_bits():
 
 def test_is_read_once():
     assert is_read_once(mod_block(ModBlockSpec(5, 1, 5)))
-    ident = linalg.identity(2)
+    ident = np.eye(2)
     twice = QbProgram(
         2, 2,
         (QuantumTransformation(1, ident, ident), QuantumTransformation(1, ident, ident)),
@@ -540,7 +490,7 @@ def test_is_read_once():
 
 def test_is_stable():
     assert is_stable(mod_block(ModBlockSpec(5, 2, 6)))
-    ident = linalg.identity(2)
+    ident = np.eye(2)
     mixed = QbProgram(
         2, 2,
         (
@@ -623,7 +573,7 @@ def test_program_rejects_bad_accepting_state():
 
 
 def test_program_reports_non_unitary_level():
-    ident = linalg.identity(2)
+    ident = np.eye(2)
     shear = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
     good = QuantumTransformation(1, ident, ident)
     bad = QuantumTransformation(2, ident, shear)
@@ -632,7 +582,7 @@ def test_program_reports_non_unitary_level():
 
 
 def test_program_rejects_var_index_out_of_range():
-    ident = linalg.identity(2)
+    ident = np.eye(2)
     with pytest.raises(ValueError, match="x_5"):
         QbProgram(2, 2, (QuantumTransformation(5, ident, ident),),
                   np.array([1.0, 0.0]), frozenset({1}))
@@ -643,69 +593,14 @@ def test_empty_accepting_set_evaluates_to_zero():
     assert evaluate(p, "01") == 0.0
 
 
-# -- stable probabilistic OBDDs ----------------------------------------------------------
-
-def mod3_counter(n: int) -> StableProbObdd:
-    shift = np.zeros((3, 3))
-    for s in range(3):
-        shift[s, (s + 1) % 3] = 1.0
-    return StableProbObdd(
-        width=3, a0=np.eye(3), a1=shift,
-        initial_dist=np.array([1.0, 0.0, 0.0]),
-        accepting=frozenset({1}),
-        var_order=tuple(range(1, n + 1)),
-    )
-
-
-def test_stable_prob_obdd_mod3_counter():
-    m = mod3_counter(5)
-    assert evaluate_stable_prob_obdd(m, "11100") == pytest.approx(1.0, abs=1e-12)
-    assert evaluate_stable_prob_obdd(m, "11000") == pytest.approx(0.0, abs=1e-12)
-    # independent oracle: walk the deterministic automaton
-    for v in range(32):
-        bits = bits_of_value(v, 5)
-        state = 0
-        for b in bits:
-            state = (state + b) % 3
-        assert evaluate_stable_prob_obdd(m, bits) == pytest.approx(
-            1.0 if state == 0 else 0.0, abs=1e-12
-        )
-
-
-def test_stable_prob_obdd_identity():
-    m = StableProbObdd(2, np.eye(2), np.eye(2), np.array([1.0, 0.0]),
-                       frozenset({1}), (1, 2, 3))
-    for v in range(8):
-        assert evaluate_stable_prob_obdd(m, bits_of_value(v, 3)) == pytest.approx(1.0)
-
-
-def test_stable_prob_obdd_mixing():
-    half = np.full((2, 2), 0.5)
-    m = StableProbObdd(2, half, half, np.array([1.0, 0.0]), frozenset({1}), (1, 2))
-    for v in range(4):
-        assert evaluate_stable_prob_obdd(m, bits_of_value(v, 2)) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_stable_prob_obdd_distributions_stay_probability_vectors(rng):
-    a0 = rng.uniform(size=(4, 4))
-    a0 /= a0.sum(axis=1, keepdims=True)
-    a1 = rng.uniform(size=(4, 4))
-    a1 /= a1.sum(axis=1, keepdims=True)
-    m = StableProbObdd(4, a0, a1, np.array([0.25] * 4), frozenset({1, 2}), (1, 2, 3, 4))
-    for v in (0, 5, 15):
-        for mu in state_distributions(m, bits_of_value(v, 4)):
-            assert np.all(mu >= -1e-12)
-            assert abs(float(mu.sum()) - 1.0) <= 1e-9
-
-
-def test_stable_prob_obdd_rejects_non_stochastic_row():
-    bad = np.array([[0.5, 0.6], [0.5, 0.5]])
-    # the sum is formatted as a plain float, not np.float64(...)
-    with pytest.raises(ValueError, match=r"a0 row 1 sums to 1\.1, expected 1 within 1e-10$"):
-        StableProbObdd(2, bad, np.eye(2), np.array([1.0, 0.0]), frozenset({1}), (1,))
-
-
 # -- serialization ----------------------------------------------------------------------
+
+def saved_obj(p: QbProgram, tmp_path) -> dict:
+    """The JSON object of the file that ``save_program`` writes."""
+    path = tmp_path / "saved.json"
+    save_program(p, path)
+    return json.loads(path.read_text())
+
 
 def test_program_roundtrip_is_exact(tmp_path, rng):
     p = random_program(rng, d=3, n=4)
@@ -746,7 +641,7 @@ def test_load_program_missing_field(tmp_path):
 
 
 def test_load_program_bad_matrix_reports_path(tmp_path, rng):
-    obj = program_to_obj(random_program(rng, d=2, n=1))
+    obj = saved_obj(random_program(rng, d=2, n=1), tmp_path)
     obj["transformations"][0]["u0"][0][1] = [1.0]  # not a pair
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
@@ -833,7 +728,6 @@ def test_save_and_digest_match_reference_serialiser(case):
     assert data == reference_file_text(p).encode("utf-8")
     assert digest == program_digest(p) == reference_digest(p)
     assert program_digest(loaded) == digest
-    assert program_to_obj(p) == reference_program_obj(p)
     assert np.array_equal(bit_pattern(loaded.initial), bit_pattern(p.initial))
     for a, b in zip(loaded.transformations, p.transformations):
         assert a.var_index == b.var_index
@@ -907,7 +801,7 @@ U0, U1 = ("transformations", 0, "u0"), ("transformations", 1, "u1")
     ],
 )
 def test_load_program_locates_malformed_entries(tmp_path, mutate, message):
-    obj = program_to_obj(xor2_program())
+    obj = saved_obj(xor2_program(), tmp_path)
     mutate(obj)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
@@ -916,11 +810,11 @@ def test_load_program_locates_malformed_entries(tmp_path, mutate, message):
     assert str(info.value) == message
 
 
-def test_program_from_obj_accepts_numpy_scalars():
+def test_program_from_obj_accepts_numpy_scalars(tmp_path):
     # leaves that are not plain int/float fail the bulk check and are read
     # by the per-entry walker instead
     p = xor2_program()
-    obj = program_to_obj(p)
+    obj = saved_obj(p, tmp_path)
     obj["initial"] = [[np.float64(re), np.float64(im)] for re, im in obj["initial"]]
     obj["transformations"][0]["u0"][0][0] = [np.float64(x) for x in obj["transformations"][0]["u0"][0][0]]
     assert program_digest(program_from_obj(obj)) == program_digest(p)
