@@ -44,7 +44,7 @@ from .program import (
     _check_per_input,
     _column_accept_probs,
     _leaf_indices,
-    _leaf_matrix,
+    _leaf_walk,
     _margin_masks,
     bits_of_value,
     is_read_once,
@@ -353,12 +353,13 @@ def _classified_final_configs(
     Also returns the reachable levels of a read-once program (None for any
     other program), so callers need not enumerate them again.
 
-    One leaf block (``_leaf_matrix``) is built.  It first gives every
-    input's acceptance probability, to verify that the program computes
-    ``f`` at the margin.  A read-once program's final configurations are
-    then its last reachable level; a read-k program's are the leaf block
-    itself, one row per input in input-value order, deduplicated at 1e-9.
-    The per-input data and, for a read-k program, the leaf rows and their kept
+    One walk over the leaves (``_leaf_walk``) first gives every input's
+    acceptance probability, to verify that the program computes ``f`` at the
+    margin.  A read-once program's walk goes in chunks, and its final
+    configurations are then its last reachable level.  A read-k program's
+    walk keeps the whole leaf block, whose rows, one per input in input-value
+    order and deduplicated at 1e-9, are its final configurations.  The
+    per-input data and, for a read-k program, the leaf rows and their kept
     block are checked against ``linalg.MEMORY_BUDGET_BYTES`` first.
     """
     n = p.n_vars
@@ -371,9 +372,9 @@ def _classified_final_configs(
     if not read_once:
         check_budget(2 * p.width * 16 << n, "separation",
                      f"2^{n} leaf rows of width {p.width} and their kept block")
-    cols, order = _leaf_matrix(p)
+    probs, order, cols = _leaf_walk(p, whole=not read_once)
     leaves = _leaf_indices(order, n)
-    probs = _column_accept_probs(cols, p.accepting)[leaves]
+    probs = probs[leaves]
     accepts, rejects = _margin_masks(probs, epsilon)
     bad = np.flatnonzero(np.where(f.bits, ~accepts, ~rejects))
     if bad.size:
@@ -384,12 +385,11 @@ def _classified_final_configs(
         )
     levels = None
     if read_once:
-        del cols  # the last reachable level replaces it
         levels = reachable_configurations(p)
         configs = levels[-1].configs
     else:
         configs, _ = _greedy_dedup(cols[:, leaves].T, CONFIG_DEDUP_TOL)
-    probs = _column_accept_probs(configs.T, p.accepting)
+    probs = _column_accept_probs(configs.T, p)
     accepts, rejects = _margin_masks(probs, epsilon)
     band = np.flatnonzero(~(accepts | rejects))
     if band.size:

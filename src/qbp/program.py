@@ -11,10 +11,13 @@ Evaluation reads the stored form; only ``u0``/``u1`` build a Monomial's
 dense matrix (for the file format and realify).  Also included: the JSON
 file format used by the command line tools.
 
-Programs are oblivious, so every evaluation advances one d x m block of
+Programs are oblivious, so every evaluation advances a d x m block of
 configurations level by level (``_advance``): one column per input, or in
-``evaluate_all`` per assignment to the variables read so far.  Each block
-is checked against ``linalg.MEMORY_BUDGET_BYTES`` before it is allocated.
+``evaluate_all`` per assignment to the variables read so far.  There the
+block grows to ``_CHUNK_BYTES`` and is then walked in column slices of that
+size (``_leaf_walk``), so it never holds the 2^|read|-column leaf block at
+once.  What a block or a walk holds is checked against
+``linalg.MEMORY_BUDGET_BYTES`` before it is allocated.
 
 Acceptance at a margin is decided by one rule, ``_margin_masks``, which
 ``computes`` under a ``Margin`` criterion and the theta-component analysis
@@ -198,24 +201,19 @@ class QbProgram:
     def var_sequence(self) -> tuple[int, ...]:
         return tuple(tf.var_index for tf in self.transformations)
 
-
-def _accept_indices(accepting: frozenset[int]) -> np.ndarray:
-    return np.array(sorted(accepting), dtype=np.intp) - 1
-
-
-def accept_probability(psi: np.ndarray, accepting: frozenset[int]) -> float:
-    """Squared norm of the projection of ``psi`` onto the accepting states."""
-    if not accepting:
-        return 0.0
-    p = float(np.sum(np.abs(psi[_accept_indices(accepting)]) ** 2))
-    return min(max(p, 0.0), 1.0)
+    @cached_property
+    def _accept_index(self) -> np.ndarray:
+        """The accepting states, sorted and 0-based, sorted once per program."""
+        return linalg._frozen(np.array(sorted(self.accepting), dtype=np.intp) - 1)
 
 
-def _column_accept_probs(cols: np.ndarray, accepting: frozenset[int]) -> np.ndarray:
-    if not accepting:
-        return np.zeros(cols.shape[1])
-    probs = np.sum(np.abs(cols[_accept_indices(accepting), :]) ** 2, axis=0)
-    return np.clip(probs, 0.0, 1.0)
+def accept_probability(psi: np.ndarray, p: QbProgram) -> float:
+    """Squared norm of the projection of ``psi`` onto the accepting states of ``p``."""
+    return min(max(float(np.sum(np.abs(psi[p._accept_index]) ** 2)), 0.0), 1.0)
+
+
+def _column_accept_probs(cols: np.ndarray, p: QbProgram) -> np.ndarray:
+    return np.clip(np.sum(np.abs(cols[p._accept_index, :]) ** 2, axis=0), 0.0, 1.0)
 
 
 def _check_per_input(n_vars: int, stage: str) -> None:
@@ -252,14 +250,14 @@ def final_configuration(p: QbProgram, input_bits: Bits) -> np.ndarray:
 
 def evaluate(p: QbProgram, input_bits: Bits) -> float:
     """Acceptance probability of the program on one input, clamped to [0, 1]."""
-    return accept_probability(final_configuration(p, input_bits), p.accepting)
+    return accept_probability(final_configuration(p, input_bits), p)
 
 
 def evaluate_batch(p: QbProgram, inputs) -> np.ndarray:
     """Acceptance probabilities of the rows of a (B, n) array of 0/1 input
     bits, advanced together as one d x B block (B * width * 16 bytes, checked
     against ``linalg.MEMORY_BUDGET_BYTES``)."""
-    return _column_accept_probs(_final_block(p, inputs), p.accepting)
+    return _column_accept_probs(_final_block(p, inputs), p)
 
 
 def _margin_masks(probs, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -295,30 +293,58 @@ def is_stable(p: QbProgram) -> bool:
 
 # -- exhaustive evaluation ---------------------------------------------------
 
-def _leaf_matrix(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Final configurations, one column per assignment to the variables read
-    (first-read order, first most significant), and that order.  A fresh
-    variable doubles the block (column c becomes 2c and 2c + 1); a re-read
-    one takes each column's bit from its index.  The final, largest block is
-    checked against ``linalg.MEMORY_BUDGET_BYTES`` before the first is allocated."""
-    k = len(set(p.var_sequence))
-    linalg.check_budget(p.width * 16 << k, "evaluation",
-                        f"a block of 2^{k} configurations of width {p.width}")
-    cols = p.initial.reshape(-1, 1)
-    position: dict[int, int] = {}
+# bytes of configurations per chunk of the leaf walk, rounded up to a power of
+# two of at least 8 columns: numpy's zgemm rounds 1-3 columns differently from
+# 4 or more, and a re-read level multiplies half a chunk
+_CHUNK_BYTES = 1 << 20
+
+
+def _leaf_walk(p: QbProgram, whole: bool = False) -> tuple[np.ndarray, tuple[int, ...], np.ndarray | None]:
+    """The acceptance probability of every leaf, one per assignment to the
+    variables read (first-read order, first most significant), that order,
+    and with ``whole`` the final configurations as one d x 2^|read| block.
+
+    A fresh variable doubles the block (column c becomes 2c and 2c + 1); a
+    re-read one takes each column's bit from its global index.  Once the
+    block is a chunk, each doubling cuts it into two chunk-sized halves,
+    walked depth first from a stack, and each final chunk's probabilities go
+    straight into the result; ``whole`` walks one chunk.  A pending half
+    keeps its doubled block alive, so the walk holds one doubled block per
+    split level, one more for the level in progress (or the one
+    2^|read|-column block when it never splits), and the result; that is
+    checked against ``linalg.MEMORY_BUDGET_BYTES`` before the first block is
+    allocated.
+    """
+    plan, position = [], {}
     for tf in p.transformations:
         j = tf.var_index
-        m = cols.shape[1]
-        if j in position:
-            shift = len(position) - 1 - position[j]
-            _advance(tf, cols, (np.arange(m) >> shift) & 1)
-            continue
-        nxt = np.empty((p.width, 2 * m), dtype=np.complex128)
-        tf.apply_to_columns(0, cols, out=nxt[:, 0::2])
-        tf.apply_to_columns(1, cols, out=nxt[:, 1::2])
-        cols = nxt
-        position[j] = len(position)
-    return cols, tuple(position)
+        plan.append((tf, len(position) - 1 - position[j] if j in position else None))
+        position.setdefault(j, len(position))
+    d, k = p.width, len(position)
+    chunk = -(-_CHUNK_BYTES // (16 * d))  # columns that reach _CHUNK_BYTES
+    cap = 1 << k if whole else max(8, 1 << (chunk - 1).bit_length())
+    splits = max(0, k + 1 - cap.bit_length())
+    held = (splits + 1) << min(k, cap.bit_length())  # columns
+    linalg.check_budget(16 * d * held + (8 << k), "evaluation",
+                        f"the leaf walk over 2^{k} configurations of width {d}")
+    probs = np.empty(1 << k)
+    stack = [(0, 0, p.initial.reshape(-1, 1))]
+    while stack:
+        level, offset, cols = stack.pop()
+        for level, (tf, shift) in enumerate(plan[level:], start=level + 1):
+            m = cols.shape[1]
+            if shift is not None:
+                _advance(tf, cols, ((offset + np.arange(m)) >> shift) & 1)
+                continue
+            nxt = np.empty((d, 2 * m), dtype=np.complex128)
+            tf.apply_to_columns(0, cols, out=nxt[:, 0::2])
+            tf.apply_to_columns(1, cols, out=nxt[:, 1::2])
+            cols, offset = nxt, 2 * offset
+            if 2 * m > cap:  # a doubled chunk: walk its left half now, its right half later
+                stack.append((level, offset + m, nxt[:, m:]))
+                cols = nxt[:, :m]
+        probs[offset:offset + cols.shape[1]] = _column_accept_probs(cols, p)
+    return probs, tuple(position), cols if whole else None
 
 
 def _leaf_indices(var_sequence: Sequence[int], n_vars: int) -> np.ndarray:
@@ -334,15 +360,15 @@ def _leaf_indices(var_sequence: Sequence[int], n_vars: int) -> np.ndarray:
 def evaluate_all(p: QbProgram) -> np.ndarray:
     """Acceptance probabilities for all 2^n inputs, indexed by input value.
 
-    Any program, read-once or not, is evaluated on one block (``_leaf_matrix``)
-    where inputs with a common prefix in read order share their work.  The
-    block (d x 2^|read| x 16 bytes) and the per-input arrays (2^n x 32 bytes)
-    must each fit in ``linalg.MEMORY_BUDGET_BYTES``, else ValueError is raised first.
+    Any program, read-once or not, is evaluated by one walk over its leaves
+    (``_leaf_walk``), where inputs with a common prefix in read order share
+    their work.  What the walk holds (its chunk blocks and 2^|read|
+    probabilities) and the per-input arrays (2^n x 32 bytes) must each fit in
+    ``linalg.MEMORY_BUDGET_BYTES``, else ValueError is raised first.
     """
     n = p.n_vars
     _check_per_input(n, "evaluation")
-    cols, order = _leaf_matrix(p)
-    probs = _column_accept_probs(cols, p.accepting)
+    probs, order, _ = _leaf_walk(p)
     if order == tuple(range(1, n + 1)):
         return probs
     return probs[_leaf_indices(order, n)]

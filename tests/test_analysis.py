@@ -122,7 +122,7 @@ def test_reachable_final_configs_match_chain_oracle(case, rng):
         n, p = 7, random_program(rng, d=5, n=7)
     final = reachable_configurations(p)[-1]
     for v in range(1 << n):
-        prob = accept_probability(final.configs[int(final.prefix_map[v])], p.accepting)
+        prob = accept_probability(final.configs[int(final.prefix_map[v])], p)
         assert abs(prob - chain_probability(p, bits_of_value(v, n))) <= 1e-9
 
 
@@ -391,7 +391,7 @@ def test_derive_refuses_read_twice_before_any_configuration(monkeypatch, tmp_pat
     p = QbProgram(12, 2, block.transformations * 2, block.initial, block.accepting)
     f = TruthTable(12, evaluate_all(p) > 0.5)
     calls = []
-    for name in ("_leaf_matrix", "_greedy_dedup"):
+    for name in ("_leaf_walk", "_greedy_dedup"):
         monkeypatch.setattr(qbp.analysis, name, lambda *args, name=name: calls.append(name))
     with pytest.raises(ValueError, match="requires a read-once program"):
         derive_deterministic_obdd(p, f, None, 0.25)
@@ -413,16 +413,16 @@ def test_read_k_classification_builds_the_leaf_block_once(monkeypatch):
     p = QbProgram(4, 2, block.transformations * 2, block.initial, block.accepting)
     probs = evaluate_all(p)
     f, eps = TruthTable(4, probs > 0.5), float(np.min(np.abs(probs - 0.5)))
-    real, calls = qbp.program._leaf_matrix, []
+    real, calls = qbp.program._leaf_walk, []
 
-    def counting(prog):
-        calls.append(prog)
-        return real(prog)
+    def counting(prog, whole=False):
+        calls.append(whole)
+        return real(prog, whole)
 
-    monkeypatch.setattr(qbp.program, "_leaf_matrix", counting)
-    monkeypatch.setattr(qbp.analysis, "_leaf_matrix", counting)
+    monkeypatch.setattr(qbp.program, "_leaf_walk", counting)
+    monkeypatch.setattr(qbp.analysis, "_leaf_walk", counting)
     configs, accepts, levels = _classified_final_configs(p, f, eps)
-    assert len(calls) == 1 and levels is None
+    assert calls == [True] and levels is None
     assert configs.shape[1] == 2 and accepts.dtype == bool and accepts.shape == configs.shape[:1]
 
 

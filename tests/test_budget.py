@@ -35,8 +35,10 @@ def _batch():
 
 
 def _leaf_block():
-    p = _identity_program(14, 8, range(1, 15))
-    return (lambda: program.evaluate_all(p)), 8 * 16 << 14, "evaluation", None
+    # width 8 at n = 16: chunks of 2^13 columns, so three split levels; the
+    # walk holds four doubled blocks of 2^14 columns and 2^16 probabilities
+    p = _identity_program(16, 8, range(1, 17))
+    return (lambda: program.evaluate_all(p)), 8 * 16 * (4 << 14) + (8 << 16), "evaluation", None
 
 
 def _per_input():

@@ -213,15 +213,16 @@ def _universal_files(tmp_path):
 
 
 def test_analyze_builds_the_leaf_block_once(tmp_path, monkeypatch):
+    # every exhaustive evaluation enters the leaf walk through one function
     univ, table = _universal_files(tmp_path)
-    real, calls = program._leaf_matrix, []
+    real, calls = program._leaf_walk, []
 
-    def counting(p):
+    def counting(p, whole=False):
         calls.append(p)
-        return real(p)
+        return real(p, whole)
 
-    monkeypatch.setattr(program, "_leaf_matrix", counting)
-    monkeypatch.setattr(analysis, "_leaf_matrix", counting)
+    monkeypatch.setattr(program, "_leaf_walk", counting)
+    monkeypatch.setattr(analysis, "_leaf_walk", counting)
     result = CliRunner().invoke(
         main, ["analyze", str(univ), "--truth-table", str(table), "--epsilon", "0.5", "--auto-theta"]
     )

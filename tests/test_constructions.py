@@ -30,7 +30,6 @@ from qbp.program import (
     Margin,
     Monomial,
     OneSided,
-    QbProgram,
     TruthTable,
     bits_of_value,
     computes,
@@ -40,8 +39,6 @@ from qbp.program import (
     is_read_once,
     is_stable,
 )
-
-from conftest import chain_probability
 
 
 PRIMES_TO_100 = [p for p in range(2, 100) if is_prime(p)]

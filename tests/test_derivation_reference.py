@@ -29,7 +29,7 @@ from qbp.program import (
     QuantumTransformation,
     TruthTable,
     _leaf_indices,
-    _leaf_matrix,
+    _leaf_walk,
     accept_probability,
     evaluate_all,
     is_read_once,
@@ -78,11 +78,11 @@ def ref_classified(p, f, epsilon):
         levels = reachable_configurations(p)
         configs = list(levels[-1].configs)
     else:
-        cols, order = _leaf_matrix(p)
+        _, order, cols = _leaf_walk(p, whole=True)
         configs, _ = _greedy_dedup(cols[:, _leaf_indices(order, p.n_vars)].T, CONFIG_DEDUP_TOL)
     accepting, rejecting = [], []
     for c in configs:
-        prob = accept_probability(c, p.accepting)
+        prob = accept_probability(c, p)
         if prob >= 0.5 + epsilon - 1e-12:
             accepting.append(c)
         elif prob <= 0.5 - epsilon + 1e-12:
@@ -125,7 +125,7 @@ def ref_derive(p, f, theta, epsilon):
     final_of, _ = parts[-1]
     comp_class = {}
     for i, cfg in enumerate(levels[-1].configs):
-        is_acc = accept_probability(cfg, p.accepting) >= 0.5 + epsilon - 1e-12
+        is_acc = accept_probability(cfg, p) >= 0.5 + epsilon - 1e-12
         assert comp_class.setdefault(final_of[i], is_acc) == is_acc
     return {
         "theta": theta,

@@ -390,7 +390,7 @@ def test_single_input_is_bit_identical_to_reference_loop(p):
         bits = bits_of_value(v, p.n_vars)
         psi = reference_final_configuration(p, bits)
         assert np.array_equal(final_configuration(p, bits), psi)
-        assert evaluate(p, bits) == accept_probability(psi, p.accepting)
+        assert evaluate(p, bits) == accept_probability(psi, p)
 
 
 def _with_levels_as(p: QbProgram, monomial: bool) -> QbProgram:
@@ -434,27 +434,51 @@ def test_evaluate_batch_matches_per_input_loop(rng, n):
 
 
 def test_evaluation_budget_refuses_before_allocating(monkeypatch):
-    p = random_program(np.random.default_rng(3), d=3, n=3)  # a 3 x 8 final block
+    p = random_program(np.random.default_rng(3), d=3, n=3)  # one 3 x 8 leaf block
     every = np.array([bits_of_value(v, 3) for v in range(8)])
-    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 3 * 8 * 16)
+    walk, batch = 3 * 8 * 16 + 8 * 8, 3 * 8 * 16  # the walk also holds 8 probabilities
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", walk)
     assert evaluate_all(p).shape == (8,)
-    assert evaluate_batch(p, every).shape == (8,)
-    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 3 * 8 * 16 - 1)
-    with pytest.raises(ValueError, match="evaluation budget exceeded: a block of 2\\^3 configurations of width 3"):
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", walk - 1)
+    with pytest.raises(ValueError, match="evaluation budget exceeded: the leaf walk over 2\\^3 "
+                                         f"configurations of width 3 needs {walk} bytes"):
         evaluate_all(p)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", batch)
+    assert evaluate_batch(p, every).shape == (8,)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", batch - 1)
     with pytest.raises(ValueError, match="evaluation budget exceeded: a batch of 8 inputs"):
         evaluate_batch(p, every)
     assert evaluate_batch(p, every[:7]).shape == (7,)
 
 
-def test_evaluation_budget_width_8_at_n_24():
-    # the final block would take 2 GiB: refused at once, not after 1 GiB
+class _Admitted(Exception):
+    pass
+
+
+def test_evaluation_budget_width_8_at_n_24(monkeypatch):
+    # the one-block leaf matrix needed 2 GiB and was refused.  The walk goes in
+    # chunks of 2^13 columns: it holds twelve doubled blocks of 2^14 columns
+    # (eleven split levels and the level in progress) and 2^24 probabilities,
+    # so both evaluation checks admit it; the 2^24-input run itself is not made
     ident = np.eye(8)
     tfs = tuple(QuantumTransformation(j, ident, ident) for j in range(1, 25))
     p = QbProgram(24, 8, tfs, np.eye(8)[0], frozenset({1}))
-    with pytest.raises(ValueError, match="evaluation budget exceeded"):
+    real, checked = linalg.check_budget, []
+
+    def admit_then_stop(need, stage, what):
+        real(need, stage, what)
+        checked.append((stage, need))
+        if "leaf walk" in what:
+            raise _Admitted
+
+    monkeypatch.setattr(linalg, "check_budget", admit_then_stop)
+    with pytest.raises(_Admitted):
         evaluate_all(p)
+    walk = 16 * 8 * (12 << 14) + (8 << 24)
+    assert checked == [("evaluation", 32 << 24), ("evaluation", walk)]
+    assert walk < linalg.MEMORY_BUDGET_BYTES < 16 * 8 << 24
     # a program on many variables that reads few still has 2^n outputs
+    monkeypatch.setattr(linalg, "check_budget", real)
     wide = QbProgram(40, 2, (), np.array([1.0, 0.0]), frozenset({1}))
     with pytest.raises(ValueError, match="per-input data of 2\\^40 inputs"):
         evaluate_all(wide)

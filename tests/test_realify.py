@@ -5,7 +5,7 @@ import pytest
 
 from qbp import linalg
 from qbp.constructions import ModBlockSpec, TruthTable, mod_block, universal_exact_qbp
-from qbp.program import QbProgram, evaluate_all, is_stable
+from qbp.program import evaluate_all, is_stable
 from qbp.realify import realify_matrix, realify_program, realify_vector
 
 from conftest import haar_unitary, random_program
