@@ -359,8 +359,9 @@ def _classified_final_configs(
     configurations are then its last reachable level.  A read-k program's
     walk keeps the whole leaf block, whose rows, one per input in input-value
     order and deduplicated at 1e-9, are its final configurations.  The
-    per-input data and, for a read-k program, the leaf rows and their kept
-    block are checked against ``linalg.MEMORY_BUDGET_BYTES`` first.
+    per-input data and, for a read-k program, the leaf block with its rows
+    and their kept block are checked against ``linalg.MEMORY_BUDGET_BYTES``
+    first.
     """
     n = p.n_vars
     if p.n_vars != f.n_vars:
@@ -370,8 +371,8 @@ def _classified_final_configs(
     _check_per_input(n, "separation")
     read_once = is_read_once(p)
     if not read_once:
-        check_budget(2 * p.width * 16 << n, "separation",
-                     f"2^{n} leaf rows of width {p.width} and their kept block")
+        check_budget(3 * p.width * 16 << n, "separation",
+                     f"the leaf block, its 2^{n} rows of width {p.width} and their kept block")
     probs, order, cols = _leaf_walk(p, whole=not read_once)
     leaves = _leaf_indices(order, n)
     probs = probs[leaves]

@@ -7,9 +7,9 @@ string is the value of variable x_{i+1}; the transformation at a level
 reads ``input[var_index - 1]``.  A unitary is stored as a dense matrix or as
 a ``Monomial`` (perm, phases): the universal and permutation constructions
 build Monomials, and a dense matrix of that shape is read as one.
-Evaluation reads the stored form; only ``u0``/``u1`` build a Monomial's
-dense matrix (for the file format and realify).  Also included: the JSON
-file format used by the command line tools.
+Evaluation reads the stored form; only ``u0``/``u1`` build (and keep) a
+Monomial's dense matrix, for realify, and the file format builds one at a
+time.  Also included: the JSON file format used by the command line tools.
 
 Programs are oblivious, so every evaluation advances a d x m block of
 configurations level by level (``_advance``): one column per input, or in
@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -217,7 +218,9 @@ def _column_accept_probs(cols: np.ndarray, p: QbProgram) -> np.ndarray:
 
 
 def _check_per_input(n_vars: int, stage: str) -> None:
-    # input values, leaf indices, one temporary and the result: 8 bytes each
+    # input values, leaf indices, one temporary and the result: 8 bytes each;
+    # ``computes`` then holds the result, one float buffer and at most four
+    # bool masks, 20 bytes per input, in the same room
     linalg.check_budget(32 << n_vars, stage, f"the per-input data of 2^{n_vars} inputs")
 
 
@@ -310,10 +313,14 @@ def _leaf_walk(p: QbProgram, whole: bool = False) -> tuple[np.ndarray, tuple[int
     walked depth first from a stack, and each final chunk's probabilities go
     straight into the result; ``whole`` walks one chunk.  A pending half
     keeps its doubled block alive, so the walk holds one doubled block per
-    split level, one more for the level in progress (or the one
-    2^|read|-column block when it never splits), and the result; that is
-    checked against ``linalg.MEMORY_BUDGET_BYTES`` before the first block is
-    allocated.
+    split level, or, when it never splits, its one block.  A level working
+    on w columns adds 1.5 w columns (a re-read copies, gathers and
+    multiplies the half of them its bit selects), or 3 w when the walk
+    splits (a re-read bit may then be constant over a chunk), and 32 bytes
+    per column of bits and indices, beside numpy's ufunc buffers (one of
+    ``np.getbufsize()`` complex elements per operand).  That, with the
+    result, is checked against ``linalg.MEMORY_BUDGET_BYTES`` before the
+    first block is allocated.
     """
     plan, position = [], {}
     for tf in p.transformations:
@@ -324,8 +331,10 @@ def _leaf_walk(p: QbProgram, whole: bool = False) -> tuple[np.ndarray, tuple[int
     chunk = -(-_CHUNK_BYTES // (16 * d))  # columns that reach _CHUNK_BYTES
     cap = 1 << k if whole else max(8, 1 << (chunk - 1).bit_length())
     splits = max(0, k + 1 - cap.bit_length())
-    held = (splits + 1) << min(k, cap.bit_length())  # columns
-    linalg.check_budget(16 * d * held + (8 << k), "evaluation",
+    work = min(cap, 1 << k)  # columns of the block a level works on
+    held = (2 * cap * splits or work) + (6 if splits else 3) * work // 2  # columns
+    buffers = 3 * 16 * np.getbufsize()
+    linalg.check_budget(16 * d * held + 32 * work + buffers + (8 << k), "evaluation",
                         f"the leaf walk over 2^{k} configurations of width {d}")
     probs = np.empty(1 << k)
     stack = [(0, 0, p.initial.reshape(-1, 1))]
@@ -340,9 +349,10 @@ def _leaf_walk(p: QbProgram, whole: bool = False) -> tuple[np.ndarray, tuple[int
             tf.apply_to_columns(0, cols, out=nxt[:, 0::2])
             tf.apply_to_columns(1, cols, out=nxt[:, 1::2])
             cols, offset = nxt, 2 * offset
+            del nxt  # else it keeps a walked block alive until the next doubling
             if 2 * m > cap:  # a doubled chunk: walk its left half now, its right half later
-                stack.append((level, offset + m, nxt[:, m:]))
-                cols = nxt[:, :m]
+                stack.append((level, offset + m, cols[:, m:]))
+                cols = cols[:, :m]
         probs[offset:offset + cols.shape[1]] = _column_accept_probs(cols, p)
     return probs, tuple(position), cols if whole else None
 
@@ -448,13 +458,16 @@ class CheckReport:
     checked: int
 
 
-def _criterion_mask(probs: np.ndarray, fbits: np.ndarray, criterion: Criterion) -> np.ndarray:
+def _criterion_mask(probs: np.ndarray, fbits: np.ndarray, criterion: Criterion,
+                    buf: np.ndarray) -> np.ndarray:
+    """Where each probability meets the criterion for its bit; ``buf``, a
+    float array shaped like ``probs``, holds the one float temporary."""
     if isinstance(criterion, Margin):
         accepts, rejects = _margin_masks(probs, criterion.epsilon)
         return np.where(fbits, accepts, rejects)
     if isinstance(criterion, OneSided):
-        ok1 = np.abs(probs - 1.0) <= criterion.tol
-        ok0 = (1.0 - probs) >= criterion.reject_min - criterion.tol
+        ok1 = np.abs(np.subtract(probs, 1.0, out=buf), out=buf) <= criterion.tol
+        ok0 = np.subtract(1.0, probs, out=buf) >= criterion.reject_min - criterion.tol
         return np.where(fbits, ok1, ok0)
     raise TypeError(f"unknown criterion {criterion!r}")
 
@@ -462,17 +475,19 @@ def _criterion_mask(probs: np.ndarray, fbits: np.ndarray, criterion: Criterion) 
 def computes(p: QbProgram, f: TruthTable, criterion: Criterion) -> CheckReport:
     """Exhaustively check the program against a truth table.
 
-    Counterexamples are listed in increasing input-value order.
+    Counterexamples are listed in increasing input-value order.  Beside the
+    probabilities, the check holds one float buffer and its bool masks (see
+    ``_check_per_input``).
     """
     if p.n_vars != f.n_vars:
         raise ValueError(f"program has n_vars {p.n_vars}, truth table has {f.n_vars}")
     probs = evaluate_all(p)
-    ok = _criterion_mask(probs, f.bits, criterion)
-    bad = np.nonzero(~ok)[0]
+    buf = np.empty_like(probs)
+    bad = np.nonzero(~_criterion_mask(probs, f.bits, criterion, buf))[0]
     return CheckReport(
         holds=bad.size == 0,
         counterexamples=tuple(bits_of_value(int(v), p.n_vars) for v in bad),
-        min_margin=float(np.min(np.abs(probs - 0.5))),
+        min_margin=float(np.min(np.abs(np.subtract(probs, 0.5, out=buf), out=buf))),
         checked=int(probs.size),
     )
 
@@ -490,6 +505,16 @@ def computes(p: QbProgram, f: TruthTable, criterion: Criterion) -> CheckReport:
 # is the first 16 hex digits of the sha256 of the same object dumped with
 # sorted keys and compact separators (",", ":").  ``save_program`` returns
 # that digest, so a caller that writes a program need not format it again.
+#
+# Writing is streamed (``_stream_program``).  Each array is formatted once,
+# as its compact text, and that text is fed to one sha256 in the canonical
+# key order and, widened to ", ", written to the file at once; the digest
+# alone only hashes.  So the writer holds the initial vector's text and one
+# matrix's dense form and texts at a time, never a whole file.  An array's
+# text formats each distinct [re, im] entry once (``_array_text``): the
+# paper's constructions use a handful of amplitudes (0 and +-1, or the cos
+# and sin of 2 pi k / p), so a level of d^2 entries has a few dozen distinct
+# ones.  The budget counts the entries of the initial vector and one level.
 
 class ProgramFormatError(ValueError):
     """Malformed program document; ``where`` locates the first error."""
@@ -596,65 +621,81 @@ def program_from_obj(obj) -> QbProgram:
         raise ProgramFormatError("$", str(e)) from e
 
 
-# bytes per complex entry that formatting a program holds at its peak: its
-# texts, one level's float lists and the dense levels it builds.  Measured up
-# to 209.4 with 24-character reprs (the longest) in both parts, 178 with Haar
-# entries and 51 with the 0/1 entries of universal programs.
+# bytes per complex entry of the initial vector and one level that formatting
+# holds at its peak, one matrix's dense form, sort and texts at a time.
+# Measured (tracemalloc) up to 198.5 with 24-character reprs in both parts of
+# every entry, 191 with Haar entries, and 29-37 with the few distinct entries
+# of the universal, realified and MOD_p programs.
 _FORMAT_BYTES_PER_ENTRY = 216
 
 
-def _program_texts(p: QbProgram) -> tuple[str, str]:
-    """(file text, canonical text) of a program, formatting each array once.
+def _array_text(a: np.ndarray) -> str:
+    """The compact JSON text of a complex vector or matrix as [re, im] pairs,
+    ``json.dumps(_pairs(a), separators=(",", ":"))``, formatting each
+    distinct entry once.  Entries are told apart by their 16 raw bytes, so
+    -0.0 and 0.0 stay distinct."""
+    keys = np.ascontiguousarray(a).view(np.dtype((np.void, 16))).ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    vocab = json.dumps(_pairs(distinct.view(np.complex128)), separators=(",", ":"))
+    cells = np.array(vocab[2:-2].split("],["), dtype=object)[inverse.ravel()]
+    rows = cells.reshape(-1, a.shape[-1]).tolist()
+    text = ",".join("[[" + "],[".join(row) + "]]" for row in rows)
+    return text if a.ndim == 1 else "[" + text + "]"
 
-    The file text is the object of the format notes dumped with json's
-    defaults, the canonical text the same dump with ``sort_keys=True,
-    separators=(",", ":")``.
-    An array's compact dump holds only numbers, brackets and commas, so its
-    file form is that dump with every comma widened to ", ".  The bytes of
-    every entry are checked against ``linalg.MEMORY_BUDGET_BYTES`` first.
+
+def _unitary_dense(u: np.ndarray | Monomial) -> np.ndarray:
+    """The dense form of a stored unitary, built afresh for a Monomial that
+    was not given one (``_stored``) and not cached, so that formatting holds
+    one level's dense form at a time."""
+    if isinstance(u, Monomial):
+        return u.__dict__["dense"] if "dense" in u.__dict__ else Monomial.dense.func(u)
+    return u
+
+
+def _stream_program(p: QbProgram, path=None) -> str:
+    """The digest of a program, and with ``path`` its file written there,
+    both streamed piece by piece as the format notes describe.
+
+    An array's compact text holds only numbers, brackets and commas, so its
+    file form is that text with every comma widened to ", ".  The bytes of
+    the largest step are checked against ``linalg.MEMORY_BUDGET_BYTES``
+    before the file is opened.
     """
-    entries = p.width * (1 + 2 * p.width * p.length)
-    linalg.check_budget(entries * _FORMAT_BYTES_PER_ENTRY, "program format",
-                        f"the text of {entries} complex entries")
+    d = p.width
+    step = d * (1 + 2 * d * min(p.length, 1))
+    linalg.check_budget(step * _FORMAT_BYTES_PER_ENTRY, "program format",
+                        f"the text of {d * (1 + 2 * d * p.length)} complex entries, "
+                        f"{step} of them (the initial vector and one level) at a time,")
+    sha = hashlib.sha256()
+    with open(path, "w", encoding="utf-8") if path is not None else nullcontext() as fh:
 
-    def compact(x) -> str:
-        return json.dumps(x, separators=(",", ":"))
+        def put(canonical: str, file: str | None = None) -> None:
+            """Hash a piece of the canonical text and write its file piece,
+            by default the piece (an array's text) widened."""
+            sha.update(canonical.encode("utf-8"))
+            if fh is not None:
+                fh.write(canonical.replace(",", ", ") if file is None else file)
 
-    def wide(text: str) -> str:
-        return text.replace(",", ", ")
-
-    initial = compact(_pairs(p.initial))
-    accepting = compact(sorted(p.accepting))
-    levels = [
-        (compact(tf.var_index), compact(_pairs(tf.u0)), compact(_pairs(tf.u1)))
-        for tf in p.transformations
-    ]
-    n_vars, width = compact(p.n_vars), compact(p.width)
-    file_text = (
-        f'{{"n_vars": {n_vars}, "width": {width}, "initial": {wide(initial)}, '
-        f'"accepting": {wide(accepting)}, "transformations": ['
-        + ", ".join(f'{{"var": {v}, "u0": {wide(u0)}, "u1": {wide(u1)}}}' for v, u0, u1 in levels)
-        + "]}"
-    )
-    canonical_text = (
-        f'{{"accepting":{accepting},"initial":{initial},"n_vars":{n_vars},"transformations":['
-        + ",".join(f'{{"u0":{u0},"u1":{u1},"var":{v}}}' for v, u0, u1 in levels)
-        + f'],"width":{width}}}'
-    )
-    return file_text, canonical_text
-
-
-def _digest(canonical_text: str) -> str:
-    return hashlib.sha256(canonical_text.encode("utf-8")).hexdigest()[:16]
+        initial = _array_text(p.initial)
+        accepting = json.dumps(sorted(p.accepting), separators=(",", ":"))
+        sha.update(f'{{"accepting":{accepting},"initial":{initial},"n_vars":{p.n_vars},'
+                   f'"transformations":['.encode("utf-8"))
+        if fh is not None:
+            fh.write(f'{{"n_vars": {p.n_vars}, "width": {d}, "initial": {initial.replace(",", ", ")}, '
+                     f'"accepting": {accepting.replace(",", ", ")}, "transformations": [')
+        for i, tf in enumerate(p.transformations):
+            put(',{"u0":' if i else '{"u0":', f'{", " if i else ""}{{"var": {tf.var_index}, "u0": ')
+            put(_array_text(_unitary_dense(tf.unitaries[0])))
+            put(',"u1":', ', "u1": ')
+            put(_array_text(_unitary_dense(tf.unitaries[1])))
+            put(f',"var":{tf.var_index}}}', "}")
+        put(f'],"width":{d}}}', "]}\n")
+    return sha.hexdigest()[:16]
 
 
 def save_program(p: QbProgram, path) -> str:
-    """Write the program file; returns ``program_digest(p)``."""
-    file_text, canonical_text = _program_texts(p)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(file_text)
-        fh.write("\n")
-    return _digest(canonical_text)
+    """Write the program file, level by level; returns ``program_digest(p)``."""
+    return _stream_program(p, path)
 
 
 def load_program(path) -> QbProgram:
@@ -668,5 +709,5 @@ def load_program(path) -> QbProgram:
 
 def program_digest(p: QbProgram) -> str:
     """Stable hex digest of the canonical serialization (see the format notes
-    above ``ProgramFormatError``)."""
-    return _digest(_program_texts(p)[1])
+    above ``ProgramFormatError``), hashed as it is formatted."""
+    return _stream_program(p)

@@ -36,9 +36,12 @@ def _batch():
 
 def _leaf_block():
     # width 8 at n = 16: chunks of 2^13 columns, so three split levels; the
-    # walk holds four doubled blocks of 2^14 columns and 2^16 probabilities
+    # walk holds three doubled blocks of 2^14 columns, three chunks of one
+    # level's temporaries, 32 bytes per chunk column, numpy's ufunc buffers
+    # and 2^16 probabilities
     p = _identity_program(16, 8, range(1, 17))
-    return (lambda: program.evaluate_all(p)), 8 * 16 * (4 << 14) + (8 << 16), "evaluation", None
+    need = 8 * 16 * ((3 << 14) + (3 << 13)) + (32 << 13) + 3 * 16 * np.getbufsize() + (8 << 16)
+    return (lambda: program.evaluate_all(p)), need, "evaluation", None
 
 
 def _per_input():
@@ -61,11 +64,20 @@ def _separation_per_input():
 
 
 def _separation_leaf_rows():
-    # the MOD_3 block with every variable read twice: rotation by 4*pi*|x|/3
-    blocks = constructions.mod_block(constructions.ModBlockSpec(3, 1, 15)).transformations
-    p = QbProgram(15, 2, blocks + blocks, np.array([1.0, 0.0]), frozenset({1}))
+    # the MOD_3 block with every variable read twice (rotation by 4*pi*|x|/3),
+    # padded to width 8 so that this check, not the leaf walk's, binds
+    pad = np.eye(8, dtype=complex)
+
+    def padded(u):
+        out = pad.copy()
+        out[:2, :2] = u
+        return out
+
+    blocks = tuple(QuantumTransformation(tf.var_index, padded(tf.u0), padded(tf.u1)) for tf in
+                   constructions.mod_block(constructions.ModBlockSpec(3, 1, 15)).transformations)
+    p = QbProgram(15, 8, blocks + blocks, np.eye(8)[0], frozenset({1}))
     f = constructions.mod_truth_table(3, 15)
-    return (lambda: analysis.measured_separation(p, f, 0.25)), 2 * 2 * 16 << 15, "separation", None
+    return (lambda: analysis.measured_separation(p, f, 0.25)), 3 * 8 * 16 << 15, "separation", None
 
 
 def _gram():
@@ -90,9 +102,10 @@ def _dense_level():
 
 
 def _program_format():
-    # width 64, two levels: 64 * (1 + 2 * 64 * 2) complex entries
-    p = _identity_program(2, 64, (1, 2))
-    return ((lambda: program.program_digest(p)), 64 * 257 * program._FORMAT_BYTES_PER_ENTRY,
+    # width 128, two levels, formatted one at a time: the initial vector and
+    # one level, 128 * (1 + 2 * 128) complex entries
+    p = _identity_program(2, 128, (1, 2))
+    return ((lambda: program.program_digest(p)), 128 * 257 * program._FORMAT_BYTES_PER_ENTRY,
             "program format", None)
 
 

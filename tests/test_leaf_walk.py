@@ -1,13 +1,15 @@
 """The chunked leaf walk of ``evaluate_all`` against the one-block leaf matrix
 it replaces: bit-identical at every chunk size, and within 1e-12 of the
-dense matrix-chain oracle."""
+dense matrix-chain oracle; and what the walk holds against its budget count."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbp import program
+from qbp import linalg, program
 from qbp.constructions import PermutationBp, build_mod_program, permutation_bp_to_qbp
 from qbp.program import QbProgram, QuantumTransformation, bits_of_value, evaluate_all
 
@@ -100,3 +102,34 @@ def _counter(w: int, order) -> PermutationBp:
 ])
 def test_walk_is_bit_identical_on_permutation_programs(w, order):
     _assert_walk_matches(permutation_bp_to_qbp(_counter(w, order)))
+
+
+def _read_twice_counter(w: int, n: int) -> QbProgram:
+    rng = np.random.default_rng(n)
+    return permutation_bp_to_qbp(_counter(w, [int(v) + 1 for _ in range(2) for v in rng.permutation(n)]))
+
+
+@pytest.mark.parametrize("p, whole, chunk_bytes", [
+    (_read_twice_counter(5, 14), False, program._CHUNK_BYTES),  # never splits: one 2^14 block
+    (_read_twice_counter(5, 14), True, program._CHUNK_BYTES),
+    (_read_twice_counter(5, 14), False, 1 << 16),  # splits: a re-read bit is constant over a chunk
+    (build_mod_program(5, 14), False, 1 << 16),
+], ids=["read twice", "read twice, whole", "read twice, chunked", "mod, chunked"])
+def test_walk_holds_at_most_its_checked_count(monkeypatch, p, whole, chunk_bytes):
+    # the walk's traced peak is within what its budget check counts
+    real, checked = linalg.check_budget, []
+
+    def spy(need, stage, what):
+        checked.append(need)
+        real(need, stage, what)
+
+    monkeypatch.setattr(linalg, "check_budget", spy)
+    monkeypatch.setattr(program, "_CHUNK_BYTES", chunk_bytes)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        program._leaf_walk(p, whole=whole)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(checked) == 1 and peak <= checked[0], (peak, checked)

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,13 @@ from qbp import linalg
 from qbp import program as program_module
 from qbp.analysis import measured_separation
 from qbp.cli import ParseFailure, load_truth_table, save_truth_table
-from qbp.constructions import ModBlockSpec, build_mod_program, mod_block, universal_exact_qbp
+from qbp.constructions import (
+    ModBlockSpec,
+    build_mod_program,
+    mod_block,
+    mod_truth_table,
+    universal_exact_qbp,
+)
 from qbp.program import (
     Margin,
     Monomial,
@@ -436,7 +444,10 @@ def test_evaluate_batch_matches_per_input_loop(rng, n):
 def test_evaluation_budget_refuses_before_allocating(monkeypatch):
     p = random_program(np.random.default_rng(3), d=3, n=3)  # one 3 x 8 leaf block
     every = np.array([bits_of_value(v, 3) for v in range(8)])
-    walk, batch = 3 * 8 * 16 + 8 * 8, 3 * 8 * 16  # the walk also holds 8 probabilities
+    # the walk also holds 1.5 blocks of one level's temporaries, 32 bytes per
+    # column of bits and indices, numpy's ufunc buffers and 8 probabilities
+    walk = 3 * (8 + 12) * 16 + 32 * 8 + 3 * 16 * np.getbufsize() + 8 * 8
+    batch = 3 * 8 * 16
     monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", walk)
     assert evaluate_all(p).shape == (8,)
     monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", walk - 1)
@@ -451,15 +462,43 @@ def test_evaluation_budget_refuses_before_allocating(monkeypatch):
     assert evaluate_batch(p, every[:7]).shape == (7,)
 
 
+def _traced(fn) -> tuple[int, object]:
+    """The traced peak of bytes that ``fn()`` allocates, and its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.filterwarnings("ignore:modulus 37 exceeds")
+def test_computes_holds_one_float_buffer_beside_the_walk():
+    # width 8 at n = 22: after the walk, ``computes`` holds the probabilities,
+    # one float buffer and at most four bool masks, so its peak is the walk's
+    # or 20 bytes per input
+    n = 22
+    p = build_mod_program(37, n)
+    assert p.width == 8
+    walk, probs = _traced(lambda: evaluate_all(p))
+    for f, criterion in ((mod_truth_table(37, n), OneSided()), (TruthTable(n, probs > 0.5), Margin(0.0))):
+        peak, report = _traced(lambda: computes(p, f, criterion))
+        assert report.holds and report.checked == 1 << n
+        assert peak <= max(walk, (8 + 8 + 4) << n)
+
+
 class _Admitted(Exception):
     pass
 
 
 def test_evaluation_budget_width_8_at_n_24(monkeypatch):
     # the one-block leaf matrix needed 2 GiB and was refused.  The walk goes in
-    # chunks of 2^13 columns: it holds twelve doubled blocks of 2^14 columns
-    # (eleven split levels and the level in progress) and 2^24 probabilities,
-    # so both evaluation checks admit it; the 2^24-input run itself is not made
+    # chunks of 2^13 columns: it holds eleven doubled blocks of 2^14 columns
+    # (one per split level), three chunks of temporaries for the level in
+    # progress, 32 bytes per chunk column, numpy's ufunc buffers and 2^24
+    # probabilities, so both evaluation checks admit it; the 2^24-input run
+    # itself is not made
     ident = np.eye(8)
     tfs = tuple(QuantumTransformation(j, ident, ident) for j in range(1, 25))
     p = QbProgram(24, 8, tfs, np.eye(8)[0], frozenset({1}))
@@ -474,7 +513,7 @@ def test_evaluation_budget_width_8_at_n_24(monkeypatch):
     monkeypatch.setattr(linalg, "check_budget", admit_then_stop)
     with pytest.raises(_Admitted):
         evaluate_all(p)
-    walk = 16 * 8 * (12 << 14) + (8 << 24)
+    walk = 16 * 8 * ((11 << 14) + (3 << 13)) + (32 << 13) + 3 * 16 * np.getbufsize() + (8 << 24)
     assert checked == [("evaluation", 32 << 24), ("evaluation", walk)]
     assert walk < linalg.MEMORY_BUDGET_BYTES < 16 * 8 << 24
     # a program on many variables that reads few still has 2^n outputs
@@ -719,9 +758,30 @@ def has_negative_zero(p: QbProgram) -> bool:
     )
 
 
+def wide_mod_program(modulus: int, n: int, seed: int) -> QbProgram:
+    """A sampled MOD program of width 64 to 84 on few variables (p > n/2 warns)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return build_mod_program(modulus, n, strategy="sampled", seed=seed)
+
+
+def signed_zeros_program(rng: np.random.Generator, n: int) -> QbProgram:
+    """Arrays holding 0.0 and -0.0 in both parts: the initial vector, a dense
+    level (a Hadamard block beside a phase) and a monomial one."""
+    s = math.sqrt(0.5)
+    z = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    initial = np.array([z[0], complex(1.0, -0.0), z[3]])
+    dense = np.array([[s, s, z[1]], [s, -s, z[2]], [z[3], z[0], complex(-0.0, 1.0)]])
+    mono = np.array([[z[2], complex(-1.0, 0.0), z[1]], [z[3], z[0], complex(0.0, 1.0)],
+                     [complex(1.0, -0.0), z[1], z[2]]])
+    levels = [(dense, mono) if rng.integers(2) else (mono, dense) for _ in range(n)]
+    tfs = tuple(QuantumTransformation(j, u0, u1) for j, (u0, u1) in enumerate(levels, start=1))
+    return QbProgram(n, 3, tfs, initial, frozenset({1, 3}))
+
+
 @st.composite
 def format_programs(draw):
-    kind = draw(st.sampled_from(["haar", "mod", "universal", "realified"]))
+    kind = draw(st.sampled_from(["haar", "mod", "wide", "signed-zeros", "universal", "realified"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "haar":
         return kind, random_program(rng, d=draw(st.integers(2, 5)), n=draw(st.integers(1, 4)))
@@ -730,6 +790,13 @@ def format_programs(draw):
         strategy = draw(st.sampled_from(["greedy", "sampled"]))
         n = 2 * modulus + draw(st.integers(0, 2))
         return kind, build_mod_program(modulus, n, strategy=strategy, seed=int(rng.integers(100)))
+    if kind == "wide":  # a Haar program of width 64 or a MOD program of width 64 to 84
+        modulus = draw(st.sampled_from([None, 7, 11, 13]))
+        if modulus is None:
+            return kind, random_program(rng, d=64, n=1)
+        return kind, wide_mod_program(modulus, 1, int(rng.integers(100)))
+    if kind == "signed-zeros":
+        return kind, signed_zeros_program(rng, draw(st.integers(1, 3)))
     n = draw(st.integers(1, 3))
     universal = universal_exact_qbp(TruthTable.random(n, rng))
     if kind == "universal":
@@ -757,6 +824,46 @@ def test_save_and_digest_match_reference_serialiser(case):
         assert a.var_index == b.var_index
         assert np.array_equal(bit_pattern(a.u0), bit_pattern(b.u0))
         assert np.array_equal(bit_pattern(a.u1), bit_pattern(b.u1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: wide_mod_program(13, 2, 0),
+    lambda: signed_zeros_program(np.random.default_rng(0), 3),
+    lambda: random_program(np.random.default_rng(64), d=64, n=1),
+], ids=["mod width 84", "signed zeros", "haar width 64"])
+def test_new_format_cases_match_reference_serialiser(tmp_path, make):
+    # the cases the property test above may draw, each made once for sure
+    p = make()
+    assert p.width >= 64 or has_negative_zero(p)
+    path = tmp_path / "prog.json"
+    digest = save_program(p, path)
+    assert path.read_bytes() == reference_file_text(p).encode("utf-8")
+    assert digest == program_digest(p) == reference_digest(p)
+    loaded = load_program(path)
+    for a, b in zip(loaded.transformations, p.transformations):
+        assert np.array_equal(bit_pattern(a.u0), bit_pattern(b.u0))
+        assert np.array_equal(bit_pattern(a.u1), bit_pattern(b.u1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: universal_exact_qbp(TruthTable.random(7, np.random.default_rng(7))),
+    lambda: realify_program(universal_exact_qbp(TruthTable.random(6, np.random.default_rng(6)))),
+    lambda: wide_mod_program(13, 8, 1),
+    lambda: random_program(np.random.default_rng(32), d=32, n=6),
+], ids=["universal n=7", "realified universal n=6", "mod width 84", "haar width 32"])
+def test_writer_holds_one_level_at_a_time(tmp_path, make):
+    # a program is written level by level: the writer's traced peak is a few
+    # times the text of its largest level (measured: 2.4 times with the few
+    # distinct entries of the constructions, 4.3 with Haar entries), however
+    # long the file
+    p = make()
+    path = tmp_path / "prog.json"
+    save_peak, _ = _traced(lambda: save_program(p, path))
+    digest_peak, _ = _traced(lambda: program_digest(p))
+    level_texts = [len(json.dumps({"var": tf.var_index, "u0": program_module._pairs(tf.u0),
+                                   "u1": program_module._pairs(tf.u1)})) for tf in p.transformations]
+    assert path.stat().st_size > 5 * max(level_texts)
+    assert max(save_peak, digest_peak) <= 5 * max(level_texts), (save_peak, digest_peak, max(level_texts))
 
 
 def xor2_program() -> QbProgram:
