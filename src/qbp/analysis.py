@@ -24,9 +24,10 @@ input-value order for the variable order, and the nodes of a level are the
 distinct (low, high) pairs of nodes of the level below, keyed as
 low * width + high and found with one ``np.unique``.
 
-Also here: the measured accept/reject separation of a program, the two
-closed-form separation lower bounds, and integer width lower bounds derived
-from the packing inequality.
+Also here: the measured accept/reject separation of a read-once program
+(the theta of the lower bound, taken over its last reachable level), the
+two closed-form separation lower bounds, and integer width lower bounds
+derived from the packing inequality.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .program import (
 _PROJECTION_SEED = 20030205
 _GRAM_BLOCK_ROWS = 128
 _DIFF_BLOCK_ELEMS = 1 << 20
-_DEDUP_CHUNK_ROWS = 256
 
 
 def _explicit_sq_distances(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -156,44 +156,31 @@ def _greedy_dedup(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
     ties.  Returns the kept rows (a frozen block) and, for every row, the
     index among the kept rows that it maps to.
 
-    Distances come from explicit differences (see ``_near_pairs``), so
-    nearest rows and ties are those of the plain sequential loop.  Rows go
-    in chunks, each checked first against the rows kept so far; only the
-    rows left unmatched are swept against each other, so a large cluster of
-    equal rows costs time linear in its size, not quadratic.
+    One ``_near_pairs`` query finds every pair within ``tol``.  One pass over
+    the pairs in order of their later row decides which rows are kept (a
+    pair's earlier row is settled before it), and one lexsort maps each
+    dropped row to its nearest kept row.  Distances come from explicit
+    differences, so nearest rows and ties are those of the plain sequential
+    loop.  The rows are the candidates of one read-once level, and the
+    u0-images of the previous level's kept rows are pairwise more than
+    ``tol`` apart, as are its u1-images, so no large cluster of near rows
+    (and no quadratic number of pairs) arises.
     """
-    n = rows.shape[0]
-    kept = np.empty_like(rows)
-    count = 0
-    index = np.empty(n, dtype=np.int64)
-    no_pairs = (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
-    for c0 in range(0, n, _DEDUP_CHUNK_ROWS):
-        chunk = rows[c0:c0 + _DEDUP_CHUNK_ROWS]
-        earlier = _near_pairs(chunk, tol, kept[:count]) if count else no_pairs
-        free = np.setdiff1d(np.arange(chunk.shape[0]), earlier[0])
-        # a row with no kept row from earlier chunks near it is kept unless
-        # a row kept earlier in this chunk is near it
-        fi, fj, _ = _near_pairs(chunk[free], tol)
-        is_new = np.ones(free.shape[0], dtype=bool)
-        for a, b in zip(*(x[np.argsort(fj, kind="stable")] for x in (fi, fj))):
-            if is_new[a]:
-                is_new[b] = False
-        new = free[is_new]
-        kept[count:count + new.shape[0]] = chunk[new]
-        rest = np.setdiff1d(np.arange(chunk.shape[0]), new)
-        i, j, d2 = _near_pairs(chunk[rest], tol, chunk[new])
-        i = rest[i]
-        before = new[j] < i
-        i = np.concatenate([earlier[0], i[before]])
-        j = np.concatenate([earlier[1], count + j[before]])
-        d2 = np.concatenate([earlier[2], d2[before]])
-        # per row, the nearest kept row, the lowest kept index on ties
-        order = np.lexsort((j, d2, i))
-        first = order[np.unique(i[order], return_index=True)[1]]
-        index[c0 + i[first]] = j[first]
-        index[c0 + new] = count + np.arange(new.shape[0])
-        count += new.shape[0]
-    out = kept if count == n else kept[:count].copy()
+    i, j, d2 = _near_pairs(rows, tol)
+    order = np.argsort(j, kind="stable")
+    is_new = [True] * rows.shape[0]
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if is_new[a]:
+            is_new[b] = False
+    is_new = np.array(is_new, dtype=bool)
+    index = np.cumsum(is_new) - 1
+    # per dropped row, the nearest kept earlier row, the lowest index on ties
+    near = is_new[i]
+    i, j, d2 = i[near], j[near], d2[near]
+    order = np.lexsort((i, d2, j))
+    first = order[np.unique(j[order], return_index=True)[1]]
+    index[j[first]] = index[i[first]]
+    out = rows[is_new]
     out.flags.writeable = False
     return out, index
 
@@ -203,15 +190,13 @@ class LevelConfigurations:
     """Distinct configurations reachable at one level.
 
     ``configs`` is a frozen (m, width) block, one configuration per row.
-    ``prefix_map[v]`` is the row reached by the length-j read-bit prefix
-    with value v (first bit most significant).  ``prev_transitions[i, b]``
-    is the row at this level reached from row i of the previous level on
-    bit b (empty at level 0).
+    ``prev_transitions[i, b]`` is the row at this level reached from row i
+    of the previous level on bit b (empty at level 0); walking them from
+    row 0 of level 0 gives the row an input reaches.
     """
 
     level: int
     configs: np.ndarray
-    prefix_map: np.ndarray
     prev_transitions: np.ndarray
 
 
@@ -236,8 +221,7 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
     """
     _require_read_once(p)
     block = p.initial[None, :]
-    prefix = np.zeros(1, dtype=np.int64)
-    levels = [LevelConfigurations(0, block, prefix, np.empty((0, 2), dtype=np.int64))]
+    levels = [LevelConfigurations(0, block, np.empty((0, 2), dtype=np.int64))]
     for tf in p.transformations:
         m = block.shape[0]
         check_budget(2 * 2 * m * p.width * 16, "configuration",
@@ -251,12 +235,7 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
             raise RuntimeError("reachable configuration drifted off unit norm")
         trans = index.reshape(-1, 2)
         trans.flags.writeable = False
-        nxt_prefix = np.empty(2 * prefix.shape[0], dtype=np.int64)
-        nxt_prefix[0::2] = trans[prefix, 0]
-        nxt_prefix[1::2] = trans[prefix, 1]
-        nxt_prefix.flags.writeable = False
-        levels.append(LevelConfigurations(len(levels), block, nxt_prefix, trans))
-        prefix = nxt_prefix
+        levels.append(LevelConfigurations(len(levels), block, trans))
     return levels
 
 
@@ -347,35 +326,27 @@ def theta_bounds(epsilon: float, d: int) -> SeparationReport:
 
 def _classified_final_configs(
     p: QbProgram, f: TruthTable, epsilon: float
-) -> tuple[np.ndarray, np.ndarray, list[LevelConfigurations] | None]:
-    """The distinct final configurations as an (m, width) block and the mask
-    of the rows that accept at margin ``epsilon``; every other row rejects.
-    Also returns the reachable levels of a read-once program (None for any
-    other program), so callers need not enumerate them again.
+) -> tuple[np.ndarray, np.ndarray, list[LevelConfigurations]]:
+    """The distinct final configurations of a read-once program as an
+    (m, width) block, the mask of the rows that accept at margin
+    ``epsilon`` (every other row rejects), and the reachable levels, so
+    callers need not enumerate them again.
 
-    One walk over the leaves (``_leaf_walk``) first gives every input's
-    acceptance probability, to verify that the program computes ``f`` at the
-    margin.  A read-once program's walk goes in chunks, and its final
-    configurations are then its last reachable level.  A read-k program's
-    walk keeps the whole leaf block, whose rows, one per input in input-value
-    order and deduplicated at 1e-9, are its final configurations.  The
-    per-input data and, for a read-k program, the leaf block with its rows
-    and their kept block are checked against ``linalg.MEMORY_BUDGET_BYTES``
-    first.
+    A program that is not read-once is refused first.  One chunked walk over
+    the leaves (``_leaf_walk``) gives every input's acceptance probability,
+    to verify that the program computes ``f`` at the margin; its per-input
+    data is checked against ``linalg.MEMORY_BUDGET_BYTES`` first.  The final
+    configurations are the last reachable level.
     """
+    _require_read_once(p)
     n = p.n_vars
     if p.n_vars != f.n_vars:
         raise ValueError(f"program has n_vars {p.n_vars}, truth table has {f.n_vars}")
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
     _check_per_input(n, "separation")
-    read_once = is_read_once(p)
-    if not read_once:
-        check_budget(3 * p.width * 16 << n, "separation",
-                     f"the leaf block, its 2^{n} rows of width {p.width} and their kept block")
-    probs, order, cols = _leaf_walk(p, whole=not read_once)
-    leaves = _leaf_indices(order, n)
-    probs = probs[leaves]
+    probs, order = _leaf_walk(p)
+    probs = probs[_leaf_indices(order, n)]
     accepts, rejects = _margin_masks(probs, epsilon)
     bad = np.flatnonzero(np.where(f.bits, ~accepts, ~rejects))
     if bad.size:
@@ -384,12 +355,8 @@ def _classified_final_configs(
             f"program does not compute the table with margin {epsilon}: input "
             f"{''.join(map(str, bits_of_value(v, n)))} has acceptance {float(probs[v])!r}"
         )
-    levels = None
-    if read_once:
-        levels = reachable_configurations(p)
-        configs = levels[-1].configs
-    else:
-        configs, _ = _greedy_dedup(cols[:, leaves].T, CONFIG_DEDUP_TOL)
+    levels = reachable_configurations(p)
+    configs = levels[-1].configs
     probs = _column_accept_probs(configs.T, p)
     accepts, rejects = _margin_masks(probs, epsilon)
     band = np.flatnonzero(~(accepts | rejects))
@@ -431,11 +398,12 @@ def _min_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def measured_separation(p: QbProgram, f: TruthTable, epsilon: float) -> float:
     """Minimum distance between a final configuration accepted at margin
-    epsilon and one rejected at that margin, over all inputs.
+    epsilon and one rejected at that margin, over all inputs of a read-once
+    program: the separation theta of the read-once lower bound.
 
     Returns ``math.inf`` when one of the two classes is empty (for example a
-    program accepting every input).  Raises if the program does not compute
-    ``f`` with the given margin.
+    program accepting every input).  Raises if the program is not read-once
+    or does not compute ``f`` with the given margin.
     """
     configs, accepts, _ = _classified_final_configs(p, f, epsilon)
     return _min_cross_distance(configs[accepts], configs[~accepts])
@@ -512,7 +480,6 @@ def derive_deterministic_obdd(
     """
     if theta is not None and not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    _require_read_once(p)
     configs, accepts, levels = _classified_final_configs(p, f, epsilon)
     sep = _min_cross_distance(configs[accepts], configs[~accepts])
     if theta is None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -302,25 +303,24 @@ def is_stable(p: QbProgram) -> bool:
 _CHUNK_BYTES = 1 << 20
 
 
-def _leaf_walk(p: QbProgram, whole: bool = False) -> tuple[np.ndarray, tuple[int, ...], np.ndarray | None]:
+def _leaf_walk(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
     """The acceptance probability of every leaf, one per assignment to the
-    variables read (first-read order, first most significant), that order,
-    and with ``whole`` the final configurations as one d x 2^|read| block.
+    variables read (first-read order, first most significant), and that
+    order.
 
     A fresh variable doubles the block (column c becomes 2c and 2c + 1); a
     re-read one takes each column's bit from its global index.  Once the
     block is a chunk, each doubling cuts it into two chunk-sized halves,
     walked depth first from a stack, and each final chunk's probabilities go
-    straight into the result; ``whole`` walks one chunk.  A pending half
-    keeps its doubled block alive, so the walk holds one doubled block per
-    split level, or, when it never splits, its one block.  A level working
-    on w columns adds 1.5 w columns (a re-read copies, gathers and
-    multiplies the half of them its bit selects), or 3 w when the walk
-    splits (a re-read bit may then be constant over a chunk), and 32 bytes
-    per column of bits and indices, beside numpy's ufunc buffers (one of
-    ``np.getbufsize()`` complex elements per operand).  That, with the
-    result, is checked against ``linalg.MEMORY_BUDGET_BYTES`` before the
-    first block is allocated.
+    straight into the result.  A pending half keeps its doubled block alive,
+    so the walk holds one doubled block per split level, or, when it never
+    splits, its one block.  A level working on w columns adds 1.5 w columns
+    (a re-read copies, gathers and multiplies the half of them its bit
+    selects), or 3 w when the walk splits (a re-read bit may then be
+    constant over a chunk), and 32 bytes per column of bits and indices,
+    beside numpy's ufunc buffers (one of ``np.getbufsize()`` complex
+    elements per operand).  That, with the result, is checked against
+    ``linalg.MEMORY_BUDGET_BYTES`` before the first block is allocated.
     """
     plan, position = [], {}
     for tf in p.transformations:
@@ -329,7 +329,7 @@ def _leaf_walk(p: QbProgram, whole: bool = False) -> tuple[np.ndarray, tuple[int
         position.setdefault(j, len(position))
     d, k = p.width, len(position)
     chunk = -(-_CHUNK_BYTES // (16 * d))  # columns that reach _CHUNK_BYTES
-    cap = 1 << k if whole else max(8, 1 << (chunk - 1).bit_length())
+    cap = max(8, 1 << (chunk - 1).bit_length())
     splits = max(0, k + 1 - cap.bit_length())
     work = min(cap, 1 << k)  # columns of the block a level works on
     held = (2 * cap * splits or work) + (6 if splits else 3) * work // 2  # columns
@@ -354,7 +354,7 @@ def _leaf_walk(p: QbProgram, whole: bool = False) -> tuple[np.ndarray, tuple[int
                 stack.append((level, offset + m, cols[:, m:]))
                 cols = cols[:, :m]
         probs[offset:offset + cols.shape[1]] = _column_accept_probs(cols, p)
-    return probs, tuple(position), cols if whole else None
+    return probs, tuple(position)
 
 
 def _leaf_indices(var_sequence: Sequence[int], n_vars: int) -> np.ndarray:
@@ -378,7 +378,7 @@ def evaluate_all(p: QbProgram) -> np.ndarray:
     """
     n = p.n_vars
     _check_per_input(n, "evaluation")
-    probs, order, _ = _leaf_walk(p)
+    probs, order = _leaf_walk(p)
     if order == tuple(range(1, n + 1)):
         return probs
     return probs[_leaf_indices(order, n)]
@@ -627,6 +627,10 @@ def program_from_obj(obj) -> QbProgram:
 # every entry, 191 with Haar entries, and 29-37 with the few distinct entries
 # of the universal, realified and MOD_p programs.
 _FORMAT_BYTES_PER_ENTRY = 216
+# Bytes that loading holds per byte of the file, for the parsed JSON document
+# and the arrays built from it.  Measured (tracemalloc) at 13.4-13.6 for
+# universal, realified and MOD_p files, and 4.2 for Haar files.
+_LOAD_BYTES_PER_FILE_BYTE = 16
 
 
 def _array_text(a: np.ndarray) -> str:
@@ -699,6 +703,11 @@ def save_program(p: QbProgram, path) -> str:
 
 
 def load_program(path) -> QbProgram:
+    """Read a program file.  What parsing it holds, counted from the file's
+    size, is checked against ``linalg.MEMORY_BUDGET_BYTES`` before it is read."""
+    size = os.path.getsize(path)
+    linalg.check_budget(size * _LOAD_BYTES_PER_FILE_BYTE, "program load",
+                        f"parsing a program file of {size} bytes")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)

@@ -59,8 +59,16 @@ def realify_program(p: QbProgram) -> QbProgram:
 
     The initial configuration is encoded conjugated (see module docstring);
     for programs with a real initial configuration this is the plain
-    interleaving.
+    interleaving.  The levels it keeps (each realified unitary, plus the
+    dense form a source ``Monomial`` caches, a quarter of its size) and one
+    level's temporaries (the unitarity check's products, traced with
+    tracemalloc at up to 3.7 realified unitaries) are checked against
+    ``linalg.MEMORY_BUDGET_BYTES`` before the first level is built.
     """
+    level = 16 * (2 * p.width) ** 2
+    linalg.check_budget(level * (5 * p.length + 8) // 2, "realify",
+                        f"{2 * p.length} realified unitaries of width {2 * p.width}, "
+                        f"with one level's temporaries,")
     tfs = tuple(
         QuantumTransformation(tf.var_index, realify_matrix(tf.u0), realify_matrix(tf.u1))
         for tf in p.transformations

@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbp.analysis
-import qbp.program
 from qbp import linalg
 from qbp.analysis import (
     CONFIG_DEDUP_TOL,
-    _classified_final_configs,
     _greedy_dedup,
     _near_pairs,
     derive_deterministic_obdd,
@@ -70,12 +68,22 @@ def test_reachable_universal_doubles_each_level(rng):
     assert [len(lv.configs) for lv in levels] == [1, 2, 4, 8, 16]
 
 
+def final_row(p, levels, v):
+    """The row of the last level that input ``v`` reaches, found by walking
+    ``prev_transitions`` from the root."""
+    bits, row = bits_of_value(v, p.n_vars), 0
+    for lv, tf in zip(levels[1:], p.transformations):
+        row = int(lv.prev_transitions[row, bits[tf.var_index - 1]])
+    return row
+
+
 def test_reachable_prefix_map_consistent():
+    # the row each input's read-bit prefix reaches holds its final configuration
     p = mod_block(ModBlockSpec(3, 2, 5))
     levels = reachable_configurations(p)
     final = levels[-1]
     for v in range(1 << 5):
-        cfg = final.configs[int(final.prefix_map[v])]
+        cfg = final.configs[final_row(p, levels, v)]
         direct = final_configuration(p, bits_of_value(v, 5))
         assert np.linalg.norm(cfg - direct) <= 1e-9
 
@@ -120,9 +128,9 @@ def test_reachable_final_configs_match_chain_oracle(case, rng):
         n, p = 10, build_mod_program(5, 10)
     else:
         n, p = 7, random_program(rng, d=5, n=7)
-    final = reachable_configurations(p)[-1]
+    levels = reachable_configurations(p)
     for v in range(1 << n):
-        prob = accept_probability(final.configs[int(final.prefix_map[v])], p)
+        prob = accept_probability(levels[-1].configs[final_row(p, levels, v)], p)
         assert abs(prob - chain_probability(p, bits_of_value(v, n))) <= 1e-9
 
 
@@ -218,16 +226,11 @@ def test_near_pairs_dense_window_on_basis_vectors(seed, d, offset):
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 4),
-       st.sampled_from([1e-13, 3e-10, 1e-9]), st.sampled_from([1, 3, 7, 256]))
+       st.sampled_from([1e-13, 3e-10, 1e-9]))
 @settings(max_examples=80, deadline=None)
-def test_greedy_dedup_matches_sequential_loop(seed, m, d, scale, chunk):
+def test_greedy_dedup_matches_sequential_loop(seed, m, d, scale):
     rows = clustered_rows(seed, m, d, scale)
-    saved = qbp.analysis._DEDUP_CHUNK_ROWS
-    qbp.analysis._DEDUP_CHUNK_ROWS = chunk
-    try:
-        kept, index = _greedy_dedup(rows, CONFIG_DEDUP_TOL)
-    finally:
-        qbp.analysis._DEDUP_CHUNK_ROWS = saved
+    kept, index = _greedy_dedup(rows, CONFIG_DEDUP_TOL)
     ref_kept, ref_index = reference_dedup(rows, CONFIG_DEDUP_TOL)
     assert index.tolist() == ref_index
     assert np.array_equal(kept, ref_kept)
@@ -370,31 +373,19 @@ def test_measured_separation_is_exact_at_small_distances(delta):
     assert np.array_equal(obdd.classify_all(), f.bits)
 
 
-def test_measured_separation_read_twice_matches_all_inputs():
-    # non-read-once: the final configurations of all 2^n inputs, deduplicated
-    block = mod_block(ModBlockSpec(5, 1, 4))
-    p = QbProgram(4, 2, block.transformations * 2, block.initial, block.accepting)
-    probs = evaluate_all(p)
-    f = TruthTable(4, probs > 0.5)
-    finals = [final_configuration(p, bits_of_value(v, 4)) for v in range(16)]
-    acc = [c for c, b in zip(finals, f.bits) if b]
-    rej = [c for c, b in zip(finals, f.bits) if not b]
-    expected = min(np.linalg.norm(a - r) for a in acc for r in rej)
-    eps = float(np.min(np.abs(probs - 0.5)))
-    assert measured_separation(p, f, eps) == pytest.approx(expected, abs=1e-12)
-
-
 def test_derive_refuses_read_twice_before_any_configuration(monkeypatch, tmp_path):
-    # read-twice MOD_5 at n = 12: refused before the leaf block is built and
-    # its 4096 final configurations are deduplicated
+    # read-twice MOD_5 at n = 12: the derivation and the separation are both
+    # refused before the leaf block is built or any configuration deduplicated
     block = mod_block(ModBlockSpec(5, 1, 12))
     p = QbProgram(12, 2, block.transformations * 2, block.initial, block.accepting)
     f = TruthTable(12, evaluate_all(p) > 0.5)
     calls = []
     for name in ("_leaf_walk", "_greedy_dedup"):
         monkeypatch.setattr(qbp.analysis, name, lambda *args, name=name: calls.append(name))
-    with pytest.raises(ValueError, match="requires a read-once program"):
-        derive_deterministic_obdd(p, f, None, 0.25)
+    for refused in (lambda: derive_deterministic_obdd(p, f, None, 0.25),
+                    lambda: measured_separation(p, f, 0.25)):
+        with pytest.raises(ValueError, match="requires a read-once program"):
+            refused()
     assert calls == []
 
     prog, table = tmp_path / "twice.json", tmp_path / "twice.tt"
@@ -406,24 +397,6 @@ def test_derive_refuses_read_twice_before_any_configuration(monkeypatch, tmp_pat
     assert result.exit_code == 2
     assert "requires a read-once program" in result.output
     assert calls == []
-
-
-def test_read_k_classification_builds_the_leaf_block_once(monkeypatch):
-    block = mod_block(ModBlockSpec(5, 1, 4))
-    p = QbProgram(4, 2, block.transformations * 2, block.initial, block.accepting)
-    probs = evaluate_all(p)
-    f, eps = TruthTable(4, probs > 0.5), float(np.min(np.abs(probs - 0.5)))
-    real, calls = qbp.program._leaf_walk, []
-
-    def counting(prog, whole=False):
-        calls.append(whole)
-        return real(prog, whole)
-
-    monkeypatch.setattr(qbp.program, "_leaf_walk", counting)
-    monkeypatch.setattr(qbp.analysis, "_leaf_walk", counting)
-    configs, accepts, levels = _classified_final_configs(p, f, eps)
-    assert calls == [True] and levels is None
-    assert configs.shape[1] == 2 and accepts.dtype == bool and accepts.shape == configs.shape[:1]
 
 
 def test_random_programs_meet_theta1(rng):

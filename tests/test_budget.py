@@ -2,12 +2,14 @@
 refuses, before allocating, a step that needs more than
 ``linalg.MEMORY_BUDGET_BYTES``, and accepts one that needs exactly that."""
 
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qbp import analysis, cli, constructions, linalg, program
+from qbp import analysis, cli, constructions, linalg, program, realify
 from qbp.program import QbProgram, QuantumTransformation, TruthTable
 
 MiB = 1 << 20
@@ -63,23 +65,6 @@ def _separation_per_input():
     return (lambda: analysis.measured_separation(p, f, 0.5)), 32 << 16, "separation", None
 
 
-def _separation_leaf_rows():
-    # the MOD_3 block with every variable read twice (rotation by 4*pi*|x|/3),
-    # padded to width 8 so that this check, not the leaf walk's, binds
-    pad = np.eye(8, dtype=complex)
-
-    def padded(u):
-        out = pad.copy()
-        out[:2, :2] = u
-        return out
-
-    blocks = tuple(QuantumTransformation(tf.var_index, padded(tf.u0), padded(tf.u1)) for tf in
-                   constructions.mod_block(constructions.ModBlockSpec(3, 1, 15)).transformations)
-    p = QbProgram(15, 8, blocks + blocks, np.eye(8)[0], frozenset({1}))
-    f = constructions.mod_truth_table(3, 15)
-    return (lambda: analysis.measured_separation(p, f, 0.25)), 3 * 8 * 16 << 15, "separation", None
-
-
 def _gram():
     rng = np.random.default_rng(5)
     a, b = (rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2)) for _ in range(2))
@@ -109,6 +94,25 @@ def _program_format():
             "program format", None)
 
 
+def _program_load():
+    # the universal n = 6 file, parsed at 16 bytes per file byte; the lambda
+    # keeps the temporary directory alive
+    f = TruthTable.random(6, np.random.default_rng(6))
+    tmp = tempfile.TemporaryDirectory()
+    path = os.path.join(tmp.name, "universal.json")
+    program.save_program(constructions.universal_exact_qbp(f), path)
+    need = os.path.getsize(path) * program._LOAD_BYTES_PER_FILE_BYTE
+    return (lambda: (tmp, program.load_program(path))), need, "program load", None
+
+
+def _realify():
+    # the universal n = 6 program: 12 realified levels of width 128, 2.5
+    # levels' bytes per level kept and 4 for one level's temporaries
+    p = constructions.universal_exact_qbp(TruthTable.random(6, np.random.default_rng(6)))
+    need = 16 * 128 * 128 * (5 * 6 + 8) // 2
+    return (lambda: realify.realify_program(p)), need, "realify", None
+
+
 def _mod_construction():
     width = 2 * constructions.greedy_good_set(3).t
     need = 2000 * width * (2 * 16 * width + constructions._LEVEL_BYTES_PER_STATE)
@@ -134,12 +138,13 @@ SITES = {
     "evaluation per-input data": _per_input,
     "reachable level": _reachable_level,
     "separation per-input data": _separation_per_input,
-    "separation read-k leaf rows": _separation_leaf_rows,
     "separation Gram matrix": _gram,
     "min_obdd_width": _width_oracle,
     "universal_exact_qbp": _universal,
     "Monomial.dense": _dense_level,
     "program format": _program_format,
+    "program load": _program_load,
+    "realify": _realify,
     "build_mod_program": _mod_construction,
     "_good_table": _good_set,
     "mod_truth_table": _truth_table,

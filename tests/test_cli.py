@@ -217,9 +217,9 @@ def test_analyze_builds_the_leaf_block_once(tmp_path, monkeypatch):
     univ, table = _universal_files(tmp_path)
     real, calls = program._leaf_walk, []
 
-    def counting(p, whole=False):
+    def counting(p):
         calls.append(p)
-        return real(p, whole)
+        return real(p)
 
     monkeypatch.setattr(program, "_leaf_walk", counting)
     monkeypatch.setattr(analysis, "_leaf_walk", counting)

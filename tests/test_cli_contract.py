@@ -12,6 +12,7 @@
 import csv
 import io
 import json
+import os
 import tracemalloc
 
 import pytest
@@ -232,6 +233,16 @@ def test_widths_over_budget_exits_2(files, monkeypatch):
     result = CliRunner().invoke(main, ["widths", "--truth-table", files["mod3.tt"]])
     assert result.exit_code == 2, result.output
     assert "width oracle budget exceeded: a table of 2^6 entries needs 1040 bytes" in result.output
+    assert _records(result.stderr) == []
+
+
+def test_program_load_over_budget_exits_2(files, monkeypatch):
+    # parsing a program file is counted at 16 bytes per file byte
+    need = os.path.getsize(files["univ.json"]) * 16
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", need - 1)
+    result = CliRunner().invoke(main, ["realify", files["univ.json"], "-o", files["out"]])
+    assert result.exit_code == 2, result.output
+    assert f"program load budget exceeded: parsing a program file of {need // 16} bytes" in result.output
     assert _records(result.stderr) == []
 
 

@@ -16,27 +16,16 @@ from hypothesis import strategies as st
 
 from qbp.analysis import (
     CHAIN_SLACK,
-    CONFIG_DEDUP_TOL,
-    _greedy_dedup,
     _near_pairs,
     derive_deterministic_obdd,
     measured_separation,
     reachable_configurations,
 )
 from qbp.constructions import ModBlockSpec, build_mod_program, mod_block, universal_exact_qbp
-from qbp.program import (
-    QbProgram,
-    QuantumTransformation,
-    TruthTable,
-    _leaf_indices,
-    _leaf_walk,
-    accept_probability,
-    evaluate_all,
-    is_read_once,
-)
+from qbp.program import TruthTable, accept_probability, evaluate_all
 from qbp.realify import realify_program
 
-from conftest import haar_unitary, random_program, random_state
+from conftest import random_program
 
 
 # -- reference: the derivation one configuration at a time --------------------------
@@ -73,15 +62,9 @@ def ref_classified(p, f, epsilon):
     probs = evaluate_all(p)
     ok = np.where(f.bits, probs >= 0.5 + epsilon - 1e-12, probs <= 0.5 - epsilon + 1e-12)
     assert ok.all()
-    levels = None
-    if is_read_once(p):
-        levels = reachable_configurations(p)
-        configs = list(levels[-1].configs)
-    else:
-        _, order, cols = _leaf_walk(p, whole=True)
-        configs, _ = _greedy_dedup(cols[:, _leaf_indices(order, p.n_vars)].T, CONFIG_DEDUP_TOL)
+    levels = reachable_configurations(p)
     accepting, rejecting = [], []
-    for c in configs:
+    for c in levels[-1].configs:
         prob = accept_probability(c, p)
         if prob >= 0.5 + epsilon - 1e-12:
             accepting.append(c)
@@ -159,13 +142,8 @@ def make_program(kind, seed, n):
         return universal_exact_qbp(TruthTable.random(min(n, 5), rng))
     if kind == "realified-haar":
         return realify_program(random_program(rng, d=int(rng.integers(2, 4)), n=n))
-    if kind == "realified-universal":
-        return realify_program(universal_exact_qbp(TruthTable.random(min(n, 4), rng)))
-    # read-twice: x_1..x_n, then x_n..x_1, Haar unitaries
-    d = int(rng.integers(2, 5))
-    order = list(range(1, n + 1)) + list(range(n, 0, -1))
-    tfs = tuple(QuantumTransformation(j, haar_unitary(rng, d), haar_unitary(rng, d)) for j in order)
-    return QbProgram(n, d, tfs, random_state(rng, d), frozenset({1}))
+    # realified-universal
+    return realify_program(universal_exact_qbp(TruthTable.random(min(n, 4), rng)))
 
 
 def table_and_margin(p):
@@ -204,13 +182,3 @@ def test_derivation_matches_reference_read_once(kind, seed, n, shrink):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert obdd.accepting == ref["accepting"]
         assert np.array_equal(obdd.classify_all(), ref_classify_all(ref, p.n_vars))
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from([1.0, 0.5]))
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-def test_separation_matches_reference_read_twice(seed, n, shrink):
-    p = make_program("read-twice", seed, n)
-    f, margin = table_and_margin(p)
-    epsilon = margin * shrink
-    accepting_cfgs, rejecting_cfgs, _ = ref_classified(p, f, epsilon)
-    assert measured_separation(p, f, epsilon) == ref_min_cross_distance(accepting_cfgs, rejecting_cfgs)

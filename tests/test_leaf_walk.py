@@ -109,13 +109,12 @@ def _read_twice_counter(w: int, n: int) -> QbProgram:
     return permutation_bp_to_qbp(_counter(w, [int(v) + 1 for _ in range(2) for v in rng.permutation(n)]))
 
 
-@pytest.mark.parametrize("p, whole, chunk_bytes", [
-    (_read_twice_counter(5, 14), False, program._CHUNK_BYTES),  # never splits: one 2^14 block
-    (_read_twice_counter(5, 14), True, program._CHUNK_BYTES),
-    (_read_twice_counter(5, 14), False, 1 << 16),  # splits: a re-read bit is constant over a chunk
-    (build_mod_program(5, 14), False, 1 << 16),
-], ids=["read twice", "read twice, whole", "read twice, chunked", "mod, chunked"])
-def test_walk_holds_at_most_its_checked_count(monkeypatch, p, whole, chunk_bytes):
+@pytest.mark.parametrize("p, chunk_bytes", [
+    (_read_twice_counter(5, 14), program._CHUNK_BYTES),  # never splits: one 2^14 block
+    (_read_twice_counter(5, 14), 1 << 16),  # splits: a re-read bit is constant over a chunk
+    (build_mod_program(5, 14), 1 << 16),
+], ids=["read twice", "read twice, chunked", "mod, chunked"])
+def test_walk_holds_at_most_its_checked_count(monkeypatch, p, chunk_bytes):
     # the walk's traced peak is within what its budget check counts
     real, checked = linalg.check_budget, []
 
@@ -128,7 +127,7 @@ def test_walk_holds_at_most_its_checked_count(monkeypatch, p, whole, chunk_bytes
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        program._leaf_walk(p, whole=whole)
+        program._leaf_walk(p)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
