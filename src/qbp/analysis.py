@@ -22,7 +22,12 @@ The derived OBDD and the minimal OBDD of a function share one type,
 one unique table per level: the leaves are the table's values in
 input-value order for the variable order, and the nodes of a level are the
 distinct (low, high) pairs of nodes of the level below, keyed as
-low * width + high and found with one ``np.unique``.
+low * width + high.  The keys of a level lie below width^2, so where width^2
+is at most the number of pairs they are ranked through a presence table of
+width^2 flags: the keys present, in order, and each pair's rank among them
+(a running count of the flags), in linear time and without a sort.  Only
+the wide levels near the root of an unstructured table, with more possible
+keys than pairs, sort their pairs with ``np.unique``.
 
 Also here: the measured accept/reject separation of a read-once program
 (the theta of the lower bound, taken over its last reachable level), the
@@ -533,8 +538,15 @@ def min_obdd_width(f: TruthTable, order: Sequence[int] | None = None) -> Obdd:
     """The minimal quasi-reduced OBDD of ``f`` for a variable order (default
     1..n), built bottom up with one unique table per level (Bryant 1986; see
     the module docstring).  Its nodes at level j are the distinct
-    subfunctions after fixing the first j variables of the order.  Its arrays
-    peak at 16.25 bytes per table entry, checked against
+    subfunctions after fixing the first j variables of the order.
+
+    Each level's (low, high) keys are ranked through a presence table when
+    width^2 is at most the number of pairs, which keeps the table no larger
+    than the pairs, and by ``np.unique`` otherwise.  The leaf values present
+    come from ``any`` and ``all``, the leaf ids are one byte each, and every
+    transition table is ``intp``.  The arrays peak at 8 bytes per table
+    entry (tracemalloc, n = 20: MOD_7, random and constant tables, with and
+    without an order), within the 16.25 checked against
     ``linalg.MEMORY_BUDGET_BYTES`` first."""
     n = f.n_vars
     check_budget((65 << n) // 4, "width oracle", f"a table of 2^{n} entries")
@@ -542,14 +554,25 @@ def min_obdd_width(f: TruthTable, order: Sequence[int] | None = None) -> Obdd:
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"order must be a permutation of 1..{n}, got {order}")
     leaves = np.transpose(f.bits.reshape((2,) * n), [v - 1 for v in order]).reshape(-1)
-    values = np.unique(leaves)
-    # a leaf's id is the rank of its value among the values present
-    ids = leaves.astype(np.uint8) - np.uint8(values[0])
-    widths, tables = [values.size], []
+    # the values present, in order; a leaf's id is its value's rank among them
+    any_true = bool(leaves.any())
+    values = [False, True] if any_true and not leaves.all() else [any_true]
+    ids = leaves.astype(np.uint8)
+    ids -= np.uint8(values[0])
+    del leaves
+    widths, tables = [len(values)], []
     for _ in range(n):
         w = widths[-1]
-        keys, ids = np.unique(ids[0::2] * w + ids[1::2], return_inverse=True)
-        table = np.stack([keys // w, keys % w], axis=1)
+        pairs = ids[0::2] * w + ids[1::2]
+        if w * w <= pairs.size:
+            present = np.zeros(w * w, dtype=bool)
+            present[pairs] = True
+            keys = np.flatnonzero(present)
+            ids = (np.cumsum(present) - 1)[pairs]
+        else:
+            keys, ids = np.unique(pairs, return_inverse=True)
+        del pairs
+        table = np.stack(np.divmod(keys.astype(np.intp, copy=False), w), axis=1)
         table.flags.writeable = False
         widths.append(keys.size)
         tables.append(table)

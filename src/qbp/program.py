@@ -8,8 +8,9 @@ reads ``input[var_index - 1]``.  A unitary is stored as a dense matrix or as
 a ``Monomial`` (perm, phases): the universal and permutation constructions
 build Monomials, and a dense matrix of that shape is read as one.
 Evaluation reads the stored form; only ``u0``/``u1`` build (and keep) a
-Monomial's dense matrix, for realify, and the file format builds one at a
-time.  Also included: the JSON file format used by the command line tools.
+Monomial's dense matrix, while realify and the file format build one at a
+time (``_unitary_dense``) and keep none.  Also included: the JSON file
+format used by the command line tools.
 
 Programs are oblivious, so every evaluation advances a d x m block of
 configurations level by level (``_advance``): one column per input, or in
@@ -636,12 +637,21 @@ _LOAD_BYTES_PER_FILE_BYTE = 16
 def _array_text(a: np.ndarray) -> str:
     """The compact JSON text of a complex vector or matrix as [re, im] pairs,
     ``json.dumps(_pairs(a), separators=(",", ":"))``, formatting each
-    distinct entry once.  Entries are told apart by their 16 raw bytes, so
-    -0.0 and 0.0 stay distinct."""
-    keys = np.ascontiguousarray(a).view(np.dtype((np.void, 16))).ravel()
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    vocab = json.dumps(_pairs(distinct.view(np.complex128)), separators=(",", ":"))
-    cells = np.array(vocab[2:-2].split("],["), dtype=object)[inverse.ravel()]
+    distinct entry once.  Entries are told apart by their 16 raw bytes, the
+    two uint64 halves that one lexsort orders, so -0.0 and 0.0 stay
+    distinct."""
+    halves = np.ascontiguousarray(a).reshape(-1).view(np.uint64)
+    order = np.lexsort((halves[1::2], halves[0::2]))
+    re, im = halves[0::2][order], halves[1::2][order]
+    # an entry starts a group where either half differs from the one before
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (re[1:] != re[:-1]) | (im[1:] != im[:-1])
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    distinct = a.reshape(-1)[order[first]]
+    del order, re, im, first  # the text is built from the groups alone
+    vocab = json.dumps(_pairs(distinct), separators=(",", ":"))
+    cells = np.array(vocab[2:-2].split("],["), dtype=object)[inverse]
     rows = cells.reshape(-1, a.shape[-1]).tolist()
     text = ",".join("[[" + "],[".join(row) + "]]" for row in rows)
     return text if a.ndim == 1 else "[" + text + "]"

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .program import QbProgram, QuantumTransformation
+from .program import QbProgram, QuantumTransformation, _unitary_dense
 
 
 def realify_matrix(u) -> np.ndarray:
@@ -59,18 +59,22 @@ def realify_program(p: QbProgram) -> QbProgram:
 
     The initial configuration is encoded conjugated (see module docstring);
     for programs with a real initial configuration this is the plain
-    interleaving.  The levels it keeps (each realified unitary, plus the
-    dense form a source ``Monomial`` caches, a quarter of its size) and one
-    level's temporaries (the unitarity check's products, traced with
-    tracemalloc at up to 3.7 realified unitaries) are checked against
-    ``linalg.MEMORY_BUDGET_BYTES`` before the first level is built.
+    interleaving.  A source ``Monomial``'s dense form is built for its
+    level only (``_unitary_dense``) and not cached on the source, so the
+    call leaves the source program as it found it.  The levels it keeps
+    (each realified unitary) and one level's temporaries (the unitarity
+    check's products, traced with tracemalloc at up to 3.7 realified
+    unitaries) are checked against ``linalg.MEMORY_BUDGET_BYTES`` before the
+    first level is built.  The count, 2.5 realified unitaries per level
+    and 4 for the temporaries, leaves a quarter of a realified unitary per
+    unitary to spare.
     """
     level = 16 * (2 * p.width) ** 2
     linalg.check_budget(level * (5 * p.length + 8) // 2, "realify",
                         f"{2 * p.length} realified unitaries of width {2 * p.width}, "
                         f"with one level's temporaries,")
     tfs = tuple(
-        QuantumTransformation(tf.var_index, realify_matrix(tf.u0), realify_matrix(tf.u1))
+        QuantumTransformation(tf.var_index, *(realify_matrix(_unitary_dense(u)) for u in tf.unitaries))
         for tf in p.transformations
     )
     initial = realify_vector(np.conj(p.initial))

@@ -593,6 +593,55 @@ def test_min_obdd_is_reduced_and_reachable(data, n, kind, seed):
         assert np.array_equal(np.unique(table), np.arange(obdd.level_widths[j + 1]))
 
 
+def reference_min_obdd(f, order):
+    """Reference: the sort-based reduction, one ``np.unique`` per level.
+    Returns the level widths, the transition tables and the accepting set."""
+    n = f.n_vars
+    leaves = np.transpose(f.bits.reshape((2,) * n), [v - 1 for v in order]).reshape(-1)
+    values = np.unique(leaves)
+    ids = leaves.astype(np.uint8) - np.uint8(values[0])
+    widths, tables = [values.size], []
+    for _ in range(n):
+        w = widths[-1]
+        keys, ids = np.unique(ids[0::2] * w + ids[1::2], return_inverse=True)
+        tables.append(np.stack([keys // w, keys % w], axis=1))
+        widths.append(keys.size)
+    return tuple(widths[::-1]), tables[::-1], frozenset(np.flatnonzero(values).tolist())
+
+
+def width_oracle_cases():
+    """Random, constant and MOD_p tables for n <= 12, each under the
+    identity order and two drawn ones."""
+    rng = np.random.default_rng(15)
+    for n in range(1, 13):
+        tables = [TruthTable.random(n, rng), TruthTable.constant(n, False),
+                  TruthTable.constant(n, True)]
+        tables += [mod_truth_table(p, n) for p in (2, 3, 5, 7) if p <= n]
+        for f in tables:
+            for order in (tuple(range(1, n + 1)),
+                          *(tuple(int(v) + 1 for v in rng.permutation(n)) for _ in range(2))):
+                yield f, order
+
+
+def test_min_obdd_width_matches_sort_reference():
+    paths = set()
+    for f, order in width_oracle_cases():
+        obdd = min_obdd_width(f, order)
+        widths, tables, accepting = reference_min_obdd(f, order)
+        assert obdd.level_widths == widths
+        assert obdd.accepting == accepting
+        assert len(obdd.transitions) == len(tables)
+        for got, want in zip(obdd.transitions, tables):
+            assert got.dtype == np.intp
+            assert np.array_equal(got, want)
+        assert np.array_equal(obdd.classify_all(), f.bits)
+        # level j's nodes are ranked from 2^j pairs of nodes of level j + 1,
+        # keyed below widths[j + 1]^2
+        paths |= {widths[j + 1] ** 2 <= 1 << j for j in range(f.n_vars)}
+    # the cases rank some levels through the presence table, some by sorting
+    assert paths == {True, False}
+
+
 def test_min_obdd_width_validates_order():
     with pytest.raises(ValueError, match="permutation"):
         min_obdd_width(TruthTable.constant(3, True), (1, 1, 2))

@@ -193,3 +193,31 @@ def test_memory_budget_is_one_gib():
     with pytest.raises(ValueError, match=r"^any budget exceeded: a block needs 1073741825 bytes, "
                                          r"limit 1073741824$"):
         linalg.check_budget((1 << 30) + 1, "any", "a block")
+
+
+@pytest.mark.parametrize("kind", ["mod", "random"])
+@pytest.mark.parametrize("shuffled", [False, True], ids=["identity order", "shuffled order"])
+def test_width_oracle_peak_within_its_count(kind, shuffled):
+    # a MOD_7 table ranks every level through the presence table; a random
+    # one sorts its wide levels near the root.  A shuffled order copies the
+    # table once.  Measured: 8 bytes per entry in all four cases.
+    n = 18
+    rng = np.random.default_rng(n)
+    f = constructions.mod_truth_table(7, n) if kind == "mod" else TruthTable.random(n, rng)
+    order = tuple(int(v) + 1 for v in rng.permutation(n)) if shuffled else None
+    peak, _ = _traced(lambda: analysis.min_obdd_width(f, order))
+    assert peak <= (65 << n) // 4
+
+
+def test_realify_keeps_no_dense_form_on_its_source():
+    # the universal program's levels are Monomials: realify builds each one's
+    # dense form (256 KiB here) for its level only, so with its result
+    # dropped the call leaves nothing held on the source
+    p = constructions.universal_exact_qbp(TruthTable.random(7, np.random.default_rng(7)))
+
+    def call():
+        realify.realify_program(p)
+
+    _, held = _traced(call)
+    assert held < 16 * 128 * 128
+    assert not any("dense" in vars(u) for tf in p.transformations for u in tf.unitaries)

@@ -845,6 +845,21 @@ def test_new_format_cases_match_reference_serialiser(tmp_path, make):
         assert np.array_equal(bit_pattern(a.u1), bit_pattern(b.u1))
 
 
+@pytest.mark.parametrize("shape", [(9,), (6, 6), (1, 1)])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_array_text_matches_json_dumps(shape, transpose):
+    # entries repeat, and in the larger arrays 0.0 and -0.0 both occur in
+    # each part: grouping by raw bytes keeps them apart, as json.dumps does
+    rng = np.random.default_rng(len(shape) + transpose)
+    pool = np.array([0.0, -0.0, 0.5, -0.5, 1.0 / 3.0, 1e-300, -2.0])
+    a = np.empty(shape, dtype=np.complex128)
+    a.real = pool[rng.integers(pool.size, size=shape)]
+    a.imag = pool[rng.integers(pool.size, size=shape)]
+    a.flat[:4] = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)][:a.size]
+    a = a.T if transpose else a
+    assert program_module._array_text(a) == json.dumps(program_module._pairs(a), separators=(",", ":"))
+
+
 @pytest.mark.parametrize("make", [
     lambda: universal_exact_qbp(TruthTable.random(7, np.random.default_rng(7))),
     lambda: realify_program(universal_exact_qbp(TruthTable.random(6, np.random.default_rng(6)))),
