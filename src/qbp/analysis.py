@@ -542,28 +542,30 @@ def min_obdd_width(f: TruthTable, order: Sequence[int] | None = None) -> Obdd:
 
     Each level's (low, high) keys are ranked through a presence table when
     width^2 is at most the number of pairs, which keeps the table no larger
-    than the pairs, and by ``np.unique`` otherwise.  The leaf values present
-    come from ``any`` and ``all``, the leaf ids are one byte each, and every
-    transition table is ``intp``.  The arrays peak at 8 bytes per table
-    entry (tracemalloc, n = 20: MOD_7, random and constant tables, with and
-    without an order), within the 16.25 checked against
-    ``linalg.MEMORY_BUDGET_BYTES`` first."""
+    than the pairs, and by ``np.unique`` otherwise.  The ids keep the table's
+    layout, an axis per variable in ``axes`` (not yet removed), and a level
+    pairs the slices along its variable's axis, so no order transposes the
+    table.  Leaf values present come from ``any`` and ``all``, leaf ids are
+    one byte each, and every transition table is ``intp``.  The arrays peak
+    at 8 bytes per table entry (tracemalloc, n = 20: MOD_7, random and
+    constant tables, with and without an order), within the 16.25 checked
+    against ``linalg.MEMORY_BUDGET_BYTES`` first."""
     n = f.n_vars
     check_budget((65 << n) // 4, "width oracle", f"a table of 2^{n} entries")
     order = tuple(range(1, n + 1)) if order is None else tuple(int(v) for v in order)
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"order must be a permutation of 1..{n}, got {order}")
-    leaves = np.transpose(f.bits.reshape((2,) * n), [v - 1 for v in order]).reshape(-1)
     # the values present, in order; a leaf's id is its value's rank among them
-    any_true = bool(leaves.any())
-    values = [False, True] if any_true and not leaves.all() else [any_true]
-    ids = leaves.astype(np.uint8)
+    any_true = bool(f.bits.any())
+    values = [False, True] if any_true and not f.bits.all() else [any_true]
+    ids = f.bits.astype(np.uint8)
     ids -= np.uint8(values[0])
-    del leaves
-    widths, tables = [len(values)], []
-    for _ in range(n):
+    widths, tables, axes = [len(values)], [], list(range(1, n + 1))
+    for v in reversed(order):
         w = widths[-1]
-        pairs = ids[0::2] * w + ids[1::2]
+        ids = ids.reshape(1 << axes.index(v), 2, -1)
+        axes.remove(v)
+        pairs = (ids[:, 0] * w + ids[:, 1]).reshape(-1)
         if w * w <= pairs.size:
             present = np.zeros(w * w, dtype=bool)
             present[pairs] = True

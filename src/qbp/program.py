@@ -31,6 +31,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -516,6 +517,13 @@ def computes(p: QbProgram, f: TruthTable, criterion: Criterion) -> CheckReport:
 # paper's constructions use a handful of amplitudes (0 and +-1, or the cos
 # and sin of 2 pi k / p), so a level of d^2 entries has a few dozen distinct
 # ones.  The budget counts the entries of the initial vector and one level.
+#
+# Reading takes a fast path for exactly the writer's text (``_load_canonical``):
+# string scans split each array into rows on "]], [[" and cells on "], [", and
+# parse each distinct cell once, as two JSON numbers with a "." or an exponent
+# (float() then gives json's float, -0.0 included).  Any other text goes to
+# ``json.load`` and ``program_from_obj``, so a file gives the same program or
+# the same error on either path.
 
 class ProgramFormatError(ValueError):
     """Malformed program document; ``where`` locates the first error."""
@@ -616,6 +624,10 @@ def program_from_obj(obj) -> QbProgram:
             tfs.append(QuantumTransformation(var, u0, u1))
         except ValueError as e:
             raise ProgramFormatError(where, str(e)) from e
+    return _checked_program(n_vars, width, tfs, initial, accepting)
+
+
+def _checked_program(n_vars, width, tfs, initial, accepting) -> QbProgram:
     try:
         return QbProgram(n_vars, width, tuple(tfs), initial, frozenset(accepting))
     except ValueError as e:
@@ -628,9 +640,9 @@ def program_from_obj(obj) -> QbProgram:
 # every entry, 191 with Haar entries, and 29-37 with the few distinct entries
 # of the universal, realified and MOD_p programs.
 _FORMAT_BYTES_PER_ENTRY = 216
-# Bytes that loading holds per byte of the file, for the parsed JSON document
-# and the arrays built from it.  Measured (tracemalloc) at 13.4-13.6 for
-# universal, realified and MOD_p files, and 4.2 for Haar files.
+# Bytes that the json path of loading holds per byte of the file, for the
+# parsed JSON document and the arrays built from it.  Measured (tracemalloc)
+# at 13.4-13.7 for universal, realified and MOD_p files, and 4.2 for Haar files.
 _LOAD_BYTES_PER_FILE_BYTE = 16
 
 
@@ -712,12 +724,75 @@ def save_program(p: QbProgram, path) -> str:
     return _stream_program(p, path)
 
 
+_INT = rb"[1-9]\d{0,8}"
+_NUMBER = rb"-?(?:0|[1-9]\d*)(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+)"  # not an integer
+_HEAD = re.compile(rb'\{"n_vars": (%s), "width": (%s), "initial": \[\[(.*?)\]\], "accepting": '
+                   rb'\[((?:%s(?:, %s)*)?)\], "transformations": \[' % ((_INT,) * 4))
+_CELL = re.compile(rb"(%s), (%s)" % (_NUMBER, _NUMBER))
+
+
+def _canonical_cells(text: bytes, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The complex array of ``shape`` whose text between its outer brackets
+    is ``text`` in the writer's layout, each distinct cell parsed once; None
+    for any other text."""
+    parts = [row.split(b"], [") for row in text.split(b"]], [[")]
+    if len(parts) != math.prod(shape[:-1]) or set(map(len, parts)) != {shape[-1]}:
+        return None
+    cells = list(chain.from_iterable(parts))
+    ids, values = dict.fromkeys(cells), []
+    for i, cell in enumerate(ids):
+        m = _CELL.fullmatch(cell)
+        if m is None:
+            return None
+        values += (float(m[1]), float(m[2]))
+        ids[cell] = i
+    index = np.fromiter(map(ids.__getitem__, cells), np.intp, len(cells)).reshape(shape)
+    return linalg._frozen(np.array(values).view(np.complex128)[index])
+
+
+def _load_canonical(raw: bytes) -> QbProgram | None:
+    """The program of a file's bytes in exactly the writer's layout, each
+    level built as soon as its two arrays are read; None for any other text."""
+    head = _HEAD.match(raw)
+    if head is None or not raw.endswith(b"]}\n"):
+        return None
+    d = int(head[2])
+    initial = _canonical_cells(head[3], (d,))
+    if initial is None:
+        return None
+    tfs, pos, last, start = [], head.end(), len(raw) - 3, b'{"var": '
+    while pos != last:
+        a = raw.find(b', "u0": [[[', pos)
+        b = raw.find(b']]], "u1": [[[', a)
+        c = raw.find(b"]]]}", b)
+        var = raw[pos + len(start):a] if 0 <= a <= pos + len(start) + 9 else b""
+        if min(b, c) < 0 or not raw.startswith(start, pos) or re.fullmatch(_INT, var) is None:
+            return None
+        u0, u1 = _canonical_cells(raw[a + 11:b], (d, d)), _canonical_cells(raw[b + 14:c], (d, d))
+        if u0 is None or u1 is None:
+            return None
+        try:
+            tfs.append(QuantumTransformation(int(var), u0, u1))
+        except ValueError:  # the json path locates it, after any earlier format error
+            return None
+        pos, start = c + 4, b', {"var": '
+    accepting = map(int, head[4].split(b", ")) if head[4] else ()
+    return _checked_program(int(head[1]), d, tfs, initial, accepting)
+
+
 def load_program(path) -> QbProgram:
-    """Read a program file.  What parsing it holds, counted from the file's
-    size, is checked against ``linalg.MEMORY_BUDGET_BYTES`` before it is read."""
+    """Read a program file, on the fast path when it is in the writer's
+    layout (format notes above ``ProgramFormatError``): 2.7-2.8 bytes per file
+    byte traced.  The path a file takes is known only once it is read, so what
+    the json path holds, counted from the file's size, is checked against
+    ``linalg.MEMORY_BUDGET_BYTES`` before it is read."""
     size = os.path.getsize(path)
     linalg.check_budget(size * _LOAD_BYTES_PER_FILE_BYTE, "program load",
                         f"parsing a program file of {size} bytes")
+    with open(path, "rb") as fh:
+        p = _load_canonical(fh.read())
+    if p is not None:
+        return p
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)

@@ -62,15 +62,16 @@ def realify_program(p: QbProgram) -> QbProgram:
     interleaving.  A source ``Monomial``'s dense form is built for its
     level only (``_unitary_dense``) and not cached on the source, so the
     call leaves the source program as it found it.  The levels it keeps
-    (each realified unitary) and one level's temporaries (the unitarity
-    check's products, traced with tracemalloc at up to 3.7 realified
-    unitaries) are checked against ``linalg.MEMORY_BUDGET_BYTES`` before the
-    first level is built.  The count, 2.5 realified unitaries per level
-    and 4 for the temporaries, leaves a quarter of a realified unitary per
-    unitary to spare.
+    (2 realified unitaries each) and one level's temporaries (the unitarity
+    check's products of a dense level, traced with tracemalloc at up to 3.7
+    realified unitaries) are checked against ``linalg.MEMORY_BUDGET_BYTES``
+    before the first level is built, counted as 2 unitaries per level and 4
+    for the temporaries.  Beside them, 2 KiB per level and 16 KiB once count
+    the Python objects, traced at up to 1.2 KiB a level and 7.2 KiB once
+    for programs of width 2 to 8.
     """
     level = 16 * (2 * p.width) ** 2
-    linalg.check_budget(level * (5 * p.length + 8) // 2, "realify",
+    linalg.check_budget((2 * level + 2048) * p.length + 4 * level + (16 << 10), "realify",
                         f"{2 * p.length} realified unitaries of width {2 * p.width}, "
                         f"with one level's temporaries,")
     tfs = tuple(

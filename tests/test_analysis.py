@@ -642,6 +642,19 @@ def test_min_obdd_width_matches_sort_reference():
     assert paths == {True, False}
 
 
+@given(st.data(), st.integers(13, 16), st.sampled_from([None, 3, 5, 7]), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_min_obdd_width_in_the_table_layout_matches_the_transposed_reference(data, n, modulus, seed):
+    # the oracle pairs slices along each variable's axis of the untransposed
+    # table; the reference transposes the table into the order first
+    f = TruthTable.random(n, np.random.default_rng(seed)) if modulus is None else mod_truth_table(modulus, n)
+    order = tuple(data.draw(st.permutations(range(1, n + 1))))
+    obdd = min_obdd_width(f, order)
+    widths, tables, accepting = reference_min_obdd(f, order)
+    assert (obdd.level_widths, obdd.accepting) == (widths, accepting)
+    assert all(np.array_equal(got, want) for got, want in zip(obdd.transitions, tables, strict=True))
+
+
 def test_min_obdd_width_validates_order():
     with pytest.raises(ValueError, match="permutation"):
         min_obdd_width(TruthTable.constant(3, True), (1, 1, 2))

@@ -12,6 +12,8 @@ import pytest
 from qbp import analysis, cli, constructions, linalg, program, realify
 from qbp.program import QbProgram, QuantumTransformation, TruthTable
 
+from conftest import random_program
+
 MiB = 1 << 20
 
 
@@ -106,10 +108,11 @@ def _program_load():
 
 
 def _realify():
-    # the universal n = 6 program: 12 realified levels of width 128, 2.5
-    # levels' bytes per level kept and 4 for one level's temporaries
+    # the universal n = 6 program: 6 realified levels of width 128, 2
+    # unitaries and 2 KiB per level kept, 4 unitaries for one level's
+    # temporaries and 16 KiB once
     p = constructions.universal_exact_qbp(TruthTable.random(6, np.random.default_rng(6)))
-    need = 16 * 128 * 128 * (5 * 6 + 8) // 2
+    need = (2 * 16 * 128 * 128 + 2048) * 6 + 4 * 16 * 128 * 128 + (16 << 10)
     return (lambda: realify.realify_program(p)), need, "realify", None
 
 
@@ -221,3 +224,22 @@ def test_realify_keeps_no_dense_form_on_its_source():
     _, held = _traced(call)
     assert held < 16 * 128 * 128
     assert not any("dense" in vars(u) for tf in p.transformations for u in tf.unitaries)
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda n=n: constructions.universal_exact_qbp(TruthTable.random(n, np.random.default_rng(n)))
+      for n in (6, 7, 8)),
+    lambda: constructions.build_mod_program(3, 6),
+    lambda: constructions.build_mod_program(5, 10),
+    *(lambda d=d, n=n: random_program(np.random.default_rng(d), d=d, n=n) for d, n in ((2, 100), (8, 30), (32, 6))),
+], ids=["universal n=6", "universal n=7", "universal n=8", "mod 3", "mod 5", "haar 2", "haar 8", "haar 32"])
+def test_realify_peak_within_its_count(make, monkeypatch):
+    # measured: the universal programs' Monomial levels peak at about half a
+    # realified unitary beyond the 2 per level they keep, dense levels at up
+    # to 3.7, and narrow programs' Python objects at up to 1.2 KiB a level
+    # and 7.2 KiB once
+    p = make()
+    counted = {}
+    monkeypatch.setattr(linalg, "check_budget", lambda need, stage, what: counted.setdefault(stage, need))
+    peak, _ = _traced(lambda: realify.realify_program(p))
+    assert 0 < peak <= counted["realify"], (peak, counted["realify"])
