@@ -254,9 +254,9 @@ def greedy_good_set(p: int) -> GoodSet:
 
 # -- parallel composition -----------------------------------------------------------
 
-# bytes per state and level of a composed program beyond its dense u0 and u1:
-# the level objects of the blocks and of the composite (measured)
-_LEVEL_BYTES_PER_STATE = 768
+# bytes per level of a MOD_p program, whose levels share one (u0, u1) pair:
+# its QuantumTransformation object, traced (tracemalloc) at up to 181
+_LEVEL_BYTES = 256
 
 
 def compose_parallel(blocks: Sequence[QbProgram]) -> QbProgram:
@@ -264,7 +264,9 @@ def compose_parallel(blocks: Sequence[QbProgram]) -> QbProgram:
 
     The initial configuration concatenates the blocks' initial vectors scaled
     by sqrt(1/len(blocks)); acceptance of the composite is then the mean of
-    the blocks' acceptances.
+    the blocks' acceptances.  Each composite level gets dense u0 and u1 of
+    its own.  ``build_mod_program`` builds, bit for bit, the composition of
+    its rotation blocks without composing them; this is its oracle.
     """
     if not blocks:
         raise ValueError("need at least one block")
@@ -301,8 +303,17 @@ def build_mod_program(p: int, n: int, strategy: str = "greedy", seed: int = 0) -
     Accepts inputs whose count of ones is divisible by p with probability 1
     and rejects the rest with probability at least 1/8.  Width is twice the
     good-set size.  The usual regime is p <= n/2; outside it a warning is
-    emitted but the construction still goes through.  The n composed levels
-    are checked against ``linalg.MEMORY_BUDGET_BYTES`` before any block is built.
+    emitted but the construction still goes through.
+
+    The program is stable, so its pair is built once, as
+    ``compose_parallel`` of the ``mod_block`` programs would build it at
+    every level: u0 the identity Monomial, u1 the block-diagonal rotations
+    by 2*pi*k/p.  All n levels share that pair, and the initial vector has
+    sqrt(1/t) at the blocks' first states.  The dense u1 and its unitarity
+    check's temporaries, counted as 4 u1 and numpy's ufunc buffers (traced
+    at up to 4.7 u1 in all for widths 84 to 268), ``_LEVEL_BYTES`` per level
+    and 16 KiB once are checked against ``linalg.MEMORY_BUDGET_BYTES``
+    before the pair is built.
     """
     _require_prime(p)
     if strategy == "greedy":
@@ -312,15 +323,21 @@ def build_mod_program(p: int, n: int, strategy: str = "greedy", seed: int = 0) -
     else:
         raise ValueError(f"unknown strategy {strategy!r}; use 'greedy' or 'sampled'")
     width = 2 * good.t
-    linalg.check_budget(n * width * (2 * 16 * width + _LEVEL_BYTES_PER_STATE), "mod construction",
-                        f"{n} composed levels of width {width}")
+    linalg.check_budget(16 * (4 * width * width + 2 * np.getbufsize()) + n * _LEVEL_BYTES + (16 << 10),
+                        "mod construction", f"{n} levels of width {width} sharing one pair")
     if p > n / 2:
         warnings.warn(
             f"modulus {p} exceeds n/2 = {n / 2}; counts of ones cover fewer residues",
             stacklevel=2,
         )
-    blocks = [mod_block(ModBlockSpec(p, k, n)) for k in good.multipliers]
-    return compose_parallel(blocks)
+    u1 = np.zeros((width, width), dtype=np.complex128)
+    for i, k in enumerate(good.multipliers):
+        u1[2 * i:2 * i + 2, 2 * i:2 * i + 2] = linalg.rotation_matrix(ModBlockSpec(p, k, n).angle)
+    first = QuantumTransformation(1, Monomial(np.arange(width), np.ones(width)), linalg._frozen(u1))
+    tfs = (first, *(QuantumTransformation(j, *first.unitaries) for j in range(2, n + 1)))
+    initial = np.zeros(width)
+    initial[0::2] = math.sqrt(1.0 / good.t)
+    return QbProgram(n, width, tfs, initial, frozenset(range(1, width, 2)))
 
 
 # -- permutation branching programs ---------------------------------------------------

@@ -9,8 +9,10 @@ a ``Monomial`` (perm, phases): the universal and permutation constructions
 build Monomials, and a dense matrix of that shape is read as one.
 Evaluation reads the stored form; only ``u0``/``u1`` build (and keep) a
 Monomial's dense matrix, while realify and the file format build one at a
-time (``_unitary_dense``) and keep none.  Also included: the JSON file
-format used by the command line tools.
+time (``_unitary_dense``) and keep none.  Levels may share a stored unitary,
+as the levels of a stable program share one pair: a shared one is checked,
+formatted, parsed and realified once.  Also included: the JSON file format
+used by the command line tools.
 
 Programs are oblivious, so every evaluation advances a d x m block of
 configurations level by level (``_advance``): one column per input, or in
@@ -97,7 +99,10 @@ class Monomial:
 
 def _stored(u) -> np.ndarray | Monomial:
     """A matrix with exactly one nonzero per row and column as a Monomial
-    whose dense form it is (-0.0 entries included), else ``u`` as it is."""
+    whose dense form it is (-0.0 entries included), else ``u`` as it is.
+    The given matrix is kept as the Monomial's dense form only where that
+    form, built from (perm, phases), would put 0.0 in place of a -0.0 (as
+    in a realified level's zero slots)."""
     if isinstance(u, Monomial):
         return u
     u = linalg.as_cmatrix(u)
@@ -106,12 +111,19 @@ def _stored(u) -> np.ndarray | Monomial:
         return u
     perm = nz.argmax(axis=1)
     m = Monomial(perm, u[np.arange(u.shape[0]), perm])
-    m.__dict__["dense"] = u  # where cached_property keeps it
+    if np.signbit(u[~nz].view(np.float64)).any():
+        m.__dict__["dense"] = u  # where cached_property keeps it
     return m
 
 
 def _dense(u: np.ndarray | Monomial) -> np.ndarray:
     return u.dense if isinstance(u, Monomial) else u
+
+
+def _unitary_within(u: np.ndarray | Monomial, tol: float) -> bool:
+    if isinstance(u, Monomial):
+        return float(np.max(np.abs(np.abs(u.phases) - 1.0))) <= tol
+    return linalg.is_unitary(u, tol)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -137,10 +149,6 @@ class QuantumTransformation:
     @property
     def dim(self) -> int:
         return self.unitaries[0].shape[0]
-
-    def _unitary_within(self, tol: float) -> bool:
-        return all(float(np.max(np.abs(np.abs(u.phases) - 1.0))) <= tol if isinstance(u, Monomial)
-                   else linalg.is_unitary(u, tol) for u in self.unitaries)
 
     def apply_to_columns(self, bit: int, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``u_bit @ cols`` for a d x m block, into ``out`` when given."""
@@ -181,6 +189,7 @@ class QbProgram:
         for s in self.accepting:
             if not 1 <= s <= self.width:
                 raise ValueError(f"accepting state {s} outside [1, {self.width}]")
+        checked = set()  # ids of the stored unitaries found unitary: a shared one is checked once
         for level, tf in enumerate(self.transformations, start=1):
             if tf.dim != self.width:
                 raise ValueError(
@@ -191,11 +200,15 @@ class QbProgram:
                     f"transformation at level {level} reads x_{tf.var_index}, "
                     f"outside [1, {self.n_vars}]"
                 )
-            if not tf._unitary_within(linalg.DEFAULT_UNITARY_TOL):
-                raise ValueError(
-                    f"transformation at level {level} is not unitary within "
-                    f"{linalg.DEFAULT_UNITARY_TOL}"
-                )
+            for u in tf.unitaries:
+                if id(u) in checked:
+                    continue
+                if not _unitary_within(u, linalg.DEFAULT_UNITARY_TOL):
+                    raise ValueError(
+                        f"transformation at level {level} is not unitary within "
+                        f"{linalg.DEFAULT_UNITARY_TOL}"
+                    )
+                checked.add(id(u))
 
     @property
     def length(self) -> int:
@@ -285,7 +298,10 @@ def is_read_once(p: QbProgram) -> bool:
 
 
 def _same_unitary(a: np.ndarray | Monomial, b: np.ndarray | Monomial) -> bool:
-    """Entrywise equal within STABLE_TOL (unitary Monomials: same perm, close phases)."""
+    """Entrywise equal within STABLE_TOL (unitary Monomials: same perm, close
+    phases); a level that shares its stored unitary is equal at once."""
+    if a is b:
+        return True
     if isinstance(a, Monomial) and isinstance(b, Monomial):
         return np.array_equal(a.perm, b.perm) and float(np.max(np.abs(a.phases - b.phases))) <= STABLE_TOL
     return float(np.max(np.abs(_dense(a) - _dense(b)))) <= STABLE_TOL
@@ -516,14 +532,19 @@ def computes(p: QbProgram, f: TruthTable, criterion: Criterion) -> CheckReport:
 # text formats each distinct [re, im] entry once (``_array_text``): the
 # paper's constructions use a handful of amplitudes (0 and +-1, or the cos
 # and sin of 2 pi k / p), so a level of d^2 entries has a few dozen distinct
-# ones.  The budget counts the entries of the initial vector and one level.
+# ones.  A unitary that is the same object as the previous level's reuses
+# that level's text, kept only while the next level repeats it: a stable
+# program's pair is formatted once, and a universal program's identity u0.
+# The budget counts the entries of the initial vector and one level.
 #
 # Reading takes a fast path for exactly the writer's text (``_load_canonical``):
 # string scans split each array into rows on "]], [[" and cells on "], [", and
 # parse each distinct cell once, as two JSON numbers with a "." or an exponent
-# (float() then gives json's float, -0.0 included).  Any other text goes to
-# ``json.load`` and ``program_from_obj``, so a file gives the same program or
-# the same error on either path.
+# (float() then gives json's float, -0.0 included).  An array whose text
+# equals one of the previous level's two is that level's stored unitary, so
+# a repeated level is parsed once and a loaded program shares it again.  Any
+# other text goes to ``json.load`` and ``program_from_obj``, so a file gives
+# the same program or the same error on either path.
 
 class ProgramFormatError(ValueError):
     """Malformed program document; ``where`` locates the first error."""
@@ -670,9 +691,9 @@ def _array_text(a: np.ndarray) -> str:
 
 
 def _unitary_dense(u: np.ndarray | Monomial) -> np.ndarray:
-    """The dense form of a stored unitary, built afresh for a Monomial that
-    was not given one (``_stored``) and not cached, so that formatting holds
-    one level's dense form at a time."""
+    """The dense form of a stored unitary, built afresh and not cached for a
+    Monomial that keeps none (``_stored`` keeps one only for a -0.0 in a zero
+    slot), so that formatting holds one level's dense form at a time."""
     if isinstance(u, Monomial):
         return u.__dict__["dense"] if "dense" in u.__dict__ else Monomial.dense.func(u)
     return u
@@ -709,11 +730,17 @@ def _stream_program(p: QbProgram, path=None) -> str:
         if fh is not None:
             fh.write(f'{{"n_vars": {p.n_vars}, "width": {d}, "initial": {initial.replace(",", ", ")}, '
                      f'"accepting": {accepting.replace(",", ", ")}, "transformations": [')
+        kept = [None, None]  # this level's texts of the arrays the next level repeats
         for i, tf in enumerate(p.transformations):
+            after = p.transformations[i + 1].unitaries if i + 1 < p.length else (None, None)
             put(',{"u0":' if i else '{"u0":', f'{", " if i else ""}{{"var": {tf.var_index}, "u0": ')
-            put(_array_text(_unitary_dense(tf.unitaries[0])))
-            put(',"u1":', ', "u1": ')
-            put(_array_text(_unitary_dense(tf.unitaries[1])))
+            for k, (u, v) in enumerate(zip(tf.unitaries, after)):
+                if k:
+                    put(',"u1":', ', "u1": ')
+                text = kept[k] or _array_text(_unitary_dense(u))
+                put(text)
+                kept[k] = text if v is u else None
+                del text  # else it is held while the next array is formatted
             put(f',"var":{tf.var_index}}}', "}")
         put(f'],"width":{d}}}', "]}\n")
     return sha.hexdigest()[:16]
@@ -760,21 +787,31 @@ def _load_canonical(raw: bytes) -> QbProgram | None:
     initial = _canonical_cells(head[3], (d,))
     if initial is None:
         return None
-    tfs, pos, last, start = [], head.end(), len(raw) - 3, b'{"var": '
-    while pos != last:
+    tfs, pos, end, start = [], head.end(), len(raw) - 3, b'{"var": '
+    last = ()  # (text, stored unitary) of the last level's two arrays
+    while pos != end:
         a = raw.find(b', "u0": [[[', pos)
         b = raw.find(b']]], "u1": [[[', a)
         c = raw.find(b"]]]}", b)
         var = raw[pos + len(start):a] if 0 <= a <= pos + len(start) + 9 else b""
         if min(b, c) < 0 or not raw.startswith(start, pos) or re.fullmatch(_INT, var) is None:
             return None
-        u0, u1 = _canonical_cells(raw[a + 11:b], (d, d)), _canonical_cells(raw[b + 14:c], (d, d))
+        level = []
+        for lo, hi in ((a + 11, b), (b + 14, c)):
+            # an array with the text of one of the last level's is that level's stored unitary
+            same = [(t, u) for t, u in last if len(t) == hi - lo and raw.startswith(t, lo)]
+            if not same:
+                text = raw[lo:hi]
+                same = [(text, _canonical_cells(text, (d, d)))]
+            level.append(same[0])
+        (t0, u0), (t1, u1) = level
         if u0 is None or u1 is None:
             return None
         try:
             tfs.append(QuantumTransformation(int(var), u0, u1))
         except ValueError:  # the json path locates it, after any earlier format error
             return None
+        last = tuple(zip((t0, t1), tfs[-1].unitaries))
         pos, start = c + 4, b', {"var": '
     accepting = map(int, head[4].split(b", ")) if head[4] else ()
     return _checked_program(int(head[1]), d, tfs, initial, accepting)
@@ -782,9 +819,10 @@ def _load_canonical(raw: bytes) -> QbProgram | None:
 
 def load_program(path) -> QbProgram:
     """Read a program file, on the fast path when it is in the writer's
-    layout (format notes above ``ProgramFormatError``): 2.7-2.8 bytes per file
-    byte traced.  The path a file takes is known only once it is read, so what
-    the json path holds, counted from the file's size, is checked against
+    layout (format notes above ``ProgramFormatError``): 1.6-2.5 bytes per file
+    byte traced for universal, realified and MOD_p files.  The path a file
+    takes is known only once it is read, so what the json path holds,
+    counted from the file's size, is checked against
     ``linalg.MEMORY_BUDGET_BYTES`` before it is read."""
     size = os.path.getsize(path)
     linalg.check_budget(size * _LOAD_BYTES_PER_FILE_BYTE, "program load",

@@ -61,8 +61,10 @@ def realify_program(p: QbProgram) -> QbProgram:
     for programs with a real initial configuration this is the plain
     interleaving.  A source ``Monomial``'s dense form is built for its
     level only (``_unitary_dense``) and not cached on the source, so the
-    call leaves the source program as it found it.  The levels it keeps
-    (2 realified unitaries each) and one level's temporaries (the unitarity
+    call leaves the source program as it found it.  A source unitary that
+    several levels share is doubled once, and its double is shared by the
+    same levels.  The levels it keeps (2 realified unitaries each, as if
+    none were shared) and one level's temporaries (the unitarity
     check's products of a dense level, traced with tracemalloc at up to 3.7
     realified unitaries) are checked against ``linalg.MEMORY_BUDGET_BYTES``
     before the first level is built, counted as 2 unitaries per level and 4
@@ -74,12 +76,15 @@ def realify_program(p: QbProgram) -> QbProgram:
     linalg.check_budget((2 * level + 2048) * p.length + 4 * level + (16 << 10), "realify",
                         f"{2 * p.length} realified unitaries of width {2 * p.width}, "
                         f"with one level's temporaries,")
-    tfs = tuple(
-        QuantumTransformation(tf.var_index, *(realify_matrix(_unitary_dense(u)) for u in tf.unitaries))
-        for tf in p.transformations
-    )
+    doubled = {}  # id of a source unitary -> its stored double: a shared one is doubled once
+    tfs = []
+    for tf in p.transformations:
+        pair = (doubled[id(u)] if id(u) in doubled else realify_matrix(_unitary_dense(u))
+                for u in tf.unitaries)
+        tfs.append(QuantumTransformation(tf.var_index, *pair))
+        doubled.update(zip(map(id, tf.unitaries), tfs[-1].unitaries))
     initial = realify_vector(np.conj(p.initial))
     accepting = frozenset(
         s for i in p.accepting for s in (2 * i - 1, 2 * i)
     )
-    return QbProgram(p.n_vars, 2 * p.width, tfs, initial, accepting)
+    return QbProgram(p.n_vars, 2 * p.width, tuple(tfs), initial, accepting)

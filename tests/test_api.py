@@ -14,7 +14,9 @@ SRC = ROOT / "src" / "qbp"
 # exports that nothing in the package calls, kept as test oracles
 ORACLES = {
     "block_final_amplitudes": "the paper's closed form for a rotation block's final configuration",
+    "compose_parallel": "the paper's parallel composition of rotation blocks, the oracle of build_mod_program",
     "good_multipliers": "the paper's definition of a good multiplier, the oracle of _good_table",
+    "mod_block": "the paper's rotation block, composed in parallel as the oracle of build_mod_program",
 }
 
 

@@ -5,6 +5,7 @@ refuses, before allocating, a step that needs more than
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -117,9 +118,12 @@ def _realify():
 
 
 def _mod_construction():
+    # MOD_3 at n = 8000: one shared pair of width 2, counted with numpy's
+    # ufunc buffers, beside 8000 levels and 16 KiB once
     width = 2 * constructions.greedy_good_set(3).t
-    need = 2000 * width * (2 * 16 * width + constructions._LEVEL_BYTES_PER_STATE)
-    return (lambda: constructions.build_mod_program(3, 2000)), need, "mod construction", None
+    need = (16 * (4 * width * width + 2 * np.getbufsize()) + 8000 * constructions._LEVEL_BYTES
+            + (16 << 10))
+    return (lambda: constructions.build_mod_program(3, 8000)), need, "mod construction", None
 
 
 def _good_set():
@@ -243,3 +247,20 @@ def test_realify_peak_within_its_count(make, monkeypatch):
     monkeypatch.setattr(linalg, "check_budget", lambda need, stage, what: counted.setdefault(stage, need))
     peak, _ = _traced(lambda: realify.realify_program(p))
     assert 0 < peak <= counted["realify"], (peak, counted["realify"])
+
+
+@pytest.mark.parametrize("p, n, strategy", [
+    (3, 1, "greedy"), (3, 5000, "greedy"), (13, 14, "sampled"), (13, 1000, "sampled"),
+    (37, 300, "sampled"), (101, 20, "sampled"),
+])
+def test_mod_construction_peak_within_its_count(p, n, strategy, monkeypatch):
+    # the levels share one pair: measured up to 181 bytes a level, and 4.7
+    # dense u1 of width 84 to 268 (the unitarity check's temporaries and
+    # numpy's ufunc buffers) once; the good set's table is counted by its own
+    # check and is small beside these for p <= 101
+    counted = {}
+    monkeypatch.setattr(linalg, "check_budget", lambda need, stage, what: counted.setdefault(stage, need))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # p > n/2
+        peak, _ = _traced(lambda: constructions.build_mod_program(p, n, strategy, seed=1))
+    assert 0 < peak <= counted["mod construction"], (peak, counted["mod construction"])

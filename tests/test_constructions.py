@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from qbp.program import (
     Monomial,
     OneSided,
     TruthTable,
+    _unitary_dense,
     bits_of_value,
     computes,
     evaluate,
@@ -38,7 +40,11 @@ from qbp.program import (
     final_configuration,
     is_read_once,
     is_stable,
+    load_program,
+    program_digest,
+    save_program,
 )
+from qbp.realify import realify_program
 
 
 PRIMES_TO_100 = [p for p in range(2, 100) if is_prime(p)]
@@ -389,6 +395,45 @@ def test_compose_sampled_mod5_programs_computes_mod5():
     probs = evaluate_all(amped)
     assert np.all(np.abs(probs[table.bits] - 1.0) <= 1e-9)
     assert np.all(1.0 - probs[~table.bits] >= 0.125 - 1e-9)
+
+
+def _composed_mod_program(p: int, n: int, strategy: str, seed: int):
+    """The paper's MOD_p program as its rotation blocks composed in parallel."""
+    good = greedy_good_set(p) if strategy == "greedy" else sample_good_set(p, seed)
+    return compose_parallel([mod_block(ModBlockSpec(p, k, n)) for k in good.multipliers])
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "sampled"])
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 12), (5, 2), (7, 14), (13, 6), (23, 20)])
+def test_build_mod_program_is_the_composition_of_its_blocks(tmp_path, strategy, p, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # p > n/2 in some cases
+        got = build_mod_program(p, n, strategy, seed=n)
+        want = _composed_mod_program(p, n, strategy, seed=n)
+    assert (got.n_vars, got.width, got.accepting, got.var_sequence) == \
+        (want.n_vars, want.width, want.accepting, want.var_sequence)
+    assert np.array_equal(bit_pattern(got.initial), bit_pattern(want.initial))
+    for a, b in zip(got.transformations, want.transformations, strict=True):
+        for u, v in zip(a.unitaries, b.unitaries):
+            assert type(u) is type(v)
+            assert np.array_equal(bit_pattern(_unitary_dense(u)), bit_pattern(_unitary_dense(v)))
+    digests = [save_program(q, tmp_path / f"{name}.json") for name, q in (("got", got), ("want", want))]
+    assert digests == [program_digest(want)] * 2
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "sampled"])
+def test_mod_levels_share_one_pair_built_loaded_and_realified(tmp_path, monkeypatch, strategy):
+    checked = []
+    is_unitary = linalg.is_unitary
+    monkeypatch.setattr(linalg, "is_unitary", lambda u, tol: checked.append(u.shape) or is_unitary(u, tol))
+    p = build_mod_program(13, 30, strategy, seed=3)
+    assert checked == [(p.width, p.width)]  # the dense u1, once for its 30 levels
+    path = tmp_path / "mod.json"
+    save_program(p, path)
+    for q in (p, load_program(path), realify_program(p)):
+        first = q.transformations[0].unitaries
+        assert all(tf.unitaries[0] is first[0] and tf.unitaries[1] is first[1] for tf in q.transformations)
 
 
 # -- permutation branching programs ----------------------------------------------------------------

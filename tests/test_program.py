@@ -883,6 +883,41 @@ def test_writer_holds_one_level_at_a_time(tmp_path, make):
     assert max(save_peak, digest_peak) <= 5 * max(level_texts), (save_peak, digest_peak, max(level_texts))
 
 
+@pytest.mark.parametrize("make, matrices", [
+    (lambda: build_mod_program(5, 12), 2),
+    (lambda: wide_mod_program(13, 8, 1), 2),
+    (lambda: universal_exact_qbp(TruthTable.random(6, np.random.default_rng(6))), 7),
+    (lambda: random_program(np.random.default_rng(4), d=4, n=5), 10),
+], ids=["mod 5", "mod width 84", "universal n=6", "haar"])
+def test_a_repeated_level_is_formatted_once(tmp_path, monkeypatch, make, matrices):
+    # a MOD program's levels share one pair and a universal program's their
+    # identity u0, so their files format 2 and n + 1 matrices; the initial
+    # vector is one more text
+    p = make()
+    want = reference_file_text(p).encode("utf-8")
+    calls = []
+    array_text = program_module._array_text
+    monkeypatch.setattr(program_module, "_array_text", lambda a: calls.append(a.ndim) or array_text(a))
+    digest = save_program(p, tmp_path / "prog.json")
+    assert sorted(calls) == [1] + [2] * matrices
+    assert (tmp_path / "prog.json").read_bytes() == want
+    calls.clear()
+    assert program_digest(p) == digest == reference_digest(p)
+    assert sorted(calls) == [1] + [2] * matrices
+
+
+def test_loaded_universal_program_shares_its_identity_and_keeps_no_dense_form(tmp_path):
+    p = universal_exact_qbp(TruthTable.random(7, np.random.default_rng(7)))
+    path = tmp_path / "universal.json"
+    save_program(p, path)
+    loaded = load_program(path)
+    assert_bit_identical(loaded, p)
+    ident = loaded.transformations[0].unitaries[0]
+    assert all(tf.unitaries[0] is ident for tf in loaded.transformations)
+    monomials = [u for tf in loaded.transformations for u in tf.unitaries]
+    assert all(isinstance(u, Monomial) and "dense" not in vars(u) for u in monomials)
+
+
 def xor2_program() -> QbProgram:
     return universal_exact_qbp(TruthTable(2, np.array([0, 1, 1, 0], dtype=bool)))
 
