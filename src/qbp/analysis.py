@@ -50,7 +50,7 @@ from .program import (
     _check_per_input,
     _column_accept_probs,
     _leaf_indices,
-    _leaf_walk,
+    _leaf_probs,
     _margin_masks,
     bits_of_value,
     is_read_once,
@@ -337,8 +337,8 @@ def _classified_final_configs(
     ``epsilon`` (every other row rejects), and the reachable levels, so
     callers need not enumerate them again.
 
-    A program that is not read-once is refused first.  One chunked walk over
-    the leaves (``_leaf_walk``) gives every input's acceptance probability,
+    A program that is not read-once is refused first.  One pass over the
+    leaves (``_leaf_probs``) gives every input's acceptance probability,
     to verify that the program computes ``f`` at the margin; its per-input
     data is checked against ``linalg.MEMORY_BUDGET_BYTES`` first.  The final
     configurations are the last reachable level.
@@ -350,7 +350,7 @@ def _classified_final_configs(
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
     _check_per_input(n, "separation")
-    probs, order = _leaf_walk(p)
+    probs, order = _leaf_probs(p)
     probs = probs[_leaf_indices(order, n)]
     accepts, rejects = _margin_masks(probs, epsilon)
     bad = np.flatnonzero(np.where(f.bits, ~accepts, ~rejects))

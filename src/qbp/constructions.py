@@ -334,7 +334,7 @@ def build_mod_program(p: int, n: int, strategy: str = "greedy", seed: int = 0) -
     for i, k in enumerate(good.multipliers):
         u1[2 * i:2 * i + 2, 2 * i:2 * i + 2] = linalg.rotation_matrix(ModBlockSpec(p, k, n).angle)
     first = QuantumTransformation(1, Monomial(np.arange(width), np.ones(width)), linalg._frozen(u1))
-    tfs = (first, *(QuantumTransformation(j, *first.unitaries) for j in range(2, n + 1)))
+    tfs = (first, *(QuantumTransformation._sharing(j, *first.unitaries) for j in range(2, n + 1)))
     initial = np.zeros(width)
     initial[0::2] = math.sqrt(1.0 / good.t)
     return QbProgram(n, width, tfs, initial, frozenset(range(1, width, 2)))

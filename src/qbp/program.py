@@ -10,16 +10,21 @@ build Monomials, and a dense matrix of that shape is read as one.
 Evaluation reads the stored form; only ``u0``/``u1`` build (and keep) a
 Monomial's dense matrix, while realify and the file format build one at a
 time (``_unitary_dense``) and keep none.  Levels may share a stored unitary,
-as the levels of a stable program share one pair: a shared one is checked,
-formatted, parsed and realified once.  Also included: the JSON file format
+as the levels of a stable program share one pair: a shared one is scanned,
+checked, formatted, parsed and realified once.  Also included: the JSON file format
 used by the command line tools.
 
-Programs are oblivious, so every evaluation advances a d x m block of
+Programs are oblivious, so evaluation advances a d x m block of
 configurations level by level (``_advance``): one column per input, or in
 ``evaluate_all`` per assignment to the variables read so far.  There the
 block grows to ``_CHUNK_BYTES`` and is then walked in column slices of that
 size (``_leaf_walk``), so it never holds the 2^|read|-column leaf block at
-once.  What a block or a walk holds is checked against
+once.  A narrow read-once program is not walked to its leaves but cut in
+two (``_leaf_join``): the block advances through the first half of its
+levels only, the second half is built backwards into one Gram matrix per
+assignment to its variables, and one real matrix product joins the two.
+The shape of a program alone decides which (``_join_split``).  What a
+block, a walk or a join holds is checked against
 ``linalg.MEMORY_BUDGET_BYTES`` before it is allocated.
 
 Acceptance at a margin is decided by one rule, ``_margin_masks``, which
@@ -135,8 +140,21 @@ class QuantumTransformation:
     unitaries: tuple[np.ndarray | Monomial, np.ndarray | Monomial]
 
     def __init__(self, var_index: int, u0: np.ndarray | Monomial, u1: np.ndarray | Monomial):
+        self._keep(var_index, _stored(u0), _stored(u1))
+
+    @classmethod
+    def _sharing(cls, var_index: int, u0: np.ndarray | Monomial,
+                 u1: np.ndarray | Monomial) -> "QuantumTransformation":
+        """A level of unitaries already stored (another level's, or
+        ``_stored`` results), kept as they are: a level that repeats a stored
+        unitary does not scan its d^2 entries again."""
+        tf = cls.__new__(cls)
+        tf._keep(var_index, u0, u1)
+        return tf
+
+    def _keep(self, var_index: int, u0: np.ndarray | Monomial, u1: np.ndarray | Monomial) -> None:
         object.__setattr__(self, "var_index", var_index)
-        object.__setattr__(self, "unitaries", (_stored(u0), _stored(u1)))
+        object.__setattr__(self, "unitaries", (u0, u1))
         if var_index < 1:
             raise ValueError(f"var_index must be >= 1, got {var_index}")
         (d0, _), (d1, _) = (u.shape for u in self.unitaries)
@@ -324,7 +342,8 @@ _CHUNK_BYTES = 1 << 20
 def _leaf_walk(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
     """The acceptance probability of every leaf, one per assignment to the
     variables read (first-read order, first most significant), and that
-    order.
+    order, for any program: the path of wide and read-k programs (see
+    ``_leaf_probs``), and the reference the join is tested against.
 
     A fresh variable doubles the block (column c becomes 2c and 2c + 1); a
     re-read one takes each column's bit from its global index.  Once the
@@ -375,6 +394,98 @@ def _leaf_walk(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
     return probs, tuple(position)
 
 
+def _join_need(d: int, levels: int, accepting: int, s: int) -> int:
+    """Bytes that ``_leaf_join`` holds, counted as if all at once: the prefix
+    block of 2^s columns with its last doubling's half and gather (2 blocks),
+    the prefix operand (d^2 entries a row) and the conjugate it is made
+    from; the suffix block W at its last doubling with its scattered product
+    (2 blocks) and its conjugate, the Gram operand (d^2 entries a row); the
+    2^levels probabilities, and numpy's ufunc buffers."""
+    prefix, suffix = 1 << s, 1 << (levels - s)
+    return (16 * (prefix * (d * d + 3 * d) + suffix * (d * d + 3 * accepting * d))
+            + (8 << levels) + 3 * 16 * np.getbufsize())
+
+
+def _join_split(p: QbProgram) -> int | None:
+    """Where ``_leaf_probs`` cuts a program's levels for ``_leaf_join``, or
+    None to walk them.  Only a read-once program is cut, and only where its
+    2^floor(L/2) prefixes number at least 32 and at least 2 d, and what the
+    join holds fits ``linalg.MEMORY_BUDGET_BYTES``.  Measured with numpy's
+    OpenBLAS on 2 cores: the join took 0.05-0.7 of the walk's time for Haar
+    and MOD programs of width 4 to 128 past that line, 0.8-1.1 of it just
+    short of it (width 84 at L = 14 and 15, width 48 at L = 12), and about
+    as long below 2^10 leaves, where both take about 0.1 ms.  The prefix
+    takes one level more than half: that was never slower."""
+    d, levels = p.width, p.length
+    if 1 << levels // 2 < max(32, 2 * d) or not is_read_once(p):
+        return None
+    s = levels // 2 + 1
+    return s if _join_need(d, levels, len(p.accepting), s) <= linalg.MEMORY_BUDGET_BYTES else None
+
+
+def _leaf_join(p: QbProgram, s: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``_leaf_walk`` of a read-once program by meet in the middle (Horowitz
+    and Sahni, JACM 1974): its L levels are cut after the first ``s``.
+
+    The prefix states psi_a (a over 2^s assignments) are walked as the leaf
+    walk doubles them.  The suffix operators W_b = P_acc U_L(b_L) ... U_{s+1}
+    (b over 2^(L-s)) are built backwards by doubling, a new level's bit the
+    most significant, and reduced to their Gram matrices G_b = W_b^* W_b.
+    Leaf a 2^(L-s) + b accepts with psi_a^* G_b psi_a, the sum over i, j of
+    G_b[i, j] conj(O_a[i, j]) for O_a = psi_a psi_a^*, whose real part is
+    the dot product of the [re, im] pairs of O_a and G_b: so one real matrix
+    product of the O_a rows and the G_b columns gives every leaf, in the
+    walk's leaf order, and is clipped to [0, 1] in place.  Monomial levels
+    are gathered on the prefix and scattered on the suffix.
+
+    Each probability rounds differently from the walk's, within
+    4 (L + d) d 2^-52: measured within 3.1e-15 (14 2^-52) of it at every cut
+    of random Haar, Monomial, MOD_p and realified programs of width up to
+    128.  What it holds (``_join_need``) is checked against
+    ``linalg.MEMORY_BUDGET_BYTES`` before anything is allocated.
+    """
+    d, levels, order = p.width, p.length, p.var_sequence
+    acc = p._accept_index
+    linalg.check_budget(_join_need(d, levels, acc.size, s), "evaluation",
+                        f"the meet-in-the-middle join of 2^{s} prefixes and 2^{levels - s} "
+                        f"suffixes of width {d}")
+    w = np.zeros((acc.size, d), dtype=np.complex128)
+    w[np.arange(acc.size), acc] = 1.0
+    for tf in reversed(p.transformations[s:]):
+        r = w.shape[0]
+        nxt = np.empty((2 * r, d), dtype=np.complex128)
+        for b, u in enumerate(tf.unitaries):
+            if isinstance(u, Monomial):  # (W U)[:, perm[i]] = W[:, i] phases[i]
+                nxt[b * r:(b + 1) * r, u.perm] = w * u.phases
+            else:
+                np.matmul(w, u, out=nxt[b * r:(b + 1) * r])
+        w = nxt
+    w = w.reshape(1 << (levels - s), acc.size, d)
+    gram = np.matmul(w.conj().transpose(0, 2, 1), w)
+    del w
+    cols = p.initial.reshape(-1, 1)
+    for tf in p.transformations[:s]:
+        nxt = np.empty((d, 2 * cols.shape[1]), dtype=np.complex128)
+        tf.apply_to_columns(0, cols, out=nxt[:, 0::2])
+        tf.apply_to_columns(1, cols, out=nxt[:, 1::2])
+        cols = nxt
+    states = cols.T
+    outer = np.empty((states.shape[0], d, d), dtype=np.complex128)
+    np.multiply(states[:, :, None], states.conj()[:, None, :], out=outer)
+    del cols, states
+    probs = np.matmul(outer.view(np.float64).reshape(outer.shape[0], -1),
+                      gram.view(np.float64).reshape(gram.shape[0], -1).T)
+    return np.clip(probs, 0.0, 1.0, out=probs).reshape(-1), order
+
+
+def _leaf_probs(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Every leaf's acceptance probability and the first-read order, as
+    ``_leaf_walk`` gives them: joined from a split (``_leaf_join``) where
+    ``_join_split`` finds one, else walked."""
+    s = _join_split(p)
+    return _leaf_walk(p) if s is None else _leaf_join(p, s)
+
+
 def _leaf_indices(var_sequence: Sequence[int], n_vars: int) -> np.ndarray:
     """For every input value, the leaf column index of its read-bit sequence."""
     values = np.arange(1 << n_vars, dtype=np.int64)
@@ -388,15 +499,18 @@ def _leaf_indices(var_sequence: Sequence[int], n_vars: int) -> np.ndarray:
 def evaluate_all(p: QbProgram) -> np.ndarray:
     """Acceptance probabilities for all 2^n inputs, indexed by input value.
 
-    Any program, read-once or not, is evaluated by one walk over its leaves
-    (``_leaf_walk``), where inputs with a common prefix in read order share
-    their work.  What the walk holds (its chunk blocks and 2^|read|
+    Every leaf, one per assignment to the variables read, is reached by one
+    pass (``_leaf_probs``): a walk over the leaves (``_leaf_walk``), where
+    inputs with a common prefix in read order share their work, or, for a
+    narrow read-once program, a meet-in-the-middle join of its prefix
+    states and suffix Gram matrices (``_leaf_join``), which may differ from
+    the walk in the last bits.  What the pass holds (its blocks and 2^|read|
     probabilities) and the per-input arrays (2^n x 32 bytes) must each fit in
     ``linalg.MEMORY_BUDGET_BYTES``, else ValueError is raised first.
     """
     n = p.n_vars
     _check_per_input(n, "evaluation")
-    probs, order = _leaf_walk(p)
+    probs, order = _leaf_probs(p)
     if order == tuple(range(1, n + 1)):
         return probs
     return probs[_leaf_indices(order, n)]
@@ -789,6 +903,18 @@ def _load_canonical(raw: bytes) -> QbProgram | None:
         return None
     tfs, pos, end, start = [], head.end(), len(raw) - 3, b'{"var": '
     last = ()  # (text, stored unitary) of the last level's two arrays
+
+    def stored(lo: int, hi: int) -> tuple[bytes, np.ndarray | Monomial | None]:
+        """The text raw[lo:hi] of an array and its stored unitary, None for
+        other text: an array with the text of one of the last level's is
+        that level's stored unitary, neither parsed nor scanned again."""
+        for t, u in last:
+            if len(t) == hi - lo and raw.startswith(t, lo):
+                return t, u
+        text = raw[lo:hi]
+        cells = _canonical_cells(text, (d, d))
+        return text, None if cells is None else _stored(cells)
+
     while pos != end:
         a = raw.find(b', "u0": [[[', pos)
         b = raw.find(b']]], "u1": [[[', a)
@@ -796,22 +922,14 @@ def _load_canonical(raw: bytes) -> QbProgram | None:
         var = raw[pos + len(start):a] if 0 <= a <= pos + len(start) + 9 else b""
         if min(b, c) < 0 or not raw.startswith(start, pos) or re.fullmatch(_INT, var) is None:
             return None
-        level = []
-        for lo, hi in ((a + 11, b), (b + 14, c)):
-            # an array with the text of one of the last level's is that level's stored unitary
-            same = [(t, u) for t, u in last if len(t) == hi - lo and raw.startswith(t, lo)]
-            if not same:
-                text = raw[lo:hi]
-                same = [(text, _canonical_cells(text, (d, d)))]
-            level.append(same[0])
-        (t0, u0), (t1, u1) = level
-        if u0 is None or u1 is None:
-            return None
         try:
-            tfs.append(QuantumTransformation(int(var), u0, u1))
+            last = (stored(a + 11, b), stored(b + 14, c))
+            (_, u0), (_, u1) = last
+            if u0 is None or u1 is None:
+                return None
+            tfs.append(QuantumTransformation._sharing(int(var), u0, u1))
         except ValueError:  # the json path locates it, after any earlier format error
             return None
-        last = tuple(zip((t0, t1), tfs[-1].unitaries))
         pos, start = c + 4, b', {"var": '
     accepting = map(int, head[4].split(b", ")) if head[4] else ()
     return _checked_program(int(head[1]), d, tfs, initial, accepting)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .program import QbProgram, QuantumTransformation, _unitary_dense
+from .program import QbProgram, QuantumTransformation, _stored, _unitary_dense
 
 
 def realify_matrix(u) -> np.ndarray:
@@ -63,26 +63,28 @@ def realify_program(p: QbProgram) -> QbProgram:
     level only (``_unitary_dense``) and not cached on the source, so the
     call leaves the source program as it found it.  A source unitary that
     several levels share is doubled once, and its double is shared by the
-    same levels.  The levels it keeps (2 realified unitaries each, as if
-    none were shared) and one level's temporaries (the unitarity
-    check's products of a dense level, traced with tracemalloc at up to 3.7
-    realified unitaries) are checked against ``linalg.MEMORY_BUDGET_BYTES``
-    before the first level is built, counted as 2 unitaries per level and 4
-    for the temporaries.  Beside them, 2 KiB per level and 16 KiB once count
-    the Python objects, traced at up to 1.2 KiB a level and 7.2 KiB once
-    for programs of width 2 to 8.
+    same levels.  The realified unitaries it keeps (one per distinct source
+    unitary, told apart by identity) and one level's temporaries (the
+    unitarity check's products of a dense level, traced with tracemalloc at
+    up to 3.7 realified unitaries) are checked against
+    ``linalg.MEMORY_BUDGET_BYTES`` before the first level is built, counted
+    as 1 unitary per distinct source unitary and 4 for the temporaries.
+    Beside them, 2 KiB per level and 16 KiB once count the Python objects,
+    traced at up to 1.2 KiB a level and 7.2 KiB once for programs of width 2
+    to 8.
     """
     level = 16 * (2 * p.width) ** 2
-    linalg.check_budget((2 * level + 2048) * p.length + 4 * level + (16 << 10), "realify",
-                        f"{2 * p.length} realified unitaries of width {2 * p.width}, "
+    distinct = len({id(u) for tf in p.transformations for u in tf.unitaries})
+    linalg.check_budget(level * (distinct + 4) + 2048 * p.length + (16 << 10), "realify",
+                        f"{distinct} realified unitaries of width {2 * p.width} for {p.length} levels, "
                         f"with one level's temporaries,")
     doubled = {}  # id of a source unitary -> its stored double: a shared one is doubled once
     tfs = []
     for tf in p.transformations:
-        pair = (doubled[id(u)] if id(u) in doubled else realify_matrix(_unitary_dense(u))
-                for u in tf.unitaries)
-        tfs.append(QuantumTransformation(tf.var_index, *pair))
-        doubled.update(zip(map(id, tf.unitaries), tfs[-1].unitaries))
+        for u in tf.unitaries:
+            if id(u) not in doubled:
+                doubled[id(u)] = _stored(realify_matrix(_unitary_dense(u)))
+        tfs.append(QuantumTransformation._sharing(tf.var_index, *(doubled[id(u)] for u in tf.unitaries)))
     initial = realify_vector(np.conj(p.initial))
     accepting = frozenset(
         s for i in p.accepting for s in (2 * i - 1, 2 * i)

@@ -380,7 +380,7 @@ def test_derive_refuses_read_twice_before_any_configuration(monkeypatch, tmp_pat
     p = QbProgram(12, 2, block.transformations * 2, block.initial, block.accepting)
     f = TruthTable(12, evaluate_all(p) > 0.5)
     calls = []
-    for name in ("_leaf_walk", "_greedy_dedup"):
+    for name in ("_leaf_probs", "_greedy_dedup"):
         monkeypatch.setattr(qbp.analysis, name, lambda *args, name=name: calls.append(name))
     for refused in (lambda: derive_deterministic_obdd(p, f, None, 0.25),
                     lambda: measured_separation(p, f, 0.25)):

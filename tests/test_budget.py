@@ -46,7 +46,17 @@ def _leaf_block():
     # and 2^16 probabilities
     p = _identity_program(16, 8, range(1, 17))
     need = 8 * 16 * ((3 << 14) + (3 << 13)) + (32 << 13) + 3 * 16 * np.getbufsize() + (8 << 16)
-    return (lambda: program.evaluate_all(p)), need, "evaluation", None
+    return (lambda: program._leaf_walk(p)), need, "evaluation", None
+
+
+def _join():
+    # width 8 at n = 18, cut after 10 levels: 2^10 prefixes and 2^8 suffixes,
+    # each d^2 entries of its operand and 3 blocks (the prefix's last doubling
+    # and conjugate; the one accepting row's suffix block likewise), numpy's
+    # ufunc buffers and 2^18 probabilities
+    p = _identity_program(18, 8, range(1, 19))
+    need = 16 * ((1 << 10) * (64 + 3 * 8) + (1 << 8) * (64 + 3 * 8)) + (8 << 18) + 3 * 16 * np.getbufsize()
+    return (lambda: program._leaf_join(p, 10)), need, "evaluation", None
 
 
 def _per_input():
@@ -109,11 +119,12 @@ def _program_load():
 
 
 def _realify():
-    # the universal n = 6 program: 6 realified levels of width 128, 2
-    # unitaries and 2 KiB per level kept, 4 unitaries for one level's
+    # the universal n = 6 program: 6 levels of width 128 realified from 7
+    # distinct unitaries (one shared identity and 6 shifts), one realified
+    # unitary kept for each and 2 KiB per level, 4 unitaries for one level's
     # temporaries and 16 KiB once
     p = constructions.universal_exact_qbp(TruthTable.random(6, np.random.default_rng(6)))
-    need = (2 * 16 * 128 * 128 + 2048) * 6 + 4 * 16 * 128 * 128 + (16 << 10)
+    need = 16 * 128 * 128 * (7 + 4) + 2048 * 6 + (16 << 10)
     return (lambda: realify.realify_program(p)), need, "realify", None
 
 
@@ -142,6 +153,7 @@ def _sweep_range():
 SITES = {
     "evaluation batch": _batch,
     "evaluation leaf block": _leaf_block,
+    "evaluation join": _join,
     "evaluation per-input data": _per_input,
     "reachable level": _reachable_level,
     "separation per-input data": _separation_per_input,
@@ -216,6 +228,25 @@ def test_width_oracle_peak_within_its_count(kind, shuffled):
     assert peak <= (65 << n) // 4
 
 
+def test_realify_counts_a_shared_pair_once():
+    # 1200 levels of width 84 sharing one pair: 2 realified unitaries of
+    # width 168, not 2400 (1.1 GB, refused before the count knew sharing)
+    p = constructions.build_mod_program(13, 1200, "sampled", seed=1)
+    counted = {}
+    real = linalg.check_budget
+
+    def spy(need, stage, what):
+        counted.setdefault(stage, need)
+        real(need, stage, what)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "check_budget", spy)
+        q = realify.realify_program(p)
+    assert counted["realify"] == 16 * 168 * 168 * (2 + 4) + 2048 * 1200 + (16 << 10)
+    assert 2 * 16 * 168 * 168 * 1200 > linalg.MEMORY_BUDGET_BYTES
+    assert q.width == 168 and len({id(u) for tf in q.transformations for u in tf.unitaries}) == 2
+
+
 def test_realify_keeps_no_dense_form_on_its_source():
     # the universal program's levels are Monomials: realify builds each one's
     # dense form (256 KiB here) for its level only, so with its result
@@ -235,14 +266,19 @@ def test_realify_keeps_no_dense_form_on_its_source():
       for n in (6, 7, 8)),
     lambda: constructions.build_mod_program(3, 6),
     lambda: constructions.build_mod_program(5, 10),
+    lambda: constructions.build_mod_program(13, 300, "sampled", seed=1),
     *(lambda d=d, n=n: random_program(np.random.default_rng(d), d=d, n=n) for d, n in ((2, 100), (8, 30), (32, 6))),
-], ids=["universal n=6", "universal n=7", "universal n=8", "mod 3", "mod 5", "haar 2", "haar 8", "haar 32"])
+], ids=["universal n=6", "universal n=7", "universal n=8", "mod 3", "mod 5", "mod 13 shared pair",
+        "haar 2", "haar 8", "haar 32"])
 def test_realify_peak_within_its_count(make, monkeypatch):
     # measured: the universal programs' Monomial levels peak at about half a
-    # realified unitary beyond the 2 per level they keep, dense levels at up
-    # to 3.7, and narrow programs' Python objects at up to 1.2 KiB a level
-    # and 7.2 KiB once
-    p = make()
+    # realified unitary beyond the one per distinct source unitary they
+    # keep, dense levels at up to 3.7, and narrow programs' Python objects
+    # at up to 1.2 KiB a level and 7.2 KiB once.  The width-84 MOD_13 pair,
+    # shared by 300 levels, is realified once
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # p > n/2
+        p = make()
     counted = {}
     monkeypatch.setattr(linalg, "check_budget", lambda need, stage, what: counted.setdefault(stage, need))
     peak, _ = _traced(lambda: realify.realify_program(p))

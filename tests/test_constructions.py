@@ -436,6 +436,32 @@ def test_mod_levels_share_one_pair_built_loaded_and_realified(tmp_path, monkeypa
         assert all(tf.unitaries[0] is first[0] and tf.unitaries[1] is first[1] for tf in q.transformations)
 
 
+def test_shared_unitaries_are_scanned_once_built_loaded_and_realified(tmp_path, monkeypatch):
+    # storing a dense unitary scans its d^2 entries (``linalg.as_cmatrix``);
+    # a level that repeats a stored one is not scanned again, so each step
+    # scans as often at n = 300 as at n = 3: once per distinct unitary
+    scans = []
+    as_cmatrix = linalg.as_cmatrix
+    monkeypatch.setattr(linalg, "as_cmatrix", lambda u: scans.append(1) or as_cmatrix(u))
+
+    def counted(step):
+        scans.clear()
+        step()
+        return len(scans)
+
+    per_n = []
+    for n in (3, 300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # p > n/2
+            p = build_mod_program(13, n, "sampled", seed=1)
+            path = tmp_path / f"mod{n}.json"
+            save_program(p, path)
+            per_n.append([counted(lambda: build_mod_program(13, n, "sampled", seed=1)),
+                          counted(lambda: load_program(path)), counted(lambda: realify_program(p))])
+    assert per_n[0] == per_n[1], per_n
+    assert per_n[0][0] == 2  # the dense u1: stored once, checked unitary once
+
+
 # -- permutation branching programs ----------------------------------------------------------------
 
 def classical_bp_decision(bp: PermutationBp, bits) -> bool:

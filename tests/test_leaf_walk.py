@@ -1,8 +1,13 @@
-"""The chunked leaf walk of ``evaluate_all`` against the one-block leaf matrix
-it replaces: bit-identical at every chunk size, and within 1e-12 of the
-dense matrix-chain oracle; and what the walk holds against its budget count."""
+"""The two ways ``evaluate_all`` reaches every leaf.  The chunked leaf walk
+against the one-block leaf matrix it replaces: bit-identical at every chunk
+size, and within 1e-12 of the dense matrix-chain oracle.  The
+meet-in-the-middle join against the walk: within its stated rounding bound
+at every split, with the same ``computes`` decisions, and taken by the
+narrow read-once programs only.  And what each holds against its budget
+count."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +15,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbp import linalg, program
-from qbp.constructions import PermutationBp, build_mod_program, permutation_bp_to_qbp
-from qbp.program import QbProgram, QuantumTransformation, bits_of_value, evaluate_all
+from qbp.constructions import (
+    PermutationBp,
+    build_mod_program,
+    mod_truth_table,
+    permutation_bp_to_qbp,
+    universal_exact_qbp,
+)
+from qbp.program import (
+    Margin,
+    OneSided,
+    QbProgram,
+    QuantumTransformation,
+    TruthTable,
+    bits_of_value,
+    computes,
+)
+from qbp.realify import realify_program
 
 from conftest import chain_probability, haar_unitary, random_state
 
@@ -51,7 +71,8 @@ def _walked(p: QbProgram, columns: int | None) -> np.ndarray:
     chunk_bytes = 1 << 62 if columns is None else 16 * p.width * columns
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(program, "_CHUNK_BYTES", chunk_bytes)
-        return evaluate_all(p)
+        probs, order = program._leaf_walk(p)
+    return probs[program._leaf_indices(order, p.n_vars)]
 
 
 def _assert_walk_matches(p: QbProgram) -> None:
@@ -128,6 +149,150 @@ def test_walk_holds_at_most_its_checked_count(monkeypatch, p, chunk_bytes):
     try:
         base = tracemalloc.get_traced_memory()[0]
         program._leaf_walk(p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(checked) == 1 and peak <= checked[0], (peak, checked)
+
+
+# -- the meet-in-the-middle join ---------------------------------------------------
+
+def join_bound(p: QbProgram) -> float:
+    """How far ``_leaf_join`` may round from the walk, as its docstring states."""
+    return 4 * (p.length + p.width) * p.width * 2.0 ** -52
+
+
+def _monomial(rng: np.random.Generator, d: int) -> program.Monomial:
+    return program.Monomial(rng.permutation(d), np.exp(2j * np.pi * rng.random(d)))
+
+
+@st.composite
+def read_once_programs(draw):
+    """Read-once Haar, Monomial, MOD_p (greedy and sampled) and counter
+    programs, some realified, reading a drawn order of some of the variables."""
+    kind = draw(st.sampled_from(["haar", "monomial", "mod", "counter"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 9))
+    seq = [int(v) + 1 for v in rng.permutation(n)[:draw(st.integers(0, n))]]
+    if kind == "mod":
+        strategy = draw(st.sampled_from(["greedy", "sampled"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # p > n/2
+            p = build_mod_program(draw(st.sampled_from([3, 5, 7, 13])), n, strategy, seed=draw(st.integers(0, 9)))
+        p = QbProgram(n, p.width, tuple(QuantumTransformation(j, *p.transformations[0].unitaries) for j in seq),
+                      p.initial, p.accepting)
+    elif kind == "counter":
+        p = permutation_bp_to_qbp(_counter(draw(st.integers(1, 7)), seq), n)
+    else:
+        d = draw(st.sampled_from([1, 2, 3, 5, 8, 84]))
+        level = (lambda: haar_unitary(rng, d)) if kind == "haar" else (lambda: _monomial(rng, d))
+        tfs = tuple(QuantumTransformation(j, level(), level()) for j in seq)
+        p = QbProgram(n, d, tfs, random_state(rng, d), frozenset(draw(st.sets(st.integers(1, d)))))
+    return realify_program(p) if p.width <= 8 and draw(st.booleans()) else p
+
+
+@settings(max_examples=40, deadline=None)
+@given(read_once_programs())
+def test_join_matches_the_walk_at_every_split(p):
+    walk, order = program._leaf_walk(p)
+    chain = np.array([chain_probability(p, bits_of_value(v, p.n_vars)) for v in range(1 << p.n_vars)])
+    for s in range(p.length + 1):
+        joined, joined_order = program._leaf_join(p, s)
+        assert joined_order == order and joined.shape == walk.shape
+        assert 0.0 <= joined.min() and joined.max() <= 1.0
+        assert np.max(np.abs(joined - walk)) <= join_bound(p), s
+        by_input = joined[program._leaf_indices(order, p.n_vars)]
+        assert np.max(np.abs(by_input - chain)) <= 1e-12, s  # the bound of the walk against the chain
+
+
+def _haar_program(d: int, n: int, seed: int) -> QbProgram:
+    rng = np.random.default_rng(seed)
+    seq = [int(v) + 1 for v in rng.permutation(n)]
+    tfs = tuple(QuantumTransformation(j, haar_unitary(rng, d), haar_unitary(rng, d)) for j in seq)
+    return QbProgram(n, d, tfs, random_state(rng, d), frozenset(range(1, d // 2 + 1)))
+
+
+JOINED = {
+    "mod 5 greedy n=14": lambda: build_mod_program(5, 14),
+    "mod 7 greedy n=16": lambda: build_mod_program(7, 16),
+    "mod 5 sampled n=14": lambda: build_mod_program(5, 14, "sampled", seed=1),
+    "haar 8 n=12": lambda: _haar_program(8, 12, 8),
+    "counter 5 n=12": lambda: permutation_bp_to_qbp(_counter(5, [4, 9, 1, 12, 7, 3, 10, 6, 2, 11, 8, 5])),
+}
+
+
+@pytest.mark.parametrize("make", JOINED.values(), ids=JOINED.keys())
+def test_computes_decides_as_the_walk_does(make, monkeypatch):
+    p = make()
+    assert program._join_split(p) is not None
+    walk = program._leaf_walk(p)[0][program._leaf_indices(p.var_sequence, p.n_vars)]
+    tables = [mod_truth_table(5, p.n_vars), TruthTable(p.n_vars, walk > 0.5), TruthTable(p.n_vars, walk > 0.9)]
+    criteria = [OneSided(), OneSided(0.2), Margin(0.0), Margin(0.1), Margin(0.3)]
+    joined = [computes(p, f, c) for f in tables for c in criteria]
+    monkeypatch.setattr(program, "_leaf_probs", program._leaf_walk)
+    walked = [computes(p, f, c) for f in tables for c in criteria]
+    for a, b in zip(joined, walked):
+        assert (a.holds, a.counterexamples, a.checked) == (b.holds, b.counterexamples, b.checked)
+        assert abs(a.min_margin - b.min_margin) <= join_bound(p)
+
+
+def _read_twice(w: int, n: int) -> QbProgram:
+    return permutation_bp_to_qbp(_counter(w, [v for _ in range(2) for v in range(1, n + 1)]))
+
+
+@pytest.mark.parametrize("make, joins", [
+    (lambda: build_mod_program(5, 20), True),
+    (lambda: build_mod_program(7, 20), True),
+    (lambda: build_mod_program(11, 20), True),
+    (lambda: build_mod_program(13, 14, "sampled", seed=1), False),  # width 84
+    (lambda: universal_exact_qbp(TruthTable.random(9, np.random.default_rng(9))), False),
+    (lambda: realify_program(universal_exact_qbp(TruthTable.random(6, np.random.default_rng(6)))), False),
+    (lambda: _read_twice(5, 14), False),
+], ids=["mod 5", "mod 7", "mod 11", "sampled mod 13", "universal n=9", "realified universal n=6",
+        "read twice"])
+def test_the_benchmark_programs_take_their_path(make, joins):
+    # the narrow MOD_p programs of mod-exhaustive are joined; the wide and
+    # read-twice programs of cli-wide and theta-universal are walked
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # p > n/2
+        p = make()
+    assert (program._join_split(p) is not None) == joins
+
+
+def test_a_join_over_the_budget_walks(monkeypatch):
+    # width-84 MOD_13 at n = 16 joins in 96 MB, d^2 entries per prefix and
+    # suffix; with less room it is walked, in 19 MB
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # p > n/2
+        p = build_mod_program(13, 16, "sampled", seed=1)
+    need = program._join_need(p.width, p.length, len(p.accepting), program._join_split(p))
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", need - 1)
+    assert program._join_split(p) is None
+    walk = program._leaf_walk(p)[0]
+    assert np.array_equal(program.evaluate_all(p), walk)
+
+
+@pytest.mark.parametrize("make, s", [
+    (lambda: build_mod_program(5, 16), 9),
+    (lambda: build_mod_program(5, 16), 0),
+    (lambda: build_mod_program(5, 16), 16),
+    (lambda: _haar_program(8, 14, 3), 8),
+    (lambda: realify_program(_haar_program(3, 14, 4)), 8),
+    (lambda: permutation_bp_to_qbp(_counter(5, list(range(1, 15)))), 7),
+], ids=["mod", "mod, all suffix", "mod, all prefix", "haar", "realified", "counter"])
+def test_join_holds_at_most_its_checked_count(monkeypatch, make, s):
+    p = make()
+    real, checked = linalg.check_budget, []
+
+    def spy(need, stage, what):
+        checked.append(need)
+        real(need, stage, what)
+
+    monkeypatch.setattr(linalg, "check_budget", spy)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        program._leaf_join(p, s)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -377,10 +377,16 @@ def reference_final_configuration(p: QbProgram, bits) -> np.ndarray:
     return psi
 
 
+def _walked(p: QbProgram) -> np.ndarray:
+    """The leaf walk's probabilities, indexed by input value."""
+    probs, order = program_module._leaf_walk(p)
+    return probs[program_module._leaf_indices(order, p.n_vars)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(read_k_programs(read_once=True))
 def test_read_once_evaluate_all_is_bit_identical_to_reference(p):
-    assert np.array_equal(evaluate_all(p), reference_read_once_evaluate_all(p))
+    assert np.array_equal(_walked(p), reference_read_once_evaluate_all(p))
 
 
 def test_read_once_constructions_bit_identical_to_reference(rng):
@@ -390,7 +396,7 @@ def test_read_once_constructions_bit_identical_to_reference(rng):
         universal_exact_qbp(TruthTable.random(6, rng)),
         realify_program(random_program(rng, d=3, n=5)),
     ):
-        assert np.array_equal(evaluate_all(p), reference_read_once_evaluate_all(p))
+        assert np.array_equal(_walked(p), reference_read_once_evaluate_all(p))
 
 
 @settings(max_examples=40, deadline=None)
@@ -499,8 +505,11 @@ def test_evaluation_budget_width_8_at_n_24(monkeypatch):
     # chunks of 2^13 columns: it holds eleven doubled blocks of 2^14 columns
     # (one per split level), three chunks of temporaries for the level in
     # progress, 32 bytes per chunk column, numpy's ufunc buffers and 2^24
-    # probabilities, so both evaluation checks admit it; the 2^24-input run
-    # itself is not made
+    # probabilities, so its check admits it.  evaluate_all joins this
+    # read-once program instead, cut after 13 levels: 2^13 prefixes of width 8
+    # (and d^2 entries each), 2^11 suffixes with one accepting row, and the
+    # 2^24 probabilities.  Both evaluation checks admit it; the 2^24-input
+    # run itself is not made
     ident = np.eye(8)
     tfs = tuple(QuantumTransformation(j, ident, ident) for j in range(1, 25))
     p = QbProgram(24, 8, tfs, np.eye(8)[0], frozenset({1}))
@@ -509,15 +518,20 @@ def test_evaluation_budget_width_8_at_n_24(monkeypatch):
     def admit_then_stop(need, stage, what):
         real(need, stage, what)
         checked.append((stage, need))
-        if "leaf walk" in what:
+        if "leaf walk" in what or "join" in what:
             raise _Admitted
 
     monkeypatch.setattr(linalg, "check_budget", admit_then_stop)
     with pytest.raises(_Admitted):
         evaluate_all(p)
+    join = 16 * ((1 << 13) * (64 + 24) + (1 << 11) * (64 + 24)) + (8 << 24) + 3 * 16 * np.getbufsize()
+    assert checked == [("evaluation", 32 << 24), ("evaluation", join)]
+    checked.clear()
+    with pytest.raises(_Admitted):
+        program_module._leaf_walk(p)
     walk = 16 * 8 * ((11 << 14) + (3 << 13)) + (32 << 13) + 3 * 16 * np.getbufsize() + (8 << 24)
-    assert checked == [("evaluation", 32 << 24), ("evaluation", walk)]
-    assert walk < linalg.MEMORY_BUDGET_BYTES < 16 * 8 << 24
+    assert checked == [("evaluation", walk)]
+    assert max(join, walk) < linalg.MEMORY_BUDGET_BYTES < 16 * 8 << 24
     # a program on many variables that reads few still has 2^n outputs
     monkeypatch.setattr(linalg, "check_budget", real)
     wide = QbProgram(40, 2, (), np.array([1.0, 0.0]), frozenset({1}))
