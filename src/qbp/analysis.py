@@ -47,12 +47,10 @@ from .linalg import CHAIN_INSET, CHAIN_SLACK, CONFIG_DEDUP_TOL, NORM_DRIFT_TOL, 
 from .program import (
     QbProgram,
     TruthTable,
-    _check_per_input,
     _column_accept_probs,
-    _leaf_indices,
-    _leaf_probs,
     _margin_masks,
     bits_of_value,
+    evaluate_all,
     is_read_once,
 )
 
@@ -200,7 +198,6 @@ class LevelConfigurations:
     row 0 of level 0 gives the row an input reaches.
     """
 
-    level: int
     configs: np.ndarray
     prev_transitions: np.ndarray
 
@@ -226,7 +223,7 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
     """
     _require_read_once(p)
     block = p.initial[None, :]
-    levels = [LevelConfigurations(0, block, np.empty((0, 2), dtype=np.int64))]
+    levels = [LevelConfigurations(block, np.empty((0, 2), dtype=np.int64))]
     for tf in p.transformations:
         m = block.shape[0]
         check_budget(2 * 2 * m * p.width * 16, "configuration",
@@ -240,7 +237,7 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
             raise RuntimeError("reachable configuration drifted off unit norm")
         trans = index.reshape(-1, 2)
         trans.flags.writeable = False
-        levels.append(LevelConfigurations(len(levels), block, trans))
+        levels.append(LevelConfigurations(block, trans))
     return levels
 
 
@@ -253,8 +250,6 @@ class ThetaPartition:
     components are numbered in order of their smallest member.
     """
 
-    level: int
-    theta: float
     component_of: np.ndarray
     count: int
 
@@ -282,22 +277,26 @@ def _connected_components(m: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.unique(root, return_inverse=True)[1]
 
 
-def theta_components(configs: np.ndarray, theta: float, level: int = 0) -> ThetaPartition:
+def theta_components(configs: np.ndarray, theta: float) -> ThetaPartition:
     """Connected components of the pairs of rows at distance <= theta + 1e-12.
 
     The pairs come from ``_near_pairs``, an exact fixed-radius sort and
     sweep: each pair it returns, and each it rules out, is decided by its
     explicit distance, so the partition is that of a dense all-pairs scan
-    without the m x m distance matrix.
+    without the m x m distance matrix.  At theta = inf every pair is within
+    reach, so the rows form one component without a query.
     """
     if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
     mat = np.asarray(configs, dtype=np.complex128)
-    ii, jj, _ = _near_pairs(mat, theta + CHAIN_SLACK)
-    component_of = _connected_components(len(mat), ii, jj)
+    if theta == math.inf:
+        component_of = np.zeros(len(mat), dtype=np.intp)
+    else:
+        ii, jj, _ = _near_pairs(mat, theta + CHAIN_SLACK)
+        component_of = _connected_components(len(mat), ii, jj)
     component_of.flags.writeable = False
     count = int(component_of.max()) + 1 if component_of.size else 0
-    return ThetaPartition(level, theta, component_of, count)
+    return ThetaPartition(component_of, count)
 
 
 # -- separation bounds -----------------------------------------------------------
@@ -337,28 +336,24 @@ def _classified_final_configs(
     ``epsilon`` (every other row rejects), and the reachable levels, so
     callers need not enumerate them again.
 
-    A program that is not read-once is refused first.  One pass over the
-    leaves (``_leaf_probs``) gives every input's acceptance probability,
-    to verify that the program computes ``f`` at the margin; its per-input
-    data is checked against ``linalg.MEMORY_BUDGET_BYTES`` first.  The final
-    configurations are the last reachable level.
+    A program that is not read-once is refused first.  ``evaluate_all``
+    gives every input's acceptance probability, to verify that the program
+    computes ``f`` at the margin.  The final configurations are the last
+    reachable level.
     """
     _require_read_once(p)
-    n = p.n_vars
     if p.n_vars != f.n_vars:
         raise ValueError(f"program has n_vars {p.n_vars}, truth table has {f.n_vars}")
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
-    _check_per_input(n, "separation")
-    probs, order = _leaf_probs(p)
-    probs = probs[_leaf_indices(order, n)]
+    probs = evaluate_all(p)
     accepts, rejects = _margin_masks(probs, epsilon)
     bad = np.flatnonzero(np.where(f.bits, ~accepts, ~rejects))
     if bad.size:
         v = int(bad[0])
         raise ValueError(
             f"program does not compute the table with margin {epsilon}: input "
-            f"{''.join(map(str, bits_of_value(v, n)))} has acceptance {float(probs[v])!r}"
+            f"{''.join(map(str, bits_of_value(v, p.n_vars)))} has acceptance {float(probs[v])!r}"
         )
     levels = reachable_configurations(p)
     configs = levels[-1].configs
@@ -495,7 +490,7 @@ def derive_deterministic_obdd(
             f"an accepting and a rejecting configuration lie at distance {sep}"
         )
     chain_theta = theta - CHAIN_INSET if theta > 2 * CHAIN_INSET else theta / 2
-    parts = [theta_components(lv.configs, chain_theta, level=lv.level) for lv in levels]
+    parts = [theta_components(lv.configs, chain_theta) for lv in levels]
 
     tables: list[np.ndarray] = []
     for j in range(1, len(levels)):

@@ -280,8 +280,8 @@ def eval_cmd(program_path, input_bits, exhaustive, table_path, criterion, max_li
     click.echo(f"checked={report.checked}")
     click.echo(f"min_margin={report.min_margin:.17g}")
     click.echo(f"counterexamples={len(report.counterexamples)}")
-    for bits in report.counterexamples[:max_listed]:
-        click.echo("  " + "".join(map(str, bits)))
+    for v in report.counterexamples[:max_listed].tolist():
+        click.echo("  " + "".join(map(str, program.bits_of_value(v, prog.n_vars))))
     return ExperimentRecord(
         program_digest=program.program_digest(prog),
         metrics={"holds": report.holds, "min_margin": report.min_margin,

@@ -8,24 +8,26 @@ reads ``input[var_index - 1]``.  A unitary is stored as a dense matrix or as
 a ``Monomial`` (perm, phases): the universal and permutation constructions
 build Monomials, and a dense matrix of that shape is read as one.
 Evaluation reads the stored form; only ``u0``/``u1`` build (and keep) a
-Monomial's dense matrix, while realify and the file format build one at a
-time (``_unitary_dense``) and keep none.  Levels may share a stored unitary,
-as the levels of a stable program share one pair: a shared one is scanned,
-checked, formatted, parsed and realified once.  Also included: the JSON file format
-used by the command line tools.
+Monomial's dense matrix, while ``is_stable``, realify and the file format
+build one at a time (``_unitary_dense``) and keep none.  Levels may share a
+stored unitary, as the levels of a stable program share one pair: a shared
+one is scanned, checked, formatted, parsed and realified once.  Also
+included: the JSON file format used by the command line tools.
 
 Programs are oblivious, so evaluation advances a d x m block of
 configurations level by level (``_advance``): one column per input, or in
-``evaluate_all`` per assignment to the variables read so far.  There the
-block grows to ``_CHUNK_BYTES`` and is then walked in column slices of that
-size (``_leaf_walk``), so it never holds the 2^|read|-column leaf block at
-once.  A narrow read-once program is not walked to its leaves but cut in
-two (``_leaf_join``): the block advances through the first half of its
-levels only, the second half is built backwards into one Gram matrix per
-assignment to its variables, and one real matrix product joins the two.
-The shape of a program alone decides which (``_join_split``).  What a
-block, a walk or a join holds is checked against
-``linalg.MEMORY_BUDGET_BYTES`` before it is allocated.
+``evaluate_all`` per assignment to the variables read so far, where a fresh
+variable doubles the block (``_doubled``).  ``evaluate_all`` is the one
+route to every input's acceptance, for ``computes`` and the theta-component
+analysis alike.  There the block grows to ``_CHUNK_BYTES`` and is then
+walked in column slices of that size (``_leaf_walk``), so it never holds
+the 2^|read|-column leaf block at once.  A narrow read-once program is not
+walked to its leaves but cut in two (``_leaf_join``): the block advances
+through the first half of its levels only, the second half is built
+backwards into one Gram matrix per assignment to its variables, and one
+real matrix product joins the two.  The shape of a program alone decides
+which (``_join_split``).  What a block, a walk or a join holds is checked
+against ``linalg.MEMORY_BUDGET_BYTES`` before it is allocated.
 
 Acceptance at a margin is decided by one rule, ``_margin_masks``, which
 ``computes`` under a ``Margin`` criterion and the theta-component analysis
@@ -251,13 +253,6 @@ def _column_accept_probs(cols: np.ndarray, p: QbProgram) -> np.ndarray:
     return np.clip(np.sum(np.abs(cols[p._accept_index, :]) ** 2, axis=0), 0.0, 1.0)
 
 
-def _check_per_input(n_vars: int, stage: str) -> None:
-    # input values, leaf indices, one temporary and the result: 8 bytes each;
-    # ``computes`` then holds the result, one float buffer and at most four
-    # bool masks, 20 bytes per input, in the same room
-    linalg.check_budget(32 << n_vars, stage, f"the per-input data of 2^{n_vars} inputs")
-
-
 def _advance(tf: QuantumTransformation, cols: np.ndarray, bits: np.ndarray) -> None:
     """Apply one level to a d x m block in place: column k gets ``u_{bits[k]}``."""
     ones = np.asarray(bits, dtype=bool)
@@ -322,7 +317,7 @@ def _same_unitary(a: np.ndarray | Monomial, b: np.ndarray | Monomial) -> bool:
         return True
     if isinstance(a, Monomial) and isinstance(b, Monomial):
         return np.array_equal(a.perm, b.perm) and float(np.max(np.abs(a.phases - b.phases))) <= STABLE_TOL
-    return float(np.max(np.abs(_dense(a) - _dense(b)))) <= STABLE_TOL
+    return float(np.max(np.abs(_unitary_dense(a) - _unitary_dense(b)))) <= STABLE_TOL
 
 
 def is_stable(p: QbProgram) -> bool:
@@ -339,11 +334,20 @@ def is_stable(p: QbProgram) -> bool:
 _CHUNK_BYTES = 1 << 20
 
 
+def _doubled(tf: QuantumTransformation, cols: np.ndarray) -> np.ndarray:
+    """A d x m block through a level on a fresh variable, as a new d x 2m
+    block: column c goes to 2c under ``u0`` and to 2c + 1 under ``u1``."""
+    out = np.empty((cols.shape[0], 2 * cols.shape[1]), dtype=np.complex128)
+    tf.apply_to_columns(0, cols, out=out[:, 0::2])
+    tf.apply_to_columns(1, cols, out=out[:, 1::2])
+    return out
+
+
 def _leaf_walk(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
     """The acceptance probability of every leaf, one per assignment to the
     variables read (first-read order, first most significant), and that
-    order, for any program: the path of wide and read-k programs (see
-    ``_leaf_probs``), and the reference the join is tested against.
+    order, for any program: the path of wide and read-k programs in
+    ``evaluate_all``, and the reference the join is tested against.
 
     A fresh variable doubles the block (column c becomes 2c and 2c + 1); a
     re-read one takes each column's bit from its global index.  Once the
@@ -382,11 +386,7 @@ def _leaf_walk(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
             if shift is not None:
                 _advance(tf, cols, ((offset + np.arange(m)) >> shift) & 1)
                 continue
-            nxt = np.empty((d, 2 * m), dtype=np.complex128)
-            tf.apply_to_columns(0, cols, out=nxt[:, 0::2])
-            tf.apply_to_columns(1, cols, out=nxt[:, 1::2])
-            cols, offset = nxt, 2 * offset
-            del nxt  # else it keeps a walked block alive until the next doubling
+            cols, offset = _doubled(tf, cols), 2 * offset
             if 2 * m > cap:  # a doubled chunk: walk its left half now, its right half later
                 stack.append((level, offset + m, cols[:, m:]))
                 cols = cols[:, :m]
@@ -407,7 +407,7 @@ def _join_need(d: int, levels: int, accepting: int, s: int) -> int:
 
 
 def _join_split(p: QbProgram) -> int | None:
-    """Where ``_leaf_probs`` cuts a program's levels for ``_leaf_join``, or
+    """Where ``evaluate_all`` cuts a program's levels for ``_leaf_join``, or
     None to walk them.  Only a read-once program is cut, and only where its
     2^floor(L/2) prefixes number at least 32 and at least 2 d, and what the
     join holds fits ``linalg.MEMORY_BUDGET_BYTES``.  Measured with numpy's
@@ -465,10 +465,7 @@ def _leaf_join(p: QbProgram, s: int) -> tuple[np.ndarray, tuple[int, ...]]:
     del w
     cols = p.initial.reshape(-1, 1)
     for tf in p.transformations[:s]:
-        nxt = np.empty((d, 2 * cols.shape[1]), dtype=np.complex128)
-        tf.apply_to_columns(0, cols, out=nxt[:, 0::2])
-        tf.apply_to_columns(1, cols, out=nxt[:, 1::2])
-        cols = nxt
+        cols = _doubled(tf, cols)
     states = cols.T
     outer = np.empty((states.shape[0], d, d), dtype=np.complex128)
     np.multiply(states[:, :, None], states.conj()[:, None, :], out=outer)
@@ -476,14 +473,6 @@ def _leaf_join(p: QbProgram, s: int) -> tuple[np.ndarray, tuple[int, ...]]:
     probs = np.matmul(outer.view(np.float64).reshape(outer.shape[0], -1),
                       gram.view(np.float64).reshape(gram.shape[0], -1).T)
     return np.clip(probs, 0.0, 1.0, out=probs).reshape(-1), order
-
-
-def _leaf_probs(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Every leaf's acceptance probability and the first-read order, as
-    ``_leaf_walk`` gives them: joined from a split (``_leaf_join``) where
-    ``_join_split`` finds one, else walked."""
-    s = _join_split(p)
-    return _leaf_walk(p) if s is None else _leaf_join(p, s)
 
 
 def _leaf_indices(var_sequence: Sequence[int], n_vars: int) -> np.ndarray:
@@ -500,17 +489,22 @@ def evaluate_all(p: QbProgram) -> np.ndarray:
     """Acceptance probabilities for all 2^n inputs, indexed by input value.
 
     Every leaf, one per assignment to the variables read, is reached by one
-    pass (``_leaf_probs``): a walk over the leaves (``_leaf_walk``), where
-    inputs with a common prefix in read order share their work, or, for a
-    narrow read-once program, a meet-in-the-middle join of its prefix
-    states and suffix Gram matrices (``_leaf_join``), which may differ from
-    the walk in the last bits.  What the pass holds (its blocks and 2^|read|
-    probabilities) and the per-input arrays (2^n x 32 bytes) must each fit in
-    ``linalg.MEMORY_BUDGET_BYTES``, else ValueError is raised first.
+    pass: a walk over the leaves (``_leaf_walk``), where inputs with a
+    common prefix in read order share their work, or, where ``_join_split``
+    finds a cut of a narrow read-once program, a meet-in-the-middle join of
+    its prefix states and suffix Gram matrices (``_leaf_join``), which may
+    differ from the walk in the last bits.  What the pass holds (its blocks
+    and 2^|read| probabilities) and the per-input arrays (2^n x 32 bytes)
+    must each fit in ``linalg.MEMORY_BUDGET_BYTES``, else ValueError is
+    raised first.
     """
     n = p.n_vars
-    _check_per_input(n, "evaluation")
-    probs, order = _leaf_probs(p)
+    # input values, leaf indices, one temporary and the result: 8 bytes each;
+    # ``computes`` then holds the result, one float buffer, at most four bool
+    # masks and the failing inputs, 28 bytes per input, in the same room
+    linalg.check_budget(32 << n, "evaluation", f"the per-input data of 2^{n} inputs")
+    s = _join_split(p)
+    probs, order = _leaf_walk(p) if s is None else _leaf_join(p, s)
     if order == tuple(range(1, n + 1)):
         return probs
     return probs[_leaf_indices(order, n)]
@@ -582,10 +576,13 @@ class OneSided:
 Criterion = Margin | OneSided
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheckReport:
+    """``counterexamples`` holds the failing input values, in increasing
+    order, as a frozen int64 array (``bits_of_value`` gives an input's bits)."""
+
     holds: bool
-    counterexamples: tuple[tuple[int, ...], ...]
+    counterexamples: np.ndarray
     min_margin: float
     checked: int
 
@@ -607,18 +604,18 @@ def _criterion_mask(probs: np.ndarray, fbits: np.ndarray, criterion: Criterion,
 def computes(p: QbProgram, f: TruthTable, criterion: Criterion) -> CheckReport:
     """Exhaustively check the program against a truth table.
 
-    Counterexamples are listed in increasing input-value order.  Beside the
-    probabilities, the check holds one float buffer and its bool masks (see
-    ``_check_per_input``).
+    Counterexamples are the failing input values in increasing order.
+    Beside the probabilities, the check holds one float buffer, its bool
+    masks and the failing values (counted by ``evaluate_all``).
     """
     if p.n_vars != f.n_vars:
         raise ValueError(f"program has n_vars {p.n_vars}, truth table has {f.n_vars}")
     probs = evaluate_all(p)
     buf = np.empty_like(probs)
-    bad = np.nonzero(~_criterion_mask(probs, f.bits, criterion, buf))[0]
+    bad = np.flatnonzero(~_criterion_mask(probs, f.bits, criterion, buf)).astype(np.int64, copy=False)
     return CheckReport(
         holds=bad.size == 0,
-        counterexamples=tuple(bits_of_value(int(v), p.n_vars) for v in bad),
+        counterexamples=linalg._frozen(bad),
         min_margin=float(np.min(np.abs(np.subtract(probs, 0.5, out=buf), out=buf))),
         checked=int(probs.size),
     )
@@ -807,7 +804,8 @@ def _array_text(a: np.ndarray) -> str:
 def _unitary_dense(u: np.ndarray | Monomial) -> np.ndarray:
     """The dense form of a stored unitary, built afresh and not cached for a
     Monomial that keeps none (``_stored`` keeps one only for a -0.0 in a zero
-    slot), so that formatting holds one level's dense form at a time."""
+    slot), so that formatting holds one level's dense form at a time and a
+    stability check leaves the program as it found it."""
     if isinstance(u, Monomial):
         return u.__dict__["dense"] if "dense" in u.__dict__ else Monomial.dense.func(u)
     return u

@@ -302,6 +302,32 @@ def test_theta_components_monotone_in_theta(seed, small, large):
     assert theta_components(pts, small).count >= theta_components(pts, large).count
 
 
+def test_infinite_theta_chains_without_a_pairs_query(monkeypatch):
+    # a constant table leaves one class empty, so the derivation chains every
+    # level at theta = inf: one component, as the all-pairs scan gives, with
+    # no pairs query (that query would score all m (m - 1) / 2 pairs)
+    real = qbp.analysis._near_pairs
+
+    def finite_only(mat, radius, other=None):
+        assert math.isfinite(radius), "pairs query at an infinite radius"
+        return real(mat, radius, other)
+
+    monkeypatch.setattr(qbp.analysis, "_near_pairs", finite_only)
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    part = theta_components(pts, math.inf)
+    assert part.count == brute_component_count(pts, 1e300) == 1
+    assert part.component_of.tolist() == [0] * 40 and not part.component_of.flags.writeable
+    assert theta_components(np.empty((0, 3)), math.inf).count == 0
+
+    f = TruthTable.constant(8, True)
+    obdd = derive_deterministic_obdd(universal_exact_qbp(f), f, None, 0.5)
+    assert obdd.theta == math.inf
+    assert obdd.reachable_counts == tuple(1 << j for j in range(9))
+    assert obdd.level_widths == (1,) * 9
+    assert np.array_equal(obdd.classify_all(), f.bits)
+
+
 # -- separation bounds ---------------------------------------------------------------------
 
 def test_theta_bounds_exact_margin():
@@ -380,7 +406,7 @@ def test_derive_refuses_read_twice_before_any_configuration(monkeypatch, tmp_pat
     p = QbProgram(12, 2, block.transformations * 2, block.initial, block.accepting)
     f = TruthTable(12, evaluate_all(p) > 0.5)
     calls = []
-    for name in ("_leaf_probs", "_greedy_dedup"):
+    for name in ("evaluate_all", "_greedy_dedup"):
         monkeypatch.setattr(qbp.analysis, name, lambda *args, name=name: calls.append(name))
     for refused in (lambda: derive_deterministic_obdd(p, f, None, 0.25),
                     lambda: measured_separation(p, f, 0.25)):
@@ -479,11 +505,12 @@ def test_derive_transition_ambiguity_is_hard_error(monkeypatch):
     # separate again cannot happen for distance-preserving transitions; force
     # one to check the guard
     real_theta_components = qbp.analysis.theta_components
+    levels = itertools.count()  # the derivation partitions its levels in order
 
-    def lumpy(configs, theta, level=0):
-        if level == 1 and len(configs) > 1:
-            return qbp.analysis.ThetaPartition(level, theta, np.zeros(len(configs), dtype=np.int64), 1)
-        return real_theta_components(configs, theta, level)
+    def lumpy(configs, theta):
+        if next(levels) == 1 and len(configs) > 1:
+            return qbp.analysis.ThetaPartition(np.zeros(len(configs), dtype=np.int64), 1)
+        return real_theta_components(configs, theta)
 
     monkeypatch.setattr(qbp.analysis, "theta_components", lumpy)
     p = mod_block(ModBlockSpec(3, 1, 2))

@@ -75,7 +75,7 @@ def _reachable_level():
 def _separation_per_input():
     p = _identity_program(16, 1, ())
     f = TruthTable.constant(16, True)
-    return (lambda: analysis.measured_separation(p, f, 0.5)), 32 << 16, "separation", None
+    return (lambda: analysis.measured_separation(p, f, 0.5)), 32 << 16, "evaluation", None
 
 
 def _gram():

@@ -215,14 +215,14 @@ def _universal_files(tmp_path):
 def test_analyze_builds_the_leaf_block_once(tmp_path, monkeypatch):
     # every exhaustive evaluation enters the leaves through one function
     univ, table = _universal_files(tmp_path)
-    real, calls = program._leaf_probs, []
+    real, calls = program.evaluate_all, []
 
     def counting(p):
         calls.append(p)
         return real(p)
 
-    monkeypatch.setattr(program, "_leaf_probs", counting)
-    monkeypatch.setattr(analysis, "_leaf_probs", counting)
+    monkeypatch.setattr(program, "evaluate_all", counting)
+    monkeypatch.setattr(analysis, "evaluate_all", counting)
     result = CliRunner().invoke(
         main, ["analyze", str(univ), "--truth-table", str(table), "--epsilon", "0.5", "--auto-theta"]
     )

@@ -211,15 +211,15 @@ def test_computes_constant_zero_program_vs_constant_one_table():
     p = identity_program(width=2, n_vars=3, accepting=frozenset({2}))
     report = computes(p, TruthTable.constant(3, True), Margin(0.5))
     assert not report.holds
-    assert len(report.counterexamples) == 8
-    assert report.counterexamples == tuple(bits_of_value(v, 3) for v in range(8))
+    assert report.counterexamples.dtype == np.int64 and not report.counterexamples.flags.writeable
+    assert report.counterexamples.tolist() == list(range(8))
 
 
 def test_computes_counterexamples_sorted_by_value():
     p = probability_program(1.0)
     f = TruthTable(1, np.array([True, False]))  # accepts everything but f(1) = 0
     report = computes(p, f, Margin(0.5))
-    assert report.counterexamples == ((1,),)
+    assert report.counterexamples.tolist() == [1]
 
 
 def test_computes_nvars_mismatch():
@@ -496,6 +496,24 @@ def test_computes_holds_one_float_buffer_beside_the_walk():
         assert peak <= max(walk, (8 + 8 + 4) << n)
 
 
+def test_computes_lists_counterexamples_as_one_int64_array():
+    # greedy MOD_5 against the MOD_7 table at n = 20 fails on about a third
+    # of the inputs; their values are one frozen int64 array, 8 bytes each,
+    # so the check stays within the 32 bytes per input that evaluate_all counts
+    n = 20
+    p = build_mod_program(5, n)
+    f = mod_truth_table(7, n)
+    walk, probs = _traced(lambda: evaluate_all(p))
+    peak, report = _traced(lambda: computes(p, f, OneSided()))
+    tol = OneSided().tol
+    ok = np.where(f.bits, np.abs(probs - 1.0) <= tol, 1.0 - probs >= 0.125 - tol)
+    bad = report.counterexamples
+    assert not report.holds and bad.size == 332045
+    assert bad.dtype == np.int64 and not bad.flags.writeable
+    assert np.array_equal(bad, np.flatnonzero(~ok))
+    assert peak <= max(walk, (8 + 8 + 4 + 8) << n)
+
+
 class _Admitted(Exception):
     pass
 
@@ -606,6 +624,21 @@ def test_is_stable_reads_stored_monomials_as_their_dense_matrices(v, stable):
 def test_is_stable_compares_a_monomial_with_a_dense_level(angle, stable):
     rotation = linalg.rotation_matrix(angle)
     assert is_stable(_two_level_program(Monomial([0, 1], [1.0, 1.0]), rotation)) == stable
+
+
+def test_is_stable_keeps_no_dense_form_on_the_program():
+    # an identity Monomial beside a dense level of width 64, either way round:
+    # the check builds the Monomial's dense form for one comparison and
+    # leaves the program as it found it
+    d = 64
+    near = np.eye(d, dtype=np.complex128)
+    near[:2, :2] = linalg.rotation_matrix(1e-14)
+    ident = Monomial(np.arange(d), np.ones(d))
+    for first, second in ((ident, near), (near, ident)):
+        tfs = (QuantumTransformation(1, first, first), QuantumTransformation(2, second, second))
+        p = QbProgram(2, d, tfs, np.eye(d)[0], frozenset({1}))
+        assert is_stable(p)
+        assert "dense" not in vars(ident)
 
 
 def test_evaluation_reads_monomials_without_building_dense_levels(rng):
