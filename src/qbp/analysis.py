@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import CHAIN_INSET, CHAIN_SLACK, CONFIG_DEDUP_TOL, NORM_DRIFT_TOL, check_budget
+from .linalg import CHAIN_INSET, CHAIN_SLACK, CONFIG_DEDUP_TOL, NORM_DRIFT_TOL, _frozen, check_budget
 from .program import (
     QbProgram,
     TruthTable,
@@ -415,8 +415,9 @@ def measured_separation(p: QbProgram, f: TruthTable, epsilon: float) -> float:
 class Obdd:
     """Leveled deterministic OBDD: ``transitions[j][c, b]`` is the node at
     level j+1 reached from node c of level j when variable
-    ``var_sequence[j]`` is b.  The root is node 0; ``accepting`` holds
-    accepting nodes of the last level.  Only a derived OBDD sets ``theta``
+    ``var_sequence[j]`` is b.  The root is node 0; ``accepting`` holds the
+    accepting nodes of the last level, 0-based, as a frozen, sorted,
+    duplicate-free int array.  Only a derived OBDD sets ``theta``
     and ``reachable_counts``: its nodes at level j are theta-components of
     the ``reachable_counts[j]`` distinct reachable configurations.
     """
@@ -425,7 +426,7 @@ class Obdd:
     var_sequence: tuple[int, ...]
     level_widths: tuple[int, ...]
     transitions: tuple[np.ndarray, ...]
-    accepting: frozenset[int]
+    accepting: np.ndarray
     theta: float | None = None
     reachable_counts: tuple[int, ...] | None = None
 
@@ -445,7 +446,7 @@ class Obdd:
         for table, j in zip(self.transitions, self.var_sequence):
             node = table[node, (values >> (self.n_vars - j)) & 1]
         mask = np.zeros(self.level_widths[-1], dtype=bool)
-        mask[sorted(self.accepting)] = True
+        mask[self.accepting] = True
         return mask[node]
 
 
@@ -523,7 +524,7 @@ def derive_deterministic_obdd(
         var_sequence=p.var_sequence,
         level_widths=tuple(pt.count for pt in parts),
         transitions=tuple(tables),
-        accepting=frozenset(accepting.tolist()),
+        accepting=_frozen(accepting),
         theta=theta,
         reachable_counts=tuple(len(lv.configs) for lv in levels),
     )
@@ -578,7 +579,7 @@ def min_obdd_width(f: TruthTable, order: Sequence[int] | None = None) -> Obdd:
         var_sequence=order,
         level_widths=tuple(widths[::-1]),
         transitions=tuple(tables[::-1]),
-        accepting=frozenset(np.flatnonzero(values).tolist()),
+        accepting=_frozen(np.flatnonzero(values)),
     )
 
 

@@ -60,8 +60,9 @@ def universal_exact_qbp(f: TruthTable) -> QbProgram:
     The single 1-amplitude starts at position 1 and, when x_i is 1, moves
     2^(n-i) positions to the right (cyclically); the final position is
     therefore 1 plus the input value, distinct for distinct inputs.  The
-    accepting set marks the positions of the inputs mapped to 1; it is
-    empty for the constant-0 function.  Its levels are n + 1 Monomials (the
+    accepting set marks the positions of the inputs mapped to 1, one int64
+    array of 8 bytes per state made in place and kept as it is; it is empty
+    for the constant-0 function.  Its levels are n + 1 Monomials (the
     identity and n shifts) sharing one phase vector.  24 bytes per state and
     level, which also cover the initial vector and the accepting set, are
     checked against ``linalg.MEMORY_BUDGET_BYTES`` first: n = 20 passes and
@@ -76,8 +77,9 @@ def universal_exact_qbp(f: TruthTable) -> QbProgram:
     # row j of the shift by s reads position j - s
     tfs = tuple(QuantumTransformation(i, ident, Monomial(np.roll(states, 1 << (n - i)), ident.phases))
                 for i in range(1, n + 1))
-    accepting = frozenset(int(v) + 1 for v in np.nonzero(f.bits)[0])
-    return QbProgram(n, width, tfs, np.eye(1, width)[0], accepting)
+    accepting = np.flatnonzero(f.bits)
+    accepting += 1
+    return QbProgram(n, width, tfs, np.eye(1, width)[0], linalg._frozen(accepting))
 
 
 # -- rotation blocks -------------------------------------------------------------
@@ -109,7 +111,7 @@ def mod_block(spec: ModBlockSpec) -> QbProgram:
     u0 = Monomial(np.arange(2), np.ones(2))
     u1 = linalg.rotation_matrix(spec.angle)
     tfs = tuple(QuantumTransformation(i, u0, u1) for i in range(1, spec.n + 1))
-    return QbProgram(spec.n, 2, tfs, np.array([1.0, 0.0]), frozenset({1}))
+    return QbProgram(spec.n, 2, tfs, np.array([1.0, 0.0]), (1,))
 
 
 def block_final_amplitudes(spec: ModBlockSpec, ones_count: int) -> tuple[float, float]:
@@ -122,6 +124,12 @@ def block_final_amplitudes(spec: ModBlockSpec, ones_count: int) -> tuple[float, 
 
 
 # -- good multiplier sets ---------------------------------------------------------
+
+def _is_good(p: int, l, k):
+    """The good-multiplier rule, elementwise over broadcast residues ``l``
+    and multipliers ``k``: cos^2(2*pi*l*k/p) <= 1/2, within GOOD_COS2_SLACK."""
+    return np.cos(2.0 * np.pi * l * k / p) ** 2 <= 0.5 + linalg.GOOD_COS2_SLACK
+
 
 def good_multipliers(p: int, l: int) -> frozenset[int]:
     """Multipliers k whose block rejects inputs with l ones (mod p) with
@@ -138,18 +146,14 @@ def good_multipliers(p: int, l: int) -> frozenset[int]:
             f"with probability 1 by every block"
         )
     ks = np.arange(1, p)
-    cos2 = np.cos(2.0 * np.pi * l * ks / p) ** 2
-    return frozenset(int(k) for k in ks[cos2 <= 0.5 + linalg.GOOD_COS2_SLACK])
+    return frozenset(int(k) for k in ks[_is_good(p, l, ks)])
 
 
 def _good_table(p: int) -> np.ndarray:
     """Boolean table[l-1, k-1]: is multiplier k good for residue l.  Its
     temporaries peak at 16 bytes per entry."""
     linalg.check_budget(16 * (p - 1) ** 2, "good set", f"the {p - 1} x {p - 1} multiplier table")
-    ls = np.arange(1, p).reshape(-1, 1)
-    ks = np.arange(1, p).reshape(1, -1)
-    cos2 = np.cos(2.0 * np.pi * ls * ks / p) ** 2
-    return cos2 <= 0.5 + linalg.GOOD_COS2_SLACK
+    return _is_good(p, np.arange(1, p).reshape(-1, 1), np.arange(1, p).reshape(1, -1))
 
 
 def failing_residues(p: int, multipliers: Sequence[int]) -> tuple[int, ...]:
@@ -290,9 +294,7 @@ def compose_parallel(blocks: Sequence[QbProgram]) -> QbProgram:
         tfs.append(QuantumTransformation(first.transformations[level].var_index, u0, u1))
 
     initial = np.concatenate([math.sqrt(1.0 / len(blocks)) * b.initial for b in blocks])
-    accepting = frozenset(
-        int(off) + s for b, off in zip(blocks, offsets) for s in b.accepting
-    )
+    accepting = np.concatenate([off + b.accepting for b, off in zip(blocks, offsets)])
     return QbProgram(first.n_vars, width, tuple(tfs), initial, accepting)
 
 
@@ -337,7 +339,7 @@ def build_mod_program(p: int, n: int, strategy: str = "greedy", seed: int = 0) -
     tfs = (first, *(QuantumTransformation._sharing(j, *first.unitaries) for j in range(2, n + 1)))
     initial = np.zeros(width)
     initial[0::2] = math.sqrt(1.0 / good.t)
-    return QbProgram(n, width, tfs, initial, frozenset(range(1, width, 2)))
+    return QbProgram(n, width, tfs, initial, np.arange(1, width, 2))
 
 
 # -- permutation branching programs ---------------------------------------------------

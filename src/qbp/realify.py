@@ -86,7 +86,5 @@ def realify_program(p: QbProgram) -> QbProgram:
                 doubled[id(u)] = _stored(realify_matrix(_unitary_dense(u)))
         tfs.append(QuantumTransformation._sharing(tf.var_index, *(doubled[id(u)] for u in tf.unitaries)))
     initial = realify_vector(np.conj(p.initial))
-    accepting = frozenset(
-        s for i in p.accepting for s in (2 * i - 1, 2 * i)
-    )
+    accepting = (2 * p.accepting[:, None] - (1, 0)).reshape(-1)  # 2a - 1, 2a for each a, in order
     return QbProgram(p.n_vars, 2 * p.width, tuple(tfs), initial, accepting)

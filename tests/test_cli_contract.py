@@ -43,7 +43,7 @@ def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("contract")
     paths = {name: d / name for name in (
         "f.tt", "univ.json", "mod3.json", "mod3.tt", "flipped.tt", "bp.json",
-        "bad.tt", "bad.json", "bad_bp.json", "n12.tt",
+        "bad.tt", "bad.json", "bad_bp.json", "n12.tt", "huge_state.json",
     )}
     paths.update({name: d / f"{name}.json" for name in PERM_FIELDS})
     f = program.TruthTable(3, [c == "1" for c in "01101001"])
@@ -64,6 +64,9 @@ def files(tmp_path_factory):
         paths[name].write_text(json.dumps(bad))
     paths["bad.tt"].write_text("3\n0110100x\n")
     paths["bad.json"].write_text("{")
+    huge = json.loads(paths["univ.json"].read_text())  # hand-written: read on the json path
+    huge["accepting"] = [1, 10 ** 30]
+    paths["huge_state.json"].write_text(json.dumps(huge, indent=1))
     paths["bad_bp.json"].write_text('{"width": 3}')
     save_truth_table(program.TruthTable.constant(12, True), paths["n12.tt"])
     paths["out"] = d / "out.json"
@@ -168,6 +171,9 @@ USAGE = {
         f"invalid permutation program: {message}") for name, (_, message) in PERM_FIELDS.items()},
     "eval bad input": (
         lambda f: ["eval", f["mod3.json"], "--input", "01x000"], "non-bit characters"),
+    "eval accepting state beyond int64": (
+        lambda f: ["eval", f["huge_state.json"], "--input", "010"],
+        f"$: accepting state {10 ** 30} outside [1, 8]"),
     "eval no table": (
         lambda f: ["eval", f["mod3.json"], "--exhaustive"], "--exhaustive requires --truth-table"),
     "eval bad criterion": (

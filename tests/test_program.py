@@ -356,8 +356,8 @@ def reference_read_once_evaluate_all(p: QbProgram) -> np.ndarray:
         nxt[:, 0::2] = a0
         nxt[:, 1::2] = a1
         cols = nxt
-    if p.accepting:
-        acc = np.array(sorted(p.accepting)) - 1
+    if p.accepting.size:
+        acc = np.array(sorted(p.accepting.tolist())) - 1
         probs = np.clip(np.sum(np.abs(cols[acc, :]) ** 2, axis=0), 0.0, 1.0)
     else:
         probs = np.zeros(cols.shape[1])
@@ -455,7 +455,10 @@ def test_evaluation_budget_refuses_before_allocating(monkeypatch):
     # the walk also holds 1.5 blocks of one level's temporaries, 32 bytes per
     # column of bits and indices, numpy's ufunc buffers and 8 probabilities
     walk = 3 * (8 + 12) * 16 + 32 * 8 + 3 * 16 * np.getbufsize() + 8 * 8
-    batch = 3 * 8 * 16
+    # the batch holds its block and the copy, gather and product of the
+    # columns one bit selects (4 blocks), 32 bytes per column, the 0/1 check
+    # of 8 x 3 input bits and numpy's ufunc buffers
+    batch = 4 * 3 * 8 * 16 + 32 * 8 + 3 * 8 * 3 + 3 * 16 * np.getbufsize()
     monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", walk)
     assert evaluate_all(p).shape == (8,)
     monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", walk - 1)
@@ -684,6 +687,40 @@ def test_program_rejects_bad_accepting_state():
         QbProgram(1, 2, (), np.array([1.0, 0.0]), frozenset({3}))
 
 
+@pytest.mark.parametrize("states", [
+    {3, 1}, [3, 1], [3, 3, 1, 3], range(1, 4, 2), (s for s in (1, 3)),
+    np.array([1, 3]), np.array([3, 1, 3], dtype=np.int32), [np.int64(3), 1],
+], ids=["set", "list", "duplicates", "range", "generator", "array", "int32 array", "numpy scalars"])
+def test_accepting_is_a_frozen_sorted_int64_array(states):
+    acc = QbProgram(1, 4, (), np.eye(4)[0], states).accepting
+    assert acc.dtype == np.int64 and not acc.flags.writeable
+    assert acc.tolist() == [1, 3]
+
+
+def test_accepting_array_is_copied_unless_frozen():
+    given = np.array([1, 2])
+    acc = QbProgram(1, 4, (), np.eye(4)[0], given).accepting
+    assert acc is not given and given.flags.writeable
+    assert QbProgram(1, 4, (), np.eye(4)[0], acc).accepting is acc
+
+
+def test_empty_accepting_set_is_an_empty_array():
+    for states in (frozenset(), [], np.array([], dtype=np.int64)):
+        acc = QbProgram(1, 2, (), np.array([1.0, 0.0]), states).accepting
+        assert acc.dtype == np.int64 and acc.shape == (0,)
+
+
+@pytest.mark.parametrize("states, bad", [
+    ([0], 0), ([2, -1, 7], -1), ([1, 5], 5), ([3, 4, 5, 9], 5), (np.array([6, 0]), 0),
+    ([1, 10 ** 30], 10 ** 30), ([10 ** 30, -5], -5), ([2 ** 63], 2 ** 63),
+])
+def test_accepting_state_outside_the_width_is_named(states, bad):
+    # the smallest state outside [1, width]; one beyond int64 is compared as
+    # a Python int, not refused by an OverflowError
+    with pytest.raises(ValueError, match=rf"^accepting state {bad} outside \[1, 4\]$"):
+        QbProgram(1, 4, (), np.eye(4)[0], states)
+
+
 def test_program_reports_non_unitary_level():
     ident = np.eye(2)
     shear = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
@@ -720,7 +757,7 @@ def test_program_roundtrip_is_exact(tmp_path, rng):
     save_program(p, path)
     q = load_program(path)
     assert q.n_vars == p.n_vars and q.width == p.width
-    assert q.accepting == p.accepting
+    assert np.array_equal(q.accepting, p.accepting)
     assert np.array_equal(q.initial, p.initial)
     for a, b in zip(q.transformations, p.transformations):
         assert a.var_index == b.var_index
@@ -775,7 +812,7 @@ def reference_program_obj(p: QbProgram) -> dict:
         "n_vars": p.n_vars,
         "width": p.width,
         "initial": pairs_vec(p.initial),
-        "accepting": sorted(p.accepting),
+        "accepting": sorted(p.accepting.tolist()),
         "transformations": [
             {"var": tf.var_index, "u0": pairs_mat(tf.u0), "u1": pairs_mat(tf.u1)}
             for tf in p.transformations
@@ -1041,8 +1078,8 @@ def test_load_program_locates_malformed_entries(tmp_path, mutate, message):
 
 
 def test_program_from_obj_accepts_numpy_scalars(tmp_path):
-    # leaves that are not plain int/float fail the bulk check and are read
-    # by the per-entry walker instead
+    # np.float64 subclasses float, so the per-entry walker reads such leaves
+    # as numbers
     p = xor2_program()
     obj = saved_obj(p, tmp_path)
     obj["initial"] = [[np.float64(re), np.float64(im)] for re, im in obj["initial"]]
@@ -1063,7 +1100,8 @@ def reference_load(path) -> QbProgram:
 
 
 def assert_bit_identical(a: QbProgram, b: QbProgram) -> None:
-    assert (a.n_vars, a.width, a.accepting, a.var_sequence) == (b.n_vars, b.width, b.accepting, b.var_sequence)
+    assert (a.n_vars, a.width, a.accepting.tolist(), a.var_sequence) == \
+        (b.n_vars, b.width, b.accepting.tolist(), b.var_sequence)
     assert np.array_equal(bit_pattern(a.initial), bit_pattern(b.initial))
     for x, y in zip(a.transformations, b.transformations):
         for u, v in zip(x.unitaries, y.unitaries):
