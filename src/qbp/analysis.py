@@ -17,6 +17,13 @@ those whose projections lie within the radius.  The projection is
 skipped, and every pair kept or ruled out is decided by its explicit
 distance: the result is exact, not an approximation, in any width.
 
+The universal program and a permutation BP's embedding reach only one-hot
+configurations c e_k, kept as (index, phase) pairs (``program._one_hot``).
+Two of one index lie |c - c'| apart, others sqrt(|c|^2 + |c'|^2), and the
+keyed rows [c, 4k] differ by [c - c', 0] or by 4 or more: so below the
+fallback line sqrt(2 min |c|^2) ``_near_pairs`` pairs them as the dense
+rows, at the same distances, and above it the dense rows are built.
+
 The derived OBDD and the minimal OBDD of a function share one type,
 ``Obdd``.  The minimal one is built bottom up, as a quasi-reduced OBDD with
 one unique table per level: the leaves are the table's values in
@@ -49,6 +56,8 @@ from .program import (
     TruthTable,
     _column_accept_probs,
     _margin_masks,
+    _one_hot,
+    _one_hot_doubled,
     bits_of_value,
     evaluate_all,
     is_read_once,
@@ -57,6 +66,7 @@ from .program import (
 _PROJECTION_SEED = 20030205
 _GRAM_BLOCK_ROWS = 128
 _DIFF_BLOCK_ELEMS = 1 << 20
+_ONE_HOT_BYTES = 192  # bytes per one-hot candidate of a level: traced at up to 182, earlier levels included
 
 
 def _explicit_sq_distances(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -190,16 +200,33 @@ def _greedy_dedup(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class LevelConfigurations:
-    """Distinct configurations reachable at one level.
+    """The ``len`` distinct configurations reachable at one level.
 
-    ``configs`` is a frozen (m, width) block, one configuration per row.
-    ``prev_transitions[i, b]`` is the row at this level reached from row i
-    of the previous level on bit b (empty at level 0); walking them from
-    row 0 of level 0 gives the row an input reaches.
+    ``configs`` is a frozen (m, width) block, one configuration per row:
+    ``block``, or built on each read (budget checked) from a one-hot level's
+    ``index`` and ``phase``, row i being phase[i] e_index[i].  Walking
+    ``prev_transitions[i, b]``, the row reached from row i of the previous
+    level on bit b (empty at level 0), from row 0 gives an input's row.
     """
 
-    configs: np.ndarray
     prev_transitions: np.ndarray
+    width: int
+    block: np.ndarray | None = None
+    index: np.ndarray | None = None
+    phase: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.block if self.index is None else self.index)
+
+    @property
+    def configs(self) -> np.ndarray:
+        if self.index is None:
+            return self.block
+        check_budget(16 * len(self) * self.width, "configuration",
+                     f"{len(self)} one-hot configurations of width {self.width}")
+        out = np.zeros((len(self), self.width), dtype=np.complex128)
+        out[np.arange(len(self)), self.index] = self.phase
+        return _frozen(out)
 
 
 def _require_read_once(p: QbProgram) -> None:
@@ -220,24 +247,36 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
     not by comparing all pairs.  Before a level's candidates are built, they
     and the kept block of their dedup, 2 * 2m * width * 16 bytes, are checked
     against ``linalg.MEMORY_BUDGET_BYTES``.
+    A one-hot program's levels, the same ones, are found on keyed rows, with
+    ``_ONE_HOT_BYTES`` checked per candidate instead.
     """
     _require_read_once(p)
-    block = p.initial[None, :]
-    levels = [LevelConfigurations(block, np.empty((0, 2), dtype=np.int64))]
+    start = _one_hot(p)
+    first = (dict(block=p.initial[None, :]) if start is None
+             else dict(index=_frozen(np.array([start])), phase=p.initial[start:start + 1]))
+    levels = [LevelConfigurations(np.empty((0, 2), dtype=np.int64), p.width, **first)]
     for tf in p.transformations:
-        m = block.shape[0]
-        check_budget(2 * 2 * m * p.width * 16, "configuration",
-                     f"level {len(levels)} ({2 * m} candidates of width {p.width} and their kept block)")
-        candidates = np.empty((2 * m, p.width), dtype=np.complex128)
-        candidates[0::2] = tf.apply_to_columns(0, block.T).T
-        candidates[1::2] = tf.apply_to_columns(1, block.T).T
+        prev, m = levels[-1], len(levels[-1])
+        if start is None:
+            check_budget(2 * 2 * m * p.width * 16, "configuration",
+                         f"level {len(levels)} ({2 * m} candidates of width {p.width} and their kept block)")
+            candidates = np.empty((2 * m, p.width), dtype=np.complex128)
+            candidates[0::2] = tf.apply_to_columns(0, prev.block.T).T
+            candidates[1::2] = tf.apply_to_columns(1, prev.block.T).T
+        else:
+            check_budget(_ONE_HOT_BYTES * 2 * m, "configuration",
+                         f"level {len(levels)} ({2 * m} one-hot candidates)")
+            k, c = _one_hot_doubled(tf, prev.index, prev.phase)
+            candidates = np.stack((c, 4.0 * k), axis=1)  # keyed rows
         block, index = _greedy_dedup(candidates, CONFIG_DEDUP_TOL)
         del candidates  # release it before the next level allocates its own
-        if np.any(np.abs(np.linalg.norm(block, axis=1) - 1.0) > NORM_DRIFT_TOL):
+        norms = np.linalg.norm(block if start is None else block[:, :1], axis=1)
+        if np.any(np.abs(norms - 1.0) > NORM_DRIFT_TOL):
             raise RuntimeError("reachable configuration drifted off unit norm")
-        trans = index.reshape(-1, 2)
-        trans.flags.writeable = False
-        levels.append(LevelConfigurations(block, trans))
+        kept = (dict(block=block) if start is None  # else the keyed rows [c, 4k] as the pairs (k, c)
+                else dict(index=_frozen(block[:, 1].real.astype(np.intp) >> 2),
+                          phase=_frozen(block[:, 0].copy())))
+        levels.append(LevelConfigurations(_frozen(index.reshape(-1, 2)), p.width, **kept))
     return levels
 
 
@@ -299,6 +338,14 @@ def theta_components(configs: np.ndarray, theta: float) -> ThetaPartition:
     return ThetaPartition(component_of, count)
 
 
+def _chained_rows(lv: LevelConfigurations, theta: float) -> np.ndarray:
+    """Rows with the ``theta_components`` of ``lv.configs``: keyed below the fallback line."""
+    r = theta + CHAIN_SLACK
+    if lv.index is not None and (theta == math.inf or r * r < 2.0 * float(np.min(np.abs(lv.phase) ** 2))):
+        return np.stack((lv.phase, 4.0 * lv.index), axis=1)
+    return lv.configs
+
+
 # -- separation bounds -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -330,16 +377,18 @@ def theta_bounds(epsilon: float, d: int) -> SeparationReport:
 
 def _classified_final_configs(
     p: QbProgram, f: TruthTable, epsilon: float
-) -> tuple[np.ndarray, np.ndarray, list[LevelConfigurations]]:
-    """The distinct final configurations of a read-once program as an
-    (m, width) block, the mask of the rows that accept at margin
-    ``epsilon`` (every other row rejects), and the reachable levels, so
-    callers need not enumerate them again.
+) -> tuple[float, np.ndarray, list[LevelConfigurations]]:
+    """The least distance between a distinct final configuration of a
+    read-once program that accepts at margin ``epsilon`` and one that
+    rejects (``_min_cross_distance``), the mask of those that accept (every
+    other one rejects), and the reachable levels, so callers need not
+    enumerate them again.
 
     A program that is not read-once is refused first.  ``evaluate_all``
     gives every input's acceptance probability, to verify that the program
     computes ``f`` at the margin.  The final configurations are the last
-    reachable level.
+    reachable level; a one-hot level's two classes, if they share no index,
+    are measured on their phases alone.
     """
     _require_read_once(p)
     if p.n_vars != f.n_vars:
@@ -356,8 +405,8 @@ def _classified_final_configs(
             f"{''.join(map(str, bits_of_value(v, p.n_vars)))} has acceptance {float(probs[v])!r}"
         )
     levels = reachable_configurations(p)
-    configs = levels[-1].configs
-    probs = _column_accept_probs(configs.T, p)
+    final = levels[-1]
+    probs = _column_accept_probs(final.block.T if final.index is None else final.phase, p, final.index)
     accepts, rejects = _margin_masks(probs, epsilon)
     band = np.flatnonzero(~(accepts | rejects))
     if band.size:
@@ -365,12 +414,16 @@ def _classified_final_configs(
             f"final configuration with acceptance {float(probs[band[0]])!r} "
             f"is inside the margin band"
         )
-    return configs, accepts, levels
+    one_hot = final.index is not None and not np.intersect1d(final.index[accepts], final.index[~accepts]).size
+    rows, width = (final.phase[:, None], final.width) if one_hot else (final.configs, None)
+    return _min_cross_distance(rows[accepts], rows[~accepts], width), accepts, levels
 
 
-def _min_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
+def _min_cross_distance(a: np.ndarray, b: np.ndarray, width: int | None = None) -> float:
     """Smallest distance between a row of ``a`` and a row of ``b``; inf when
-    either block is empty.
+    either block is empty.  With ``width``, the rows are the phases of two
+    classes of one-hot configurations with no index in common, so each pair
+    lies sqrt(|c|^2 + |c'|^2) apart, in the Gram form and explicitly.
 
     The Gram minimum g of ||x||^2 + ||y||^2 - 2 Re<x, y> is kept when the
     distances its rounding bound allows span less than CHAIN_INSET, the
@@ -382,17 +435,20 @@ def _min_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
     """
     if not len(a) or not len(b):
         return math.inf
-    check_budget(32 * len(a) * len(b), "separation",
-                 f"the Gram matrix of {len(a)} x {len(b)} final configurations")
-    sa = np.einsum("ij,ij->i", a, a.conj()).real
-    sb = np.einsum("ij,ij->i", b, b.conj()).real
-    gram = (a @ b.conj().T).real
-    d2 = np.maximum(sa[:, None] + sb[None, :] - 2.0 * gram, 0.0)
-    g = float(d2.min())
+    sa, sb = (np.einsum("ij,ij->i", x, x.conj()).real for x in (a, b))
+    if width is None:
+        check_budget(32 * len(a) * len(b), "separation",
+                     f"the Gram matrix of {len(a)} x {len(b)} final configurations")
+        gram = (a @ b.conj().T).real
+        g = float(np.maximum(sa[:, None] + sb[None, :] - 2.0 * gram, 0.0).min())
+    else:
+        g = float(sa.min() + sb.min())
     # the rounding bound of _near_pairs' Gram values, for rows of length 2d
-    err = 4.0 * (2 * a.shape[1] + 4) * np.finfo(np.float64).eps * (max(sa.max(), sb.max()) + g)
+    err = 4.0 * (2 * (width or a.shape[1]) + 4) * np.finfo(np.float64).eps * (max(sa.max(), sb.max()) + g)
     if math.sqrt(g + err) - math.sqrt(max(g - err, 0.0)) < CHAIN_INSET:
         return math.sqrt(g)
+    if width is not None:
+        return math.sqrt(float(np.min(np.abs(a) ** 2) + np.min(np.abs(b) ** 2)))
     return math.sqrt(float(_near_pairs(a, math.sqrt(g + err), b)[2].min()))
 
 
@@ -405,8 +461,7 @@ def measured_separation(p: QbProgram, f: TruthTable, epsilon: float) -> float:
     program accepting every input).  Raises if the program is not read-once
     or does not compute ``f`` with the given margin.
     """
-    configs, accepts, _ = _classified_final_configs(p, f, epsilon)
-    return _min_cross_distance(configs[accepts], configs[~accepts])
+    return _classified_final_configs(p, f, epsilon)[0]
 
 
 # -- OBDDs ---------------------------------------------------------------------------
@@ -481,8 +536,7 @@ def derive_deterministic_obdd(
     """
     if theta is not None and not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    configs, accepts, levels = _classified_final_configs(p, f, epsilon)
-    sep = _min_cross_distance(configs[accepts], configs[~accepts])
+    sep, accepts, levels = _classified_final_configs(p, f, epsilon)
     if theta is None:
         theta = sep
     elif theta > sep + CHAIN_SLACK:
@@ -491,7 +545,7 @@ def derive_deterministic_obdd(
             f"an accepting and a rejecting configuration lie at distance {sep}"
         )
     chain_theta = theta - CHAIN_INSET if theta > 2 * CHAIN_INSET else theta / 2
-    parts = [theta_components(lv.configs, chain_theta) for lv in levels]
+    parts = [theta_components(_chained_rows(lv, chain_theta), chain_theta) for lv in levels]
 
     tables: list[np.ndarray] = []
     for j in range(1, len(levels)):
@@ -526,7 +580,7 @@ def derive_deterministic_obdd(
         transitions=tuple(tables),
         accepting=_frozen(accepting),
         theta=theta,
-        reachable_counts=tuple(len(lv.configs) for lv in levels),
+        reachable_counts=tuple(len(lv) for lv in levels),
     )
 
 

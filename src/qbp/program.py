@@ -26,8 +26,9 @@ walked to its leaves but cut in two (``_leaf_join``): the block advances
 through the first half of its levels only, the second half is built
 backwards into one Gram matrix per assignment to its variables, and one
 real matrix product joins the two.  The shape of a program alone decides
-which (``_join_split``).  What a block, a walk or a join holds is checked
-against ``linalg.MEMORY_BUDGET_BYTES`` before it is allocated.
+which (``_join_split``); a one-hot program (``_one_hot``) left uncut is
+walked as (index, phase) pairs.  What a block, a walk or a join holds is
+checked against ``linalg.MEMORY_BUDGET_BYTES`` before it is allocated.
 
 Acceptance at a margin is decided by one rule, ``_margin_masks``, which
 ``computes`` under a ``Margin`` criterion and the theta-component analysis
@@ -262,13 +263,18 @@ def accept_probability(psi: np.ndarray, p: QbProgram) -> float:
     return min(max(float(np.sum(np.abs(psi[p.accepting - 1]) ** 2)), 0.0), 1.0)
 
 
-def _column_accept_probs(cols: np.ndarray, p: QbProgram) -> np.ndarray:
+def _column_accept_probs(cols: np.ndarray, p: QbProgram, index: np.ndarray | None = None) -> np.ndarray:
+    if index is not None:  # the one-hot configurations cols[i] e_index[i], bit for bit
+        return np.clip(np.abs(cols) ** 2 * np.isin(index, p.accepting - 1), 0.0, 1.0)
     return np.clip(np.sum(np.abs(cols[p.accepting - 1, :]) ** 2, axis=0), 0.0, 1.0)
 
 
 def _advance(tf: QuantumTransformation, cols: np.ndarray, bits: np.ndarray) -> None:
     """Apply one level to a d x m block in place: column k gets ``u_{bits[k]}``."""
     ones = np.asarray(bits, dtype=bool)
+    if ones.all() or not ones.any():  # one bit selects the whole block: no copy of it
+        tf.apply_to_columns(int(ones.any()), cols, out=cols)
+        return
     for b, sel in ((0, ~ones), (1, ones)):
         cols[:, sel] = tf.apply_to_columns(b, cols[:, sel])
 
@@ -303,11 +309,11 @@ def evaluate_batch(p: QbProgram, inputs) -> np.ndarray:
     """Acceptance probabilities of the rows of a (B, n) array of 0/1 input
     bits, advanced together as one d x B block.  A level copies the columns
     each bit selects and multiplies (or, for a Monomial, gathers) the copy,
-    so where one bit selects all B, it holds 4 blocks.  That, 32 bytes per
+    or the whole block where one bit selects all B.  4 blocks, 32 bytes per
     column of bits and indices, the 0/1 check's 3 bytes per input bit and
     numpy's ufunc buffers are checked against ``linalg.MEMORY_BUDGET_BYTES``
-    first.  Traced (tracemalloc): 4.01 blocks for universal n=10 at B=1024
-    with constant bits, 3.0 for dense levels, 2.0-2.6 with mixed bits."""
+    first.  Traced (tracemalloc) at B=1024: 2.0-2.1 blocks with constant
+    bits and 2.1-2.7 with mixed bits, for universal n=10, MOD_13 and Haar."""
     return _column_accept_probs(_final_block(p, inputs), p)
 
 
@@ -360,6 +366,26 @@ def _doubled(tf: QuantumTransformation, cols: np.ndarray) -> np.ndarray:
     tf.apply_to_columns(0, cols, out=out[:, 0::2])
     tf.apply_to_columns(1, cols, out=out[:, 1::2])
     return out
+
+
+def _one_hot(p: QbProgram) -> int | None:
+    """The index of ``initial``'s one nonzero if ``p`` is read-once and every
+    level is a Monomial (so every configuration c e_k is one-hot), else None."""
+    start = np.flatnonzero(p.initial)
+    monomial = all(isinstance(u, Monomial) for tf in p.transformations for u in tf.unitaries)
+    return int(start[0]) if start.size == 1 and monomial and is_read_once(p) else None
+
+
+def _one_hot_doubled(tf: QuantumTransformation, index: np.ndarray, phase: np.ndarray):
+    """``_doubled`` of the one-hot configurations phase[i] e_index[i], bit for bit."""
+    out_index = np.empty(2 * index.size, dtype=np.intp)
+    out_phase = np.empty(2 * index.size, dtype=np.complex128)
+    for b, u in enumerate(tf.unitaries):
+        row_of = np.empty_like(u.perm)
+        row_of[u.perm] = np.arange(u.perm.size)
+        out_index[b::2] = row_of[index]
+        np.multiply(u.phases[out_index[b::2]], phase, out=out_phase[b::2])
+    return out_index, out_phase
 
 
 def _leaf_walk(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -512,10 +538,10 @@ def evaluate_all(p: QbProgram) -> np.ndarray:
     common prefix in read order share their work, or, where ``_join_split``
     finds a cut of a narrow read-once program, a meet-in-the-middle join of
     its prefix states and suffix Gram matrices (``_leaf_join``), which may
-    differ from the walk in the last bits.  What the pass holds (its blocks
-    and 2^|read| probabilities) and the per-input arrays (2^n x 32 bytes)
-    must each fit in ``linalg.MEMORY_BUDGET_BYTES``, else ValueError is
-    raised first.
+    differ from the walk in the last bits.  An uncut one-hot program
+    (``_one_hot``) is walked one (index, phase) pair a leaf.  What the pass holds and
+    the per-input arrays (2^n x 32 bytes) must each fit in
+    ``linalg.MEMORY_BUDGET_BYTES``, else ValueError is raised first.
     """
     n = p.n_vars
     # input values, leaf indices, one temporary and the result: 8 bytes each;
@@ -523,7 +549,16 @@ def evaluate_all(p: QbProgram) -> np.ndarray:
     # masks and the failing inputs, 28 bytes per input, in the same room
     linalg.check_budget(32 << n, "evaluation", f"the per-input data of 2^{n} inputs")
     s = _join_split(p)
-    probs, order = _leaf_walk(p) if s is None else _leaf_join(p, s)
+    start = _one_hot(p) if s is None else None
+    if start is None:
+        probs, order = _leaf_walk(p) if s is None else _leaf_join(p, s)
+    else:  # the walk's probabilities, bit for bit; traced at up to 56 bytes a leaf
+        linalg.check_budget((60 << p.length) + 24 * p.width + 3 * 16 * np.getbufsize(), "evaluation",
+                            f"the one-hot walk over 2^{p.length} configurations of width {p.width}")
+        index, phase = np.array([start]), p.initial[start:start + 1]
+        for tf in p.transformations:
+            index, phase = _one_hot_doubled(tf, index, phase)
+        probs, order = _column_accept_probs(phase, p, index), p.var_sequence
     if order == tuple(range(1, n + 1)):
         return probs
     return probs[_leaf_indices(order, n)]

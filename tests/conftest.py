@@ -42,6 +42,14 @@ def random_program(
     return QbProgram(n, d, tfs, initial, accepting)
 
 
+def superposed(p: QbProgram) -> QbProgram:
+    """``p`` started from (e_1 + e_2)/sqrt(2), not from one basis vector: its
+    configurations are dense rows, and for the universal program as many per
+    level as from e_1."""
+    return QbProgram(p.n_vars, p.width, p.transformations, np.eye(p.width)[:2].sum(axis=0) / np.sqrt(2),
+                     p.accepting)
+
+
 def chain_probability(p: QbProgram, bits) -> float:
     """Independent oracle: plain dense matrix-chain evaluation."""
     bits = tuple(int(b) for b in bits)

@@ -41,7 +41,7 @@ from qbp.program import (
     save_program,
 )
 
-from conftest import chain_probability, random_program
+from conftest import chain_probability, random_program, superposed
 
 
 def identity_program(n=4):
@@ -140,9 +140,10 @@ def test_reachable_universal_n10_final_count():
 
 
 def test_reachable_configuration_budget(monkeypatch):
-    # level 3 of the universal n=4 program has 8 candidates of width 16, and
-    # their kept block as many again
-    p = universal_exact_qbp(TruthTable.random(4, np.random.default_rng(4)))
+    # level 3 of the universal n=4 program, started from a superposition, has
+    # 8 dense candidates of width 16, and their kept block as many again
+    p = superposed(universal_exact_qbp(TruthTable.random(4, np.random.default_rng(4))))
+    assert [len(lv) for lv in reachable_configurations(p)] == [1, 2, 4, 8, 16]
     monkeypatch.setattr(qbp.linalg, "MEMORY_BUDGET_BYTES", 2 * 2 * 4 * 16 * 16 - 1)
     with pytest.raises(ValueError, match="configuration budget exceeded: level 3"):
         reachable_configurations(p)

@@ -13,7 +13,7 @@ import pytest
 from qbp import analysis, cli, constructions, linalg, program, realify
 from qbp.program import QbProgram, QuantumTransformation, TruthTable
 
-from conftest import random_program
+from conftest import random_program, superposed
 
 MiB = 1 << 20
 
@@ -63,16 +63,33 @@ def _join():
     return (lambda: program._leaf_join(p, 10)), need, "evaluation", None
 
 
+def _one_hot_walk():
+    # width 1024 at n = 16, one-hot and too wide to join: 60 bytes per leaf,
+    # 24 per state and numpy's ufunc buffers, after the 2^16-input check
+    p = _identity_program(16, 1024, range(1, 17))
+    need = (60 << 16) + 24 * 1024 + 3 * 16 * np.getbufsize()
+    return (lambda: program.evaluate_all(p)), need, "evaluation", None
+
+
 def _per_input():
     p = _identity_program(16, 1, ())
     return (lambda: program.evaluate_all(p)), 32 << 16, "evaluation", None
 
 
 def _reachable_level():
-    # level 9 of the universal n=9 program: 512 candidates of width 512
-    p = constructions.universal_exact_qbp(TruthTable.random(9, np.random.default_rng(9)))
+    # level 9 of the universal n=9 program started from a superposition: 512
+    # dense candidates of width 512
+    p = superposed(constructions.universal_exact_qbp(TruthTable.random(9, np.random.default_rng(9))))
     prefix = _truncated(p, 8)
     return ((lambda: analysis.reachable_configurations(p)), 2 * 512 * 512 * 16, "configuration",
+            lambda: analysis.reachable_configurations(prefix))
+
+
+def _one_hot_reachable_level():
+    # level 14 of the universal n=14 program: 2^14 one-hot candidates
+    p = constructions.universal_exact_qbp(TruthTable.random(14, np.random.default_rng(14)))
+    prefix = _truncated(p, 13)
+    return ((lambda: analysis.reachable_configurations(p)), analysis._ONE_HOT_BYTES << 14, "configuration",
             lambda: analysis.reachable_configurations(prefix))
 
 
@@ -158,8 +175,10 @@ SITES = {
     "evaluation batch": _batch,
     "evaluation leaf block": _leaf_block,
     "evaluation join": _join,
+    "evaluation one-hot walk": _one_hot_walk,
     "evaluation per-input data": _per_input,
     "reachable level": _reachable_level,
+    "one-hot reachable level": _one_hot_reachable_level,
     "separation per-input data": _separation_per_input,
     "separation Gram matrix": _gram,
     "min_obdd_width": _width_oracle,
@@ -310,10 +329,9 @@ def test_universal_accepting_set_holds_8_bytes_a_state():
     (lambda: random_program(np.random.default_rng(2), d=2, n=100), 1024),
 ], ids=["universal n=10", "mod 13 B=64", "mod 13 B=1024", "haar 8", "haar 2"])
 def test_batch_peak_within_its_count(make, batch, bits, monkeypatch):
-    # measured: 4 blocks where one bit selects every column of a Monomial
-    # level (universal, and MOD's identity u0), 3 for a dense level, about
-    # 2.5 with mixed bits; at width 2 the 0/1 check of the inputs outweighs
-    # the block
+    # measured: about 2 blocks where one bit selects every column, about 2.5
+    # with mixed bits; at width 2 the 0/1 check of the inputs outweighs the
+    # block
     p = make()
     inputs = {"zeros": np.zeros((batch, p.n_vars), dtype=np.int64),
               "ones": np.ones((batch, p.n_vars), dtype=np.int64),
@@ -339,3 +357,35 @@ def test_mod_construction_peak_within_its_count(p, n, strategy, monkeypatch):
         warnings.simplefilter("ignore", UserWarning)  # p > n/2
         peak, _ = _traced(lambda: constructions.build_mod_program(p, n, strategy, seed=1))
     assert 0 < peak <= counted["mod construction"], (peak, counted["mod construction"])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: constructions.universal_exact_qbp(TruthTable.random(10, np.random.default_rng(10))),
+    lambda: constructions.build_mod_program(13, 30, "sampled", seed=1),
+    lambda: random_program(np.random.default_rng(8), d=8, n=20),
+], ids=["universal n=10", "mod 13", "haar 8"])
+def test_batch_with_constant_bits_works_on_the_block(make):
+    # where one bit selects every column, a level is applied to the whole
+    # block, not to a copy of it: 4.01 blocks traced for the universal
+    # program (3 for dense levels) when the selection was copied, 2.0 to 2.1
+    # now, within the 4 blocks the budget counts
+    p = make()
+    block = 16 * p.width * 1024
+    for bits in (np.zeros((1024, p.n_vars), dtype=np.int8), np.ones((1024, p.n_vars), dtype=np.int8)):
+        peak, _ = _traced(lambda: program.evaluate_batch(p, bits))
+        assert peak <= 2.25 * block, peak / block
+
+
+@pytest.mark.parametrize("n", [10, 12, 14])
+def test_one_hot_peaks_within_their_counts(n, monkeypatch):
+    # measured: the walk at up to 56 bytes a leaf, the enumeration (all its
+    # levels held) at up to 150 bytes per candidate of the last level
+    p = constructions.universal_exact_qbp(TruthTable.random(n, np.random.default_rng(n)))
+    counted = {}
+    for module in (linalg, analysis):
+        monkeypatch.setattr(module, "check_budget", lambda need, stage, what: counted.update({what: need}))
+    walk, _ = _traced(lambda: program.evaluate_all(p))
+    assert 0 < walk <= counted[f"the one-hot walk over 2^{n} configurations of width {1 << n}"] + (32 << n)
+    counted.clear()
+    levels, _ = _traced(lambda: analysis.reachable_configurations(p))
+    assert 0 < levels <= counted[f"level {n} ({1 << n} one-hot candidates)"], levels
