@@ -9,8 +9,9 @@ inputs exactly like the program does at a given margin, with width bounded
 by a sphere-packing count of (1 + 2/theta)^(2d).
 
 Both geometric steps, collapsing configurations within 1e-9 of each other
-and chaining them into theta-components, rest on one fixed-radius
-near-neighbour primitive (``_near_pairs``): sort the configurations by
+and chaining them into theta-components, rest on one query of one
+fixed-radius near-neighbour primitive, the pairs of rows of one block
+within a radius (``_near_pairs``): sort the configurations by
 their projection Re<x, r> onto one fixed unit direction r and compare only
 those whose projections lie within the radius.  The projection is
 1-Lipschitz (|Re<x - y, r>| <= ||x - y||), so no pair within the radius is
@@ -37,9 +38,10 @@ the wide levels near the root of an unstructured table, with more possible
 keys than pairs, sort their pairs with ``np.unique``.
 
 Also here: the measured accept/reject separation of a read-once program
-(the theta of the lower bound, taken over its last reachable level), the
-two closed-form separation lower bounds, and integer width lower bounds
-derived from the packing inequality.
+(the theta of the lower bound, over its last reachable level), read off the
+accept x reject Gram block, with explicit distances where the Gram form
+cancels; the two closed-form separation lower bounds, and integer width
+lower bounds derived from the packing inequality.
 """
 
 from __future__ import annotations
@@ -79,14 +81,11 @@ def _explicit_sq_distances(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.nd
     return out
 
 
-def _near_pairs(
-    mat: np.ndarray, radius: float, other: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _near_pairs(mat: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair of rows at distance at most ``radius``, exactly.
 
-    Returns index arrays ``i``, ``j`` and the squared distances ``d2`` of
-    all pairs with ||mat[i] - other[j]|| <= radius; with ``other`` None, of
-    all pairs i < j of rows of ``mat``.
+    Returns index arrays ``i`` < ``j`` and the squared distances ``d2`` of
+    all pairs of rows of ``mat`` with ||mat[i] - mat[j]|| <= radius.
 
     Fixed-radius sort and sweep (Bentley, Stanat & Williams 1977): every row
     is projected onto one fixed unit direction r, as Re<x, r>.  The
@@ -101,17 +100,12 @@ def _near_pairs(
     radius^2: the set an all-pairs scan gives, in any dimension.
     """
     a = np.ascontiguousarray(mat, dtype=np.complex128)
-    b = a if other is None else np.ascontiguousarray(other, dtype=np.complex128)
-    empty = np.empty(0, dtype=np.int64)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return empty, empty, np.empty(0)
     # real rows of twice the length: Re<x, y> is their plain dot product
-    ra, rb = a.view(np.float64), b.view(np.float64)
+    ra = a.view(np.float64)
     direction = np.random.default_rng(_PROJECTION_SEED).standard_normal(ra.shape[1])
     direction /= np.linalg.norm(direction)
-    sq_a = np.einsum("ij,ij->i", ra, ra)
-    sq_b = sq_a if other is None else np.einsum("ij,ij->i", rb, rb)
-    max_sq = float(max(sq_a.max(), sq_b.max()))
+    sq = np.einsum("ij,ij->i", ra, ra)
+    max_sq = float(sq.max(initial=0.0))
     # Rounding bounds, each with a factor of 2 or more to spare: a length-k
     # dot product errs by at most k*eps/2*|x||y|; the explicit squared
     # distance of a pair near the radius, by k*eps*radius^2.
@@ -121,20 +115,14 @@ def _near_pairs(
     half = radius * (1.0 + k * eps) + 4.0 * k * eps * math.sqrt(max_sq)
     gram_err = 4.0 * k * eps * (max_sq + r2)
 
-    proj_b = rb @ direction
-    order_b = np.argsort(proj_b, kind="stable")
-    sorted_b = proj_b[order_b]
-    if other is None:
-        order_a, sorted_a = order_b, sorted_b
-        lo = np.arange(1, a.shape[0] + 1)
-    else:
-        proj_a = ra @ direction
-        order_a = np.argsort(proj_a, kind="stable")
-        sorted_a = proj_a[order_a]
-        lo = np.searchsorted(sorted_b, sorted_a - half, side="left")
-    hi = np.searchsorted(sorted_b, sorted_a + half, side="right")
+    proj = ra @ direction
+    order = np.argsort(proj, kind="stable")
+    sorted_proj = proj[order]
+    lo = np.arange(1, a.shape[0] + 1)
+    hi = np.searchsorted(sorted_proj, sorted_proj + half, side="right")
 
-    found_i, found_j, found_d2 = [], [], []
+    empty = np.empty(0, dtype=np.intp)
+    found_i, found_j, found_d2 = [empty], [empty], [np.empty(0)]
     for s0 in range(0, a.shape[0], _GRAM_BLOCK_ROWS):
         blo, bhi = lo[s0:s0 + _GRAM_BLOCK_ROWS], hi[s0:s0 + _GRAM_BLOCK_ROWS]
         rows = np.nonzero(bhi > blo)[0]
@@ -146,21 +134,17 @@ def _near_pairs(
         np.add.at(cover, blo - c0, 1)
         np.add.at(cover, bhi - c0, -1)
         cols = c0 + np.nonzero(np.cumsum(cover[:-1]) > 0)[0]
-        ia, jb = order_a[s0 + rows], order_b[cols]
-        d2 = sq_a[ia][:, None] + sq_b[jb][None, :] - 2.0 * (ra[ia] @ rb[jb].T)
+        ii, jj = order[s0 + rows], order[cols]
+        d2 = sq[ii][:, None] + sq[jj][None, :] - 2.0 * (ra[ii] @ ra[jj].T)
         window = (cols[None, :] >= blo[:, None]) & (cols[None, :] < bhi[:, None])
         pi, pj = np.nonzero(window & (d2 <= r2 + gram_err))
-        exact = _explicit_sq_distances(a, b, ia[pi], jb[pj])
+        exact = _explicit_sq_distances(a, a, ii[pi], jj[pj])
         keep = exact <= r2
-        found_i.append(ia[pi[keep]])
-        found_j.append(jb[pj[keep]])
+        found_i.append(ii[pi[keep]])
+        found_j.append(jj[pj[keep]])
         found_d2.append(exact[keep])
-    if not found_i:
-        return empty, empty, np.empty(0)
     i, j, d2 = np.concatenate(found_i), np.concatenate(found_j), np.concatenate(found_d2)
-    if other is None:
-        i, j = np.minimum(i, j), np.maximum(i, j)
-    return i, j, d2
+    return np.minimum(i, j), np.maximum(i, j), d2
 
 
 def _greedy_dedup(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -245,8 +229,9 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
     1e-9 of a kept earlier one maps to the nearest, lowest index on ties.
     Near candidates are found by an exact sort and sweep (``_near_pairs``),
     not by comparing all pairs.  Before a level's candidates are built, they
-    and the kept block of their dedup, 2 * 2m * width * 16 bytes, are checked
-    against ``linalg.MEMORY_BUDGET_BYTES``.
+    and the kept block of their dedup, 2 * 2m * width * 16 bytes, beside the
+    levels already kept, numpy's ufunc buffer and 16 KiB, are checked against
+    ``linalg.MEMORY_BUDGET_BYTES``: the count of the whole call so far.
     A one-hot program's levels, the same ones, are found on keyed rows, with
     ``_ONE_HOT_BYTES`` checked per candidate instead.
     """
@@ -255,11 +240,14 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
     first = (dict(block=p.initial[None, :]) if start is None
              else dict(index=_frozen(np.array([start])), phase=p.initial[start:start + 1]))
     levels = [LevelConfigurations(np.empty((0, 2), dtype=np.int64), p.width, **first)]
+    held = 16 * np.getbufsize() + (16 << 10)
     for tf in p.transformations:
         prev, m = levels[-1], len(levels[-1])
         if start is None:
-            check_budget(2 * 2 * m * p.width * 16, "configuration",
-                         f"level {len(levels)} ({2 * m} candidates of width {p.width} and their kept block)")
+            held += prev.block.nbytes + prev.prev_transitions.nbytes
+            check_budget(2 * 2 * m * p.width * 16 + held, "configuration",
+                         f"level {len(levels)} ({2 * m} candidates of width {p.width}, their kept block "
+                         f"and the {len(levels)} levels kept)")
             candidates = np.empty((2 * m, p.width), dtype=np.complex128)
             candidates[0::2] = tf.apply_to_columns(0, prev.block.T).T
             candidates[1::2] = tf.apply_to_columns(1, prev.block.T).T
@@ -426,12 +414,12 @@ def _min_cross_distance(a: np.ndarray, b: np.ndarray, width: int | None = None) 
     lies sqrt(|c|^2 + |c'|^2) apart, in the Gram form and explicitly.
 
     The Gram minimum g of ||x||^2 + ||y||^2 - 2 Re<x, y> is kept when the
-    distances its rounding bound allows span less than CHAIN_INSET, the
+    distances its rounding bound err allows span less than CHAIN_INSET, the
     accuracy the component chain at theta - CHAIN_INSET needs.  Otherwise (a
     small distance, where the Gram form cancels) the minimum is taken over
-    the explicit distances of the pairs within sqrt(g + bound), found by
-    ``_near_pairs``.  The Gram block and its temporaries, 32 bytes per pair,
-    are checked against ``linalg.MEMORY_BUDGET_BYTES`` first.
+    the explicit distances of the pairs whose Gram value is within 2 err of
+    g, which hold the nearest pair.  The Gram block and its temporaries, 32
+    bytes per pair, are checked against ``linalg.MEMORY_BUDGET_BYTES`` first.
     """
     if not len(a) or not len(b):
         return math.inf
@@ -439,17 +427,19 @@ def _min_cross_distance(a: np.ndarray, b: np.ndarray, width: int | None = None) 
     if width is None:
         check_budget(32 * len(a) * len(b), "separation",
                      f"the Gram matrix of {len(a)} x {len(b)} final configurations")
-        gram = (a @ b.conj().T).real
-        g = float(np.maximum(sa[:, None] + sb[None, :] - 2.0 * gram, 0.0).min())
+        two_re = 2.0 * (a @ b.conj().T).real  # before the sums, so the complex product is freed first
+        d2 = np.maximum(sa[:, None] + sb[None, :] - two_re, 0.0)
+        g = float(d2.min())
     else:
         g = float(sa.min() + sb.min())
-    # the rounding bound of _near_pairs' Gram values, for rows of length 2d
+    # the rounding bound of the Gram values, for rows of length 2d
     err = 4.0 * (2 * (width or a.shape[1]) + 4) * np.finfo(np.float64).eps * (max(sa.max(), sb.max()) + g)
     if math.sqrt(g + err) - math.sqrt(max(g - err, 0.0)) < CHAIN_INSET:
         return math.sqrt(g)
     if width is not None:
         return math.sqrt(float(np.min(np.abs(a) ** 2) + np.min(np.abs(b) ** 2)))
-    return math.sqrt(float(_near_pairs(a, math.sqrt(g + err), b)[2].min()))
+    i, j = np.nonzero(d2 <= g + 2.0 * err)
+    return math.sqrt(float(_explicit_sq_distances(a, b, i, j).min()))
 
 
 def measured_separation(p: QbProgram, f: TruthTable, epsilon: float) -> float:

@@ -403,9 +403,8 @@ def _parse_range(text: str, what: str) -> tuple[float, ...]:
 
 def _mod_sweep_row(p: int, n: int, seed: int) -> list:
     t_sampled = constructions.target_set_size(p)
-    greedy = constructions.greedy_good_set(p)
-    sampled_prog = constructions.build_mod_program(p, n, strategy="sampled", seed=seed)
     greedy_prog = constructions.build_mod_program(p, n, strategy="greedy")
+    sampled_prog = constructions.build_mod_program(p, n, strategy="sampled", seed=seed)
 
     # one row per input 1^r 0^(n-r), 0 < r < p
     r = np.arange(1, min(p, n + 1))
@@ -426,7 +425,7 @@ def _mod_sweep_row(p: int, n: int, seed: int) -> list:
         if rep.theta2_radicand > 0:
             d_min_margin = analysis.lower_bound_width(obdd_width, margin_eps, "margin")
     return [
-        p, n, t_sampled, greedy.t, sampled_prog.width, greedy_prog.width,
+        p, n, t_sampled, greedy_prog.width // 2, sampled_prog.width, greedy_prog.width,
         f"{rej_sampled:.17g}", f"{rej_greedy:.17g}", obdd_width,
         f"{margin_eps:.17g}" if margin_eps is not None else "",
         theta2, d_min_margin, d_min_general, "",

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .program import Monomial, QbProgram, QuantumTransformation, TruthTable
+from .program import Monomial, QbProgram, QuantumTransformation, TruthTable, _integer
 
 
 def is_prime(p: int) -> bool:
@@ -219,11 +219,10 @@ def sample_good_set(p: int, seed: int) -> GoodSet:
     t = target_set_size(p)
     failing: tuple[int, ...] = ()
     for attempt in range(_SAMPLE_ATTEMPTS):
-        rng = np.random.default_rng(seed + attempt)
-        ks = tuple(int(k) for k in rng.integers(1, p, size=t))
-        failing = failing_residues(p, ks)
-        if not failing:
-            return GoodSet(p, ks)
+        try:
+            return GoodSet(p, np.random.default_rng(seed + attempt).integers(1, p, size=t))
+        except GoodSetError as e:
+            failing = e.failing_residues
     raise GoodSetError(
         p, failing,
         f"no certified draw after {_SAMPLE_ATTEMPTS} attempts from seed {seed}; "
@@ -343,13 +342,6 @@ def build_mod_program(p: int, n: int, strategy: str = "greedy", seed: int = 0) -
 
 
 # -- permutation branching programs ---------------------------------------------------
-
-def _integer(x, what: str) -> int:
-    """``x`` as an int when it is a Python or numpy integer other than a bool."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return int(x)
-
 
 @dataclass(frozen=True, eq=False)
 class PermutationBp:

@@ -76,6 +76,20 @@ def bits_of_value(value: int, n_vars: int) -> tuple[int, ...]:
     return tuple((value >> (n_vars - 1 - i)) & 1 for i in range(n_vars))
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int when it is a Python or numpy integer other than a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _integers(values, what: str):
+    """An integer or empty array as it is, anything else as a list of ``_integer``s."""
+    if isinstance(values, np.ndarray) and (values.dtype.kind in "iu" or not values.size):
+        return values
+    return [_integer(x, what) for x in values]
+
+
 @dataclass(frozen=True, eq=False)
 class Monomial:
     """A unitary stored as built: row i holds ``phases[i]`` in column
@@ -89,7 +103,8 @@ class Monomial:
         phases = linalg.as_cvector(self.phases)
         if not np.array_equal(np.sort(self.perm), np.arange(phases.size)):
             raise ValueError(f"perm must be a permutation of 0..{phases.size - 1}")
-        object.__setattr__(self, "perm", linalg._frozen(np.array(self.perm, dtype=np.intp)))
+        perm = np.array(_integers(self.perm, "perm entry"), dtype=np.intp)
+        object.__setattr__(self, "perm", linalg._frozen(perm))
         object.__setattr__(self, "phases", phases)
 
     @property
@@ -180,10 +195,11 @@ class QuantumTransformation:
 
 
 def _state_set(states, width: int) -> np.ndarray:
-    """Any iterable of states as a frozen, sorted, duplicate-free int64 array,
-    with no Python loop over an array (a frozen increasing one is kept).  The
-    ValueError names the smallest state outside [1, width], even beyond int64."""
-    arr = states if isinstance(states, np.ndarray) else list(states)
+    """Any iterable of integer states as a frozen, sorted, duplicate-free
+    int64 array, with no Python loop over an integer array (a frozen
+    increasing one is kept).  The ValueError names a state that is not an
+    integer, or the smallest outside [1, width], even beyond int64."""
+    arr = _integers(states, "accepting state")
     try:
         arr = np.asarray(arr, dtype=np.int64)
     except OverflowError:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qbp.analysis
@@ -141,24 +141,25 @@ def test_reachable_universal_n10_final_count():
 
 def test_reachable_configuration_budget(monkeypatch):
     # level 3 of the universal n=4 program, started from a superposition, has
-    # 8 dense candidates of width 16, and their kept block as many again
+    # 8 dense candidates of width 16, and their kept block as many again,
+    # beside the 1 + 2 + 4 rows and 1 + 2 transition rows of the levels
+    # kept, numpy's ufunc buffer and 16 KiB
     p = superposed(universal_exact_qbp(TruthTable.random(4, np.random.default_rng(4))))
     assert [len(lv) for lv in reachable_configurations(p)] == [1, 2, 4, 8, 16]
-    monkeypatch.setattr(qbp.linalg, "MEMORY_BUDGET_BYTES", 2 * 2 * 4 * 16 * 16 - 1)
+    need = 2 * 2 * 4 * 16 * 16 + 7 * 16 * 16 + 3 * 16 + 16 * np.getbufsize() + (16 << 10)
+    monkeypatch.setattr(qbp.linalg, "MEMORY_BUDGET_BYTES", need - 1)
     with pytest.raises(ValueError, match="configuration budget exceeded: level 3"):
         reachable_configurations(p)
 
 
 # -- near-pair primitive and greedy dedup -----------------------------------------------
 
-def brute_near_pairs(a, radius, b=None):
+def brute_near_pairs(a, radius):
     """Reference: every pair, by explicit differences."""
-    self_pairs = b is None
-    b = a if self_pairs else b
     found = set()
     for i in range(len(a)):
-        for j in range(i + 1 if self_pairs else 0, len(b)):
-            if np.sum(np.abs(b[j] - a[i]) ** 2) <= radius * radius:
+        for j in range(i + 1, len(a)):
+            if np.sum(np.abs(a[j] - a[i]) ** 2) <= radius * radius:
                 found.add((i, j))
     return found
 
@@ -198,9 +199,25 @@ def test_near_pairs_matches_brute_force_random(seed, m, d, radius):
     assert set(zip(i.tolist(), j.tolist())) == brute_near_pairs(a, radius)
     assert np.all(i < j)
     assert np.allclose(d2, np.sum(np.abs(a[i] - a[j]) ** 2, axis=1), rtol=0, atol=1e-12)
-    b = rng.normal(size=(m + 3, d)) + 1j * rng.normal(size=(m + 3, d))
-    i, j, _ = _near_pairs(a, radius, b)
-    assert set(zip(i.tolist(), j.tolist())) == brute_near_pairs(a, radius, b)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 40), st.integers(1, 6),
+       st.floats(1e-8, 1e-6))
+@example(0, 2, 8, 4, 1e-8)  # the nearest pair's Gram value is not the least
+@settings(max_examples=60, deadline=None)
+def test_min_cross_distance_fallback_matches_brute_force(seed, ma, mb, d, gap):
+    # unit rows with up to three planted cross pairs, within a factor of 2
+    # of one another and far inside the Gram form's rounding: the fallback
+    # must return the least explicit distance, not the Gram minimum's
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d)) for m in (ma, mb))
+    for _ in range(int(rng.integers(1, 4))):
+        ia, ib = int(rng.integers(ma)), int(rng.integers(mb))
+        b[ib] = a[ia] + gap * rng.uniform(1, 2) * (rng.normal(size=d) + 1j * rng.normal(size=d))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    brute = min(float(np.sum(np.abs(y - x) ** 2)) for x in a for y in b)
+    assert qbp.analysis._min_cross_distance(a, b) == math.sqrt(brute)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 5),
@@ -309,9 +326,9 @@ def test_infinite_theta_chains_without_a_pairs_query(monkeypatch):
     # no pairs query (that query would score all m (m - 1) / 2 pairs)
     real = qbp.analysis._near_pairs
 
-    def finite_only(mat, radius, other=None):
+    def finite_only(mat, radius):
         assert math.isfinite(radius), "pairs query at an infinite radius"
-        return real(mat, radius, other)
+        return real(mat, radius)
 
     monkeypatch.setattr(qbp.analysis, "_near_pairs", finite_only)
     rng = np.random.default_rng(7)
@@ -379,6 +396,20 @@ def test_measured_separation_detects_non_computation():
     p = mod_block(ModBlockSpec(5, 2, 6))  # rejects some residues too weakly
     with pytest.raises(ValueError, match="does not compute"):
         measured_separation(p, mod_truth_table(5, 6), 0.4)
+
+
+def test_one_hot_separation_at_width_2_20_is_explicit():
+    # two one-hot classes with no index in common, at width 2^20: the Gram
+    # form's rounding bound there spans 3.95e-9 > CHAIN_INSET, so the
+    # distance is taken from the explicit |c|^2 of the phases
+    rng = np.random.default_rng(20)
+    a, b = ((0.999 + 0.001 * rng.random((m, 1))) * np.exp(2j * np.pi * rng.random((m, 1))) for m in (5, 7))
+    width = 1 << 20
+    g = 2.0
+    err = 4.0 * (2 * width + 4) * np.finfo(np.float64).eps * (1.0 + g)
+    assert math.sqrt(g + err) - math.sqrt(g - err) > linalg.CHAIN_INSET
+    explicit = math.sqrt(float(np.min(np.abs(a) ** 2) + np.min(np.abs(b) ** 2)))
+    assert qbp.analysis._min_cross_distance(a, b, width) == explicit
 
 
 @pytest.mark.parametrize("delta", [1e-8, 1e-9])

@@ -78,10 +78,13 @@ def _per_input():
 
 def _reachable_level():
     # level 9 of the universal n=9 program started from a superposition: 512
-    # dense candidates of width 512
+    # dense candidates of width 512 and their kept block, beside the levels
+    # kept (1 + 2 + ... + 256 rows and 1 + 2 + ... + 128 transition rows),
+    # numpy's ufunc buffer and 16 KiB
     p = superposed(constructions.universal_exact_qbp(TruthTable.random(9, np.random.default_rng(9))))
     prefix = _truncated(p, 8)
-    return ((lambda: analysis.reachable_configurations(p)), 2 * 512 * 512 * 16, "configuration",
+    need = 2 * 512 * 512 * 16 + 511 * 512 * 16 + 255 * 16 + 16 * np.getbufsize() + (16 << 10)
+    return ((lambda: analysis.reachable_configurations(p)), need, "configuration",
             lambda: analysis.reachable_configurations(prefix))
 
 
@@ -389,3 +392,41 @@ def test_one_hot_peaks_within_their_counts(n, monkeypatch):
     counted.clear()
     levels, _ = _traced(lambda: analysis.reachable_configurations(p))
     assert 0 < levels <= counted[f"level {n} ({1 << n} one-hot candidates)"], levels
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda n=n: superposed(constructions.universal_exact_qbp(TruthTable.random(n, np.random.default_rng(n))))
+      for n in (8, 9, 10)),
+    lambda: random_program(np.random.default_rng(8), d=8, n=12),
+    lambda: random_program(np.random.default_rng(32), d=32, n=9),
+    lambda: constructions.build_mod_program(13, 30, "sampled", seed=1),
+], ids=["superposed universal n=8", "superposed universal n=9", "superposed universal n=10", "haar 8",
+        "haar 32", "mod 13"])
+def test_reachable_peak_within_its_count(make, monkeypatch):
+    # the last level's count holds every level kept before it: measured at
+    # 0.997 to 0.9996 of it for the universal programs, whose peak was 1.5
+    # to 1.57 times the largest level while the count left the kept levels out
+    p = make()
+    counted = []
+    monkeypatch.setattr(analysis, "check_budget", lambda need, stage, what: counted.append(need))
+    peak, _ = _traced(lambda: analysis.reachable_configurations(p))
+    assert 0 < peak <= counted[-1] == max(counted), (peak, counted[-1])
+
+
+def test_separation_fallback_peak_within_its_count():
+    # 64 x 1024 unit rows of width 64 with one pair 1e-7 apart, where the Gram
+    # form cancels: the fallback reads its candidates off the Gram block it
+    # holds.  Measured: 1.0088 times the 32 bytes a pair counted, as when it
+    # ran a pairs query (1.0095)
+    rng = np.random.default_rng(64)
+    a, b = (rng.standard_normal((m, 64)) + 1j * rng.standard_normal((m, 64)) for m in (64, 1024))
+    b[700] = a[5] + 1e-7 * rng.standard_normal(64)
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    explicit = []
+    real = analysis._explicit_sq_distances
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_explicit_sq_distances", lambda *args: explicit.append(args[-1].size) or real(*args))
+        peak, _ = _traced(lambda: analysis._min_cross_distance(a, b))
+    assert explicit == [1]
+    assert peak <= 1.01 * 32 * 64 * 1024, peak / (32 * 64 * 1024)

@@ -301,6 +301,18 @@ def test_sample_good_set_certified_for_various_primes():
         assert failing_residues(p, gs.multipliers) == ()
 
 
+@pytest.mark.parametrize("p, seed, draws", [(5, 13, 2), (5, 1, 1), (97, 0, 1)])
+def test_sample_good_set_certifies_each_draw_once(p, seed, draws, monkeypatch):
+    # MOD_5 from seed 13 fails its first draw; every draw is checked once,
+    # by GoodSet, and the certified one is the set returned
+    checked = []
+    real = constructions.failing_residues
+    monkeypatch.setattr(constructions, "failing_residues", lambda p, ks: checked.append(ks) or real(p, ks))
+    gs = sample_good_set(p, seed)
+    assert len(checked) == draws and checked[-1] == gs.multipliers
+    assert gs.multipliers == tuple(int(k) for k in np.random.default_rng(seed + draws - 1).integers(1, p, size=gs.t))
+
+
 def test_greedy_good_set_small_primes():
     assert greedy_good_set(3).multipliers == (1,)
     g5 = greedy_good_set(5)

@@ -721,6 +721,41 @@ def test_accepting_state_outside_the_width_is_named(states, bad):
         QbProgram(1, 4, (), np.eye(4)[0], states)
 
 
+@pytest.mark.parametrize("states, bad", [
+    ([1.5], "1.5"), (["1"], "'1'"), ([True], "True"), ([1, True], "True"), ([2, 3.0], "3.0"),
+    (np.array([1.0, 2.0]), r"np.float64\(1.0\)"), (np.array([True]), r"np.True_"), (np.array(["1"]), "np.str_"),
+], ids=["float", "string", "bool", "bool among ints", "integral float", "float array", "bool array",
+        "string array"])
+def test_accepting_state_that_is_not_an_integer_is_refused(states, bad):
+    # not truncated or parsed: 1.5, "1" and True are not state 1
+    with pytest.raises(ValueError, match=rf"^accepting state must be an integer, got {bad}"):
+        QbProgram(1, 4, (), np.eye(4)[0], states)
+
+
+def test_empty_accepting_array_of_any_dtype_is_the_empty_set():
+    # numpy reads an empty iterable as float64; no state in it is a float
+    for states in (np.array([]), np.array([], dtype=bool), iter(())):
+        assert QbProgram(1, 2, (), np.array([1.0, 0.0]), states).accepting.tolist() == []
+
+
+@pytest.mark.parametrize("perm, message", [
+    (np.array([1.0, 0.0]), "perm entry must be an integer"), ([1.0, 0.0], "perm entry must be an integer"),
+    ([True, False], "perm entry must be an integer"), (np.array([1, 0], dtype=bool), "perm entry must be an integer"),
+    (["1", "0"], r"perm must be a permutation of 0\.\.1$"),
+], ids=["float array", "floats", "bools", "bool array", "strings"])
+def test_monomial_perm_that_is_not_integer_is_refused(perm, message):
+    # a float or bool perm that permutes 0..1 is refused, not cast; strings
+    # do not sort as a permutation of integers
+    with pytest.raises(ValueError, match=f"^{message}"):
+        Monomial(perm, np.ones(2))
+
+
+def test_monomial_perm_of_any_integer_kind_is_kept():
+    for perm in ([1, 0], [np.int64(1), 0], np.array([1, 0], dtype=np.uint8), np.array([1, 0], dtype=object)):
+        m = Monomial(perm, np.ones(2))
+        assert m.perm.dtype == np.intp and m.perm.tolist() == [1, 0]
+
+
 def test_program_reports_non_unitary_level():
     ident = np.eye(2)
     shear = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
