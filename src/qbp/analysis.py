@@ -54,9 +54,12 @@ import numpy as np
 
 from .linalg import CHAIN_INSET, CHAIN_SLACK, CONFIG_DEDUP_TOL, NORM_DRIFT_TOL, _frozen, check_budget
 from .program import (
+    Margin,
     QbProgram,
     TruthTable,
+    _by_input,
     _column_accept_probs,
+    _failing,
     _margin_masks,
     _one_hot,
     _one_hot_doubled,
@@ -69,6 +72,7 @@ _PROJECTION_SEED = 20030205
 _GRAM_BLOCK_ROWS = 128
 _DIFF_BLOCK_ELEMS = 1 << 20
 _ONE_HOT_BYTES = 192  # bytes per one-hot candidate of a level: traced at up to 182, earlier levels included
+_DEDUP_BYTES = 64  # dedup bookkeeping (projections, order, bounds) per dense candidate: traced at up to 52
 
 
 def _explicit_sq_distances(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -229,8 +233,9 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
     1e-9 of a kept earlier one maps to the nearest, lowest index on ties.
     Near candidates are found by an exact sort and sweep (``_near_pairs``),
     not by comparing all pairs.  Before a level's candidates are built, they
-    and the kept block of their dedup, 2 * 2m * width * 16 bytes, beside the
-    levels already kept, numpy's ufunc buffer and 16 KiB, are checked against
+    and the kept block of their dedup, 2 * 2m * width * 16 bytes, and the
+    dedup's bookkeeping, ``_DEDUP_BYTES`` per candidate, beside the levels
+    already kept, numpy's ufunc buffer and 16 KiB, are checked against
     ``linalg.MEMORY_BUDGET_BYTES``: the count of the whole call so far.
     A one-hot program's levels, the same ones, are found on keyed rows, with
     ``_ONE_HOT_BYTES`` checked per candidate instead.
@@ -245,9 +250,9 @@ def reachable_configurations(p: QbProgram) -> list[LevelConfigurations]:
         prev, m = levels[-1], len(levels[-1])
         if start is None:
             held += prev.block.nbytes + prev.prev_transitions.nbytes
-            check_budget(2 * 2 * m * p.width * 16 + held, "configuration",
-                         f"level {len(levels)} ({2 * m} candidates of width {p.width}, their kept block "
-                         f"and the {len(levels)} levels kept)")
+            check_budget(2 * m * (2 * p.width * 16 + _DEDUP_BYTES) + held, "configuration",
+                         f"level {len(levels)} ({2 * m} candidates of width {p.width}, their kept block, "
+                         f"their dedup and the {len(levels)} levels kept)")
             candidates = np.empty((2 * m, p.width), dtype=np.complex128)
             candidates[0::2] = tf.apply_to_columns(0, prev.block.T).T
             candidates[1::2] = tf.apply_to_columns(1, prev.block.T).T
@@ -384,8 +389,7 @@ def _classified_final_configs(
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
     probs = evaluate_all(p)
-    accepts, rejects = _margin_masks(probs, epsilon)
-    bad = np.flatnonzero(np.where(f.bits, ~accepts, ~rejects))
+    bad = _failing(probs, f.bits, Margin(epsilon))
     if bad.size:
         v = int(bad[0])
         raise ValueError(
@@ -485,14 +489,13 @@ class Obdd:
         return max(self.level_widths)
 
     def classify_all(self) -> np.ndarray:
-        """Boolean decision for every input value, vectorized."""
-        values = np.arange(1 << self.n_vars, dtype=np.int64)
-        node = np.zeros(values.shape, dtype=np.int64)
-        for table, j in zip(self.transitions, self.var_sequence):
-            node = table[node, (values >> (self.n_vars - j)) & 1]
-        mask = np.zeros(self.level_widths[-1], dtype=bool)
-        mask[self.accepting] = True
-        return mask[node]
+        """Boolean decision for every input value: the tables walked over every
+        assignment to the variables read (node c, bit b to leaf 2c + b), by input."""
+        node = np.zeros(1, dtype=np.intp)
+        for table in self.transitions:
+            node = table[node].reshape(-1)
+        accepts = np.isin(np.arange(self.level_widths[-1]), self.accepting)  # per node of the last level
+        return _by_input(accepts[node], self.var_sequence, self.n_vars)
 
 
 def packing_width_bound(theta: float, d: int) -> float:

@@ -30,9 +30,9 @@ which (``_join_split``); a one-hot program (``_one_hot``) left uncut is
 walked as (index, phase) pairs.  What a block, a walk or a join holds is
 checked against ``linalg.MEMORY_BUDGET_BYTES`` before it is allocated.
 
-Acceptance at a margin is decided by one rule, ``_margin_masks``, which
-``computes`` under a ``Margin`` criterion and the theta-component analysis
-use.
+Which inputs miss a criterion is decided by one rule, ``_failing``, for
+``computes`` and the theta-component analysis alike; at a margin it reads
+``_margin_masks``.
 """
 
 from __future__ import annotations
@@ -198,21 +198,14 @@ def _state_set(states, width: int) -> np.ndarray:
     """Any iterable of integer states as a frozen, sorted, duplicate-free
     int64 array, with no Python loop over an integer array (a frozen
     increasing one is kept).  The ValueError names a state that is not an
-    integer, or the smallest outside [1, width], even beyond int64."""
+    integer, or the smallest outside [1, width], found before any cast."""
     arr = _integers(states, "accepting state")
-    try:
-        arr = np.asarray(arr, dtype=np.int64)
-    except OverflowError:
-        arr = np.array(arr, dtype=object)
-    if not (arr[1:] > arr[:-1]).all():
-        arr = np.sort(arr)
-        arr = arr[np.append(True, arr[1:] != arr[:-1])]  # repeats dropped
-    lo, hi = np.searchsorted(arr, (1, width + 1))
-    if lo or hi < arr.size:
-        raise ValueError(f"accepting state {arr[0] if lo else arr[hi]} outside [1, {width}]")
-    if arr.dtype != np.int64 or arr.flags.writeable:
-        arr = linalg._frozen(arr.astype(np.int64))
-    return arr
+    outside = (arr[(arr < 1) | (arr > width)] if isinstance(arr, np.ndarray)
+               else [s for s in arr if not 1 <= s <= width])
+    if len(outside):
+        raise ValueError(f"accepting state {min(outside)} outside [1, {width}]")
+    arr = np.asarray(arr, dtype=np.int64)
+    return arr if not arr.flags.writeable and (arr[1:] > arr[:-1]).all() else linalg._frozen(np.unique(arr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,10 +269,11 @@ class QbProgram:
 
 def accept_probability(psi: np.ndarray, p: QbProgram) -> float:
     """Squared norm of the projection of ``psi`` onto the accepting states of ``p``."""
-    return min(max(float(np.sum(np.abs(psi[p.accepting - 1]) ** 2)), 0.0), 1.0)
+    return float(_column_accept_probs(psi[:, None], p)[0])
 
 
 def _column_accept_probs(cols: np.ndarray, p: QbProgram, index: np.ndarray | None = None) -> np.ndarray:
+    """``accept_probability`` of each column of a d x m block, clipped to [0, 1]."""
     if index is not None:  # the one-hot configurations cols[i] e_index[i], bit for bit
         return np.clip(np.abs(cols) ** 2 * np.isin(index, p.accepting - 1), 0.0, 1.0)
     return np.clip(np.sum(np.abs(cols[p.accepting - 1, :]) ** 2, axis=0), 0.0, 1.0)
@@ -340,9 +334,8 @@ def _margin_masks(probs, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     a margin equal to the measured one is met despite rounding, and at
     epsilon 0 exactly 1/2 rejects while anything above it accepts."""
     s = min(MARGIN_SLACK, epsilon)
-    probs = np.asarray(probs)
     rejects = probs <= 0.5 - epsilon + s
-    return (probs >= 0.5 + epsilon - s) & ~rejects, rejects
+    return np.greater(probs >= 0.5 + epsilon - s, rejects), rejects  # a > b is a & ~b
 
 
 def is_read_once(p: QbProgram) -> bool:
@@ -536,14 +529,15 @@ def _leaf_join(p: QbProgram, s: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return np.clip(probs, 0.0, 1.0, out=probs).reshape(-1), order
 
 
-def _leaf_indices(var_sequence: Sequence[int], n_vars: int) -> np.ndarray:
-    """For every input value, the leaf column index of its read-bit sequence."""
-    values = np.arange(1 << n_vars, dtype=np.int64)
-    idx = np.zeros(1 << n_vars, dtype=np.int64)
-    for j in var_sequence:
-        bit = (values >> (n_vars - j)) & 1
-        idx = (idx << 1) | bit
-    return idx
+def _by_input(leaves: np.ndarray, order: Sequence[int], n_vars: int) -> np.ndarray:
+    """Leaves, one per assignment to the variables of ``order`` (the first
+    most significant), by input value: a cube with an axis per variable,
+    transposed to 1..n and broadcast along the unread ones, copied once."""
+    shape = [2 if j in order else 1 for j in range(1, n_vars + 1)]
+    cube = leaves.reshape((2,) * len(order)).transpose(np.argsort(order)).reshape(shape)
+    if len(order) < n_vars:
+        cube = np.ascontiguousarray(np.broadcast_to(cube, (2,) * n_vars))  # a writable copy
+    return cube.reshape(-1)
 
 
 def evaluate_all(p: QbProgram) -> np.ndarray:
@@ -560,9 +554,9 @@ def evaluate_all(p: QbProgram) -> np.ndarray:
     ``linalg.MEMORY_BUDGET_BYTES``, else ValueError is raised first.
     """
     n = p.n_vars
-    # input values, leaf indices, one temporary and the result: 8 bytes each;
-    # ``computes`` then holds the result, one float buffer, at most four bool
-    # masks and the failing inputs, 28 bytes per input, in the same room
+    # the leaves and the result reordered from them, 16 bytes per input;
+    # ``computes`` then holds the result, one float buffer, two bool masks
+    # and the failing inputs, at most 26 bytes per input, in the same room
     linalg.check_budget(32 << n, "evaluation", f"the per-input data of 2^{n} inputs")
     s = _join_split(p)
     start = _one_hot(p) if s is None else None
@@ -575,9 +569,7 @@ def evaluate_all(p: QbProgram) -> np.ndarray:
         for tf in p.transformations:
             index, phase = _one_hot_doubled(tf, index, phase)
         probs, order = _column_accept_probs(phase, p, index), p.var_sequence
-    if order == tuple(range(1, n + 1)):
-        return probs
-    return probs[_leaf_indices(order, n)]
+    return _by_input(probs, order, n)
 
 
 # -- truth tables and computation checking -----------------------------------
@@ -657,36 +649,40 @@ class CheckReport:
     checked: int
 
 
-def _criterion_mask(probs: np.ndarray, fbits: np.ndarray, criterion: Criterion,
-                    buf: np.ndarray) -> np.ndarray:
-    """Where each probability meets the criterion for its bit; ``buf``, a
-    float array shaped like ``probs``, holds the one float temporary."""
+def _failing(probs: np.ndarray, bits: np.ndarray, criterion: Criterion) -> np.ndarray:
+    """The input values (increasing, int64) whose probability misses the
+    criterion for their bit: by ``_margin_masks``, or one-sided by q = 1 - p,
+    which is |p - 1| bit for bit on [0, 1].  Beside ``probs`` it holds two
+    bool masks, combined in place, and q."""
     if isinstance(criterion, Margin):
-        accepts, rejects = _margin_masks(probs, criterion.epsilon)
-        return np.where(fbits, accepts, rejects)
-    if isinstance(criterion, OneSided):
-        ok1 = np.abs(np.subtract(probs, 1.0, out=buf), out=buf) <= criterion.tol
-        ok0 = np.subtract(1.0, probs, out=buf) >= criterion.reject_min - criterion.tol
-        return np.where(fbits, ok1, ok0)
-    raise TypeError(f"unknown criterion {criterion!r}")
+        ok1, ok0 = _margin_masks(probs, criterion.epsilon)
+    elif isinstance(criterion, OneSided):
+        q = np.subtract(1.0, probs)
+        ok0 = q >= criterion.reject_min - criterion.tol
+        ok1 = q <= criterion.tol
+        del q
+    else:
+        raise TypeError(f"unknown criterion {criterion!r}")
+    np.copyto(ok0, ok1, where=bits)  # every input's verdict
+    return np.flatnonzero(np.logical_not(ok0, out=ok0)).astype(np.int64, copy=False)
 
 
 def computes(p: QbProgram, f: TruthTable, criterion: Criterion) -> CheckReport:
     """Exhaustively check the program against a truth table.
 
     Counterexamples are the failing input values in increasing order.
-    Beside the probabilities, the check holds one float buffer, its bool
+    Beside the probabilities, the check holds one float buffer, two bool
     masks and the failing values (counted by ``evaluate_all``).
     """
     if p.n_vars != f.n_vars:
         raise ValueError(f"program has n_vars {p.n_vars}, truth table has {f.n_vars}")
     probs = evaluate_all(p)
-    buf = np.empty_like(probs)
-    bad = np.flatnonzero(~_criterion_mask(probs, f.bits, criterion, buf)).astype(np.int64, copy=False)
+    bad = _failing(probs, f.bits, criterion)
+    margin = np.subtract(probs, 0.5)
     return CheckReport(
         holds=bad.size == 0,
         counterexamples=linalg._frozen(bad),
-        min_margin=float(np.min(np.abs(np.subtract(probs, 0.5, out=buf), out=buf))),
+        min_margin=float(np.min(np.abs(margin, out=margin))),
         checked=int(probs.size),
     )
 

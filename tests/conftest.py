@@ -50,6 +50,17 @@ def superposed(p: QbProgram) -> QbProgram:
                      p.accepting)
 
 
+def leaf_indices(var_sequence, n_vars: int) -> np.ndarray:
+    """Oracle for ``program._by_input``: for every input value, the leaf index
+    of its read-bit sequence, built one variable at a time."""
+    values = np.arange(1 << n_vars, dtype=np.int64)
+    idx = np.zeros(1 << n_vars, dtype=np.int64)
+    for j in var_sequence:
+        bit = (values >> (n_vars - j)) & 1
+        idx = (idx << 1) | bit
+    return idx
+
+
 def chain_probability(p: QbProgram, bits) -> float:
     """Independent oracle: plain dense matrix-chain evaluation."""
     bits = tuple(int(b) for b in bits)

@@ -31,17 +31,19 @@ from qbp.constructions import (
     universal_exact_qbp,
 )
 from qbp.program import (
+    Margin,
     QbProgram,
     QuantumTransformation,
     TruthTable,
     accept_probability,
     bits_of_value,
+    computes,
     evaluate_all,
     final_configuration,
     save_program,
 )
 
-from conftest import chain_probability, random_program, superposed
+from conftest import chain_probability, haar_unitary, random_program, random_state, superposed
 
 
 def identity_program(n=4):
@@ -141,12 +143,13 @@ def test_reachable_universal_n10_final_count():
 
 def test_reachable_configuration_budget(monkeypatch):
     # level 3 of the universal n=4 program, started from a superposition, has
-    # 8 dense candidates of width 16, and their kept block as many again,
-    # beside the 1 + 2 + 4 rows and 1 + 2 transition rows of the levels
-    # kept, numpy's ufunc buffer and 16 KiB
+    # 8 dense candidates of width 16, their kept block as many again and
+    # their dedup's bookkeeping, beside the 1 + 2 + 4 rows and 1 + 2
+    # transition rows of the levels kept, numpy's ufunc buffer and 16 KiB
     p = superposed(universal_exact_qbp(TruthTable.random(4, np.random.default_rng(4))))
     assert [len(lv) for lv in reachable_configurations(p)] == [1, 2, 4, 8, 16]
-    need = 2 * 2 * 4 * 16 * 16 + 7 * 16 * 16 + 3 * 16 + 16 * np.getbufsize() + (16 << 10)
+    need = (2 * 2 * 4 * 16 * 16 + 8 * qbp.analysis._DEDUP_BYTES + 7 * 16 * 16 + 3 * 16
+            + 16 * np.getbufsize() + (16 << 10))
     monkeypatch.setattr(qbp.linalg, "MEMORY_BUDGET_BYTES", need - 1)
     with pytest.raises(ValueError, match="configuration budget exceeded: level 3"):
         reachable_configurations(p)
@@ -680,6 +683,35 @@ def width_oracle_cases():
             for order in (tuple(range(1, n + 1)),
                           *(tuple(int(v) + 1 for v in rng.permutation(n)) for _ in range(2))):
                 yield f, order
+
+
+def walked_classification(obdd) -> np.ndarray:
+    """Oracle for ``Obdd.classify_all``: each input walked through the tables
+    alone, one level at a time."""
+    out = np.empty(1 << obdd.n_vars, dtype=bool)
+    for v in range(1 << obdd.n_vars):
+        bits, node = bits_of_value(v, obdd.n_vars), 0
+        for table, j in zip(obdd.transitions, obdd.var_sequence):
+            node = int(table[node, bits[j - 1]])
+        out[v] = node in obdd.accepting
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_classify_all_matches_a_per_input_walk(seed):
+    # a Haar program reading a shuffled subset of 7 variables (none, for
+    # some seeds), its derived OBDD and a minimal OBDD under a shuffled order
+    rng = np.random.default_rng(seed)
+    n, d = 7, int(rng.integers(2, 4))
+    order = rng.permutation(n)[:rng.integers(0, n + 1)] + 1
+    p = QbProgram(n, d, tuple(QuantumTransformation(int(j), haar_unitary(rng, d), haar_unitary(rng, d))
+                              for j in order), random_state(rng, d), [1])
+    f = TruthTable(n, evaluate_all(p) > 0.5)
+    derived = derive_deterministic_obdd(p, f, None, computes(p, f, Margin(0.0)).min_margin)
+    minimal = min_obdd_width(f, tuple(int(v) + 1 for v in rng.permutation(n)))
+    for obdd in (derived, minimal):
+        assert np.array_equal(obdd.classify_all(), walked_classification(obdd))
+        assert np.array_equal(obdd.classify_all(), f.bits)
 
 
 def test_min_obdd_width_matches_sort_reference():

@@ -34,7 +34,7 @@ from qbp.program import (
 )
 from qbp.realify import realify_program
 
-from conftest import chain_probability, haar_unitary, random_state
+from conftest import chain_probability, haar_unitary, leaf_indices, random_state
 
 
 def reference_leaf_matrix(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -61,7 +61,7 @@ def reference_leaf_matrix(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
 def reference_evaluate_all(p: QbProgram) -> np.ndarray:
     cols, order = reference_leaf_matrix(p)
     probs = program._column_accept_probs(cols, p)
-    return probs[program._leaf_indices(order, p.n_vars)]
+    return probs[leaf_indices(order, p.n_vars)]
 
 
 # chunk sizes in columns (100 rounds up to 128); None is the whole leaf block
@@ -73,7 +73,7 @@ def _walked(p: QbProgram, columns: int | None) -> np.ndarray:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(program, "_CHUNK_BYTES", chunk_bytes)
         probs, order = program._leaf_walk(p)
-    return probs[program._leaf_indices(order, p.n_vars)]
+    return probs[leaf_indices(order, p.n_vars)]
 
 
 def _assert_walk_matches(p: QbProgram) -> None:
@@ -204,7 +204,7 @@ def test_join_matches_the_walk_at_every_split(p):
         assert joined_order == order and joined.shape == walk.shape
         assert 0.0 <= joined.min() and joined.max() <= 1.0
         assert np.max(np.abs(joined - walk)) <= join_bound(p), s
-        by_input = joined[program._leaf_indices(order, p.n_vars)]
+        by_input = joined[leaf_indices(order, p.n_vars)]
         assert np.max(np.abs(by_input - chain)) <= 1e-12, s  # the bound of the walk against the chain
 
 
@@ -228,7 +228,7 @@ JOINED = {
 def test_computes_decides_as_the_walk_does(make, monkeypatch):
     p = make()
     assert program._join_split(p) is not None
-    walk = program._leaf_walk(p)[0][program._leaf_indices(p.var_sequence, p.n_vars)]
+    walk = program._leaf_walk(p)[0][leaf_indices(p.var_sequence, p.n_vars)]
     tables = [mod_truth_table(5, p.n_vars), TruthTable(p.n_vars, walk > 0.5), TruthTable(p.n_vars, walk > 0.9)]
     criteria = [OneSided(), OneSided(0.2), Margin(0.0), Margin(0.1), Margin(0.3)]
     joined = [computes(p, f, c) for f in tables for c in criteria]

@@ -49,7 +49,7 @@ from qbp.program import (
 )
 from qbp.realify import realify_program
 
-from conftest import chain_probability, haar_unitary, random_program, random_state
+from conftest import chain_probability, haar_unitary, leaf_indices, random_program, random_state
 
 
 def identity_program(width=2, n_vars=1, accepting=frozenset({1}), initial=None, levels=1):
@@ -260,6 +260,51 @@ def test_one_sided_accepts_its_closed_range():
     assert OneSided(reject_min=1.0).reject_min == 1.0
 
 
+def reference_failing(probs: np.ndarray, bits: np.ndarray, criterion) -> np.ndarray:
+    """Oracle for ``program._failing``: the rule as it was, one mask per class
+    of the table (|p - 1| taken for a 1-input) joined by ``np.where``."""
+    if isinstance(criterion, Margin):
+        eps = criterion.epsilon
+        s = min(linalg.MARGIN_SLACK, eps)
+        rejects = probs <= 0.5 - eps + s
+        ok = np.where(bits, (probs >= 0.5 + eps - s) & ~rejects, rejects)
+    else:
+        ok = np.where(bits, np.abs(probs - 1.0) <= criterion.tol,
+                      1.0 - probs >= criterion.reject_min - criterion.tol)
+    return np.flatnonzero(~ok)
+
+
+def _around(*centres: float) -> np.ndarray:
+    """Each centre in [0, 1] and its three neighbouring doubles on each side."""
+    out = []
+    for c in centres:
+        for direction in (0.0, 1.0):
+            x = c
+            for _ in range(4):
+                out.append(x)
+                x = np.nextafter(x, direction)
+    return np.clip(np.unique(out), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("criterion", [
+    *(Margin(eps) for eps in (0.0, linalg.MARGIN_SLACK / 2, linalg.MARGIN_SLACK, 0.05, 0.25, 0.5)),
+    *(OneSided(reject_min, tol) for reject_min in (0.0, 0.125, 1.0)
+      for tol in (0.0, linalg.ONE_SIDED_TOL, 0.25, 0.6)),
+], ids=repr)
+def test_failing_matches_the_mask_rule_on_boundary_floats(criterion):
+    if isinstance(criterion, Margin):
+        gap = criterion.epsilon - min(linalg.MARGIN_SLACK, criterion.epsilon)
+        probs = _around(0.0, 0.5 - gap, 0.5, 0.5 + gap, 1.0)
+    else:
+        probs = _around(0.0, 1.0 - criterion.tol, 1.0 - (criterion.reject_min - criterion.tol), 1.0)
+    probs = np.concatenate([probs, probs])
+    bits = np.arange(probs.size) >= probs.size // 2
+    got = program_module._failing(probs, bits, criterion)
+    want = reference_failing(probs, bits, criterion)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert 0 < got.size < probs.size, "every boundary case fails or none does"
+
+
 def test_evaluate_all_matches_per_input_evaluation(rng):
     p = random_program(rng, d=3, n=4)
     probs = evaluate_all(p)
@@ -380,7 +425,17 @@ def reference_final_configuration(p: QbProgram, bits) -> np.ndarray:
 def _walked(p: QbProgram) -> np.ndarray:
     """The leaf walk's probabilities, indexed by input value."""
     probs, order = program_module._leaf_walk(p)
-    return probs[program_module._leaf_indices(order, p.n_vars)]
+    return probs[leaf_indices(order, p.n_vars)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(read_k_programs())
+def test_by_input_puts_the_walks_leaves_in_input_order(p):
+    # read-k orders, variables never read and programs of no levels
+    probs, order = program_module._leaf_walk(p)
+    want = probs[leaf_indices(order, p.n_vars)]
+    assert np.array_equal(program_module._by_input(probs, order, p.n_vars), want)
+    assert np.array_equal(program_module._by_input(probs > 0.5, order, p.n_vars), want > 0.5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -407,6 +462,17 @@ def test_single_input_is_bit_identical_to_reference_loop(p):
         psi = reference_final_configuration(p, bits)
         assert np.array_equal(final_configuration(p, bits), psi)
         assert evaluate(p, bits) == accept_probability(psi, p)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+def test_accept_probability_is_the_projection_norm_bit_for_bit(d):
+    # one column of ``_column_accept_probs``, against the scalar sum it replaced
+    rng = np.random.default_rng(d)
+    for _ in range(200):
+        psi = random_state(rng, d) * rng.choice([1.0, 1.0 + 1e-9])
+        p = QbProgram(1, d, (), np.eye(d)[0], rng.choice(d, size=rng.integers(0, d + 1), replace=False) + 1)
+        want = min(max(float(np.sum(np.abs(psi[p.accepting - 1]) ** 2)), 0.0), 1.0)
+        assert accept_probability(psi, p) == want
 
 
 def _with_levels_as(p: QbProgram, monomial: bool) -> QbProgram:
@@ -713,10 +779,11 @@ def test_empty_accepting_set_is_an_empty_array():
 @pytest.mark.parametrize("states, bad", [
     ([0], 0), ([2, -1, 7], -1), ([1, 5], 5), ([3, 4, 5, 9], 5), (np.array([6, 0]), 0),
     ([1, 10 ** 30], 10 ** 30), ([10 ** 30, -5], -5), ([2 ** 63], 2 ** 63),
+    (np.array([2 ** 64 - 1], dtype=np.uint64), 2 ** 64 - 1), (np.array([3, 2 ** 63], dtype=np.uint64), 2 ** 63),
 ])
 def test_accepting_state_outside_the_width_is_named(states, bad):
-    # the smallest state outside [1, width]; one beyond int64 is compared as
-    # a Python int, not refused by an OverflowError
+    # the smallest state outside [1, width], compared before any cast: one
+    # beyond int64 as a Python int or in its array's own dtype, never wrapped
     with pytest.raises(ValueError, match=rf"^accepting state {bad} outside \[1, 4\]$"):
         QbProgram(1, 4, (), np.eye(4)[0], states)
 
