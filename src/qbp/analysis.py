@@ -412,36 +412,30 @@ def _classified_final_configs(
 
 
 def _min_cross_distance(a: np.ndarray, b: np.ndarray, width: int | None = None) -> float:
-    """Smallest distance between a row of ``a`` and a row of ``b``; inf when
-    either block is empty.  With ``width``, the rows are the phases of two
-    classes of one-hot configurations with no index in common, so each pair
-    lies sqrt(|c|^2 + |c'|^2) apart, in the Gram form and explicitly.
+    """Smallest explicit distance between a row of ``a`` and a row of ``b``;
+    inf when either block is empty.  With ``width``, the rows are the phases
+    of two classes of one-hot configurations with no index in common, so each
+    pair lies sqrt(|c|^2 + |c'|^2) apart.
 
-    The Gram minimum g of ||x||^2 + ||y||^2 - 2 Re<x, y> is kept when the
-    distances its rounding bound err allows span less than CHAIN_INSET, the
-    accuracy the component chain at theta - CHAIN_INSET needs.  Otherwise (a
-    small distance, where the Gram form cancels) the minimum is taken over
-    the explicit distances of the pairs whose Gram value is within 2 err of
-    g, which hold the nearest pair.  The Gram block and its temporaries, 32
-    bytes per pair, are checked against ``linalg.MEMORY_BUDGET_BYTES`` first.
+    Otherwise the Gram block ||x||^2 + ||y||^2 - 2 Re<x, y> finds the pairs
+    whose Gram value is within twice its rounding bound err of the Gram
+    minimum g; they hold the nearest pair, and the least of their explicit
+    distances sum |y - x|^2 is returned, so a small distance, where the Gram
+    form cancels, is exact too.  The Gram block and its temporaries, 32 bytes
+    per pair, are checked against ``linalg.MEMORY_BUDGET_BYTES`` first.
     """
     if not len(a) or not len(b):
         return math.inf
-    sa, sb = (np.einsum("ij,ij->i", x, x.conj()).real for x in (a, b))
-    if width is None:
-        check_budget(32 * len(a) * len(b), "separation",
-                     f"the Gram matrix of {len(a)} x {len(b)} final configurations")
-        two_re = 2.0 * (a @ b.conj().T).real  # before the sums, so the complex product is freed first
-        d2 = np.maximum(sa[:, None] + sb[None, :] - two_re, 0.0)
-        g = float(d2.min())
-    else:
-        g = float(sa.min() + sb.min())
-    # the rounding bound of the Gram values, for rows of length 2d
-    err = 4.0 * (2 * (width or a.shape[1]) + 4) * np.finfo(np.float64).eps * (max(sa.max(), sb.max()) + g)
-    if math.sqrt(g + err) - math.sqrt(max(g - err, 0.0)) < CHAIN_INSET:
-        return math.sqrt(g)
     if width is not None:
         return math.sqrt(float(np.min(np.abs(a) ** 2) + np.min(np.abs(b) ** 2)))
+    sa, sb = (np.einsum("ij,ij->i", x, x.conj()).real for x in (a, b))
+    check_budget(32 * len(a) * len(b), "separation",
+                 f"the Gram matrix of {len(a)} x {len(b)} final configurations")
+    two_re = 2.0 * (a @ b.conj().T).real  # before the sums, so the complex product is freed first
+    d2 = np.maximum(sa[:, None] + sb[None, :] - two_re, 0.0)
+    g = float(d2.min())
+    # the rounding bound of the Gram values, for rows of length 2d
+    err = 4.0 * (2 * a.shape[1] + 4) * np.finfo(np.float64).eps * (max(sa.max(), sb.max()) + g)
     i, j = np.nonzero(d2 <= g + 2.0 * err)
     return math.sqrt(float(_explicit_sq_distances(a, b, i, j).min()))
 

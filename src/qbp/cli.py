@@ -91,28 +91,37 @@ def _recorded(command: str):
 # -- file formats ------------------------------------------------------------
 
 def load_truth_table(path) -> program.TruthTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    """A truth table file: n on line 1 and its 2^n bits as '0' and '1' on line
+    2, each line stripped, the bits checked by one comparison of their bytes;
+    a bad character is named by its column in the line as written."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:  # lines end at \n, \r or \r\n, as in text mode
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text:
         raise ParseFailure(f"{path}: line 1: expected the number of variables")
+    head, _, rest = text.partition("\n")
     try:
-        n = int(lines[0].strip())
+        n = int(head.strip())
     except ValueError:
-        raise ParseFailure(f"{path}: line 1: expected an integer, got {lines[0]!r}")
+        raise ParseFailure(f"{path}: line 1: expected an integer, got {head!r}")
     if n < 1:
         raise ParseFailure(f"{path}: line 1: number of variables must be >= 1")
-    if len(lines) < 2:
+    if not rest:
         raise ParseFailure(f"{path}: line 2: expected 2^{n} bits")
-    bits = lines[1].strip()
+    line = rest.partition("\n")[0]
+    bits = line.strip()
     # 2^n is never built: a huge n on line 1 would allocate it
     m = len(bits)
     if m & (m - 1) or m.bit_length() != n + 1:
         raise ParseFailure(f"{path}: line 2: expected 2^{n} bits, got {m}")
-    if bits.count("0") + bits.count("1") != len(bits):  # locate the first bad character
-        for col, c in enumerate(bits, start=1):
-            if c not in "01":
-                raise ParseFailure(f"{path}: line 2 column {col}: expected 0 or 1, got {c!r}")
-    return program.TruthTable(n, np.frombuffer(bits.encode("ascii"), np.uint8) == ord("1"))
+    values = np.frombuffer(bits.encode("ascii"), np.uint8) - np.uint8(ord("0")) if bits.isascii() else None
+    if values is None or values.max() > 1:  # locate the first bad character
+        lead = len(line) - len(line.lstrip())
+        col, c = next((col, c) for col, c in enumerate(bits, start=lead + 1) if c not in "01")
+        raise ParseFailure(f"{path}: line 2 column {col}: expected 0 or 1, got {c!r}")
+    values.flags.writeable = False  # the table keeps it as its bits, uncopied
+    return program.TruthTable(n, values.view(bool))
 
 
 def save_truth_table(f: program.TruthTable, path) -> None:

@@ -19,16 +19,18 @@ configurations level by level (``_advance``): one column per input, or in
 ``evaluate_all`` per assignment to the variables read so far, where a fresh
 variable doubles the block (``_doubled``).  ``evaluate_all`` is the one
 route to every input's acceptance, for ``computes`` and the theta-component
-analysis alike.  There the block grows to ``_CHUNK_BYTES`` and is then
-walked in column slices of that size (``_leaf_walk``), so it never holds
-the 2^|read|-column leaf block at once.  A narrow read-once program is not
-walked to its leaves but cut in two (``_leaf_join``): the block advances
-through the first half of its levels only, the second half is built
-backwards into one Gram matrix per assignment to its variables, and one
-real matrix product joins the two.  The shape of a program alone decides
-which (``_join_split``); a one-hot program (``_one_hot``) left uncut is
-walked as (index, phase) pairs.  What a block, a walk or a join holds is
-checked against ``linalg.MEMORY_BUDGET_BYTES`` before it is allocated.
+analysis alike, by one of three paths.  A program whose u0 is the identity
+and whose levels all apply one u1 (``_counted``), as the paper's MOD_p
+program does, is counted: a leaf accepts as U1^c ``initial`` does, for c
+the number of levels that read a 1 (``_leaf_count``).  Else a read-once
+program of Monomial levels started from a basis vector (``_one_hot``) is
+walked as (index, phase) pairs.  Else the block grows to ``_CHUNK_BYTES``
+and is walked in column slices of that size (``_leaf_walk``), never holding
+the 2^|read|-column leaf block at once.  The one-hot walk gives the walk's
+probabilities bit for bit, and the count within a stated bound, bit for
+bit on the paper's MOD_p programs and on permutation programs.  What a
+block, a walk or a count holds is checked against
+``linalg.MEMORY_BUDGET_BYTES`` before it is allocated.
 
 Which inputs miss a criterion is decided by one rule, ``_failing``, for
 ``computes`` and the theta-component analysis alike; at a margin it reads
@@ -42,6 +44,7 @@ import json
 import math
 import os
 import re
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -344,14 +347,14 @@ def is_read_once(p: QbProgram) -> bool:
     return len(set(seq)) == len(seq)
 
 
-def _same_unitary(a: np.ndarray | Monomial, b: np.ndarray | Monomial) -> bool:
-    """Entrywise equal within STABLE_TOL (unitary Monomials: same perm, close
+def _same_unitary(a: np.ndarray | Monomial, b: np.ndarray | Monomial, tol: float = STABLE_TOL) -> bool:
+    """Entrywise equal within ``tol`` (unitary Monomials: same perm, close
     phases); a level that shares its stored unitary is equal at once."""
     if a is b:
         return True
     if isinstance(a, Monomial) and isinstance(b, Monomial):
-        return np.array_equal(a.perm, b.perm) and float(np.max(np.abs(a.phases - b.phases))) <= STABLE_TOL
-    return float(np.max(np.abs(_unitary_dense(a) - _unitary_dense(b)))) <= STABLE_TOL
+        return np.array_equal(a.perm, b.perm) and float(np.max(np.abs(a.phases - b.phases))) <= tol
+    return float(np.max(np.abs(_unitary_dense(a) - _unitary_dense(b)))) <= tol
 
 
 def is_stable(p: QbProgram) -> bool:
@@ -379,7 +382,9 @@ def _doubled(tf: QuantumTransformation, cols: np.ndarray) -> np.ndarray:
 
 def _one_hot(p: QbProgram) -> int | None:
     """The index of ``initial``'s one nonzero if ``p`` is read-once and every
-    level is a Monomial (so every configuration c e_k is one-hot), else None."""
+    level is a Monomial (so every configuration c e_k is one-hot), else None.
+    ``evaluate_all`` walks such a program as (index, phase) pairs unless it is
+    ``_counted``, and the theta-component analysis keeps such pairs."""
     start = np.flatnonzero(p.initial)
     monomial = all(isinstance(u, Monomial) for tf in p.transformations for u in tf.unitaries)
     return int(start[0]) if start.size == 1 and monomial and is_read_once(p) else None
@@ -400,8 +405,9 @@ def _one_hot_doubled(tf: QuantumTransformation, index: np.ndarray, phase: np.nda
 def _leaf_walk(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
     """The acceptance probability of every leaf, one per assignment to the
     variables read (first-read order, first most significant), and that
-    order, for any program: the path of wide and read-k programs in
-    ``evaluate_all``, and the reference the join is tested against.
+    order, for any program: the path in ``evaluate_all`` of programs that
+    are neither counted nor one-hot, and the reference the others are
+    tested against.
 
     A fresh variable doubles the block (column c becomes 2c and 2c + 1); a
     re-read one takes each column's bit from its global index.  Once the
@@ -448,85 +454,66 @@ def _leaf_walk(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
     return probs, tuple(position)
 
 
-def _join_need(d: int, levels: int, accepting: int, s: int) -> int:
-    """Bytes that ``_leaf_join`` holds, counted as if all at once: the prefix
-    block of 2^s columns with its last doubling's half and gather (2 blocks),
-    the prefix operand (d^2 entries a row) and the conjugate it is made
-    from; the suffix block W at its last doubling with its scattered product
-    (2 blocks) and its conjugate, the Gram operand (d^2 entries a row); the
-    2^levels probabilities, and numpy's ufunc buffers."""
-    prefix, suffix = 1 << s, 1 << (levels - s)
-    return (16 * (prefix * (d * d + 3 * d) + suffix * (d * d + 3 * accepting * d))
-            + (8 << levels) + 3 * 16 * np.getbufsize())
+def _counted(p: QbProgram) -> bool:
+    """True iff every level's u0 is the identity Monomial and every level's
+    u1 the first level's (``_leaf_count``): the same kind of stored unitary
+    and equal, not within STABLE_TOL; one shared by several levels is
+    compared once."""
+    if not p.length:
+        return False
+    first, identity = p.transformations[0].unitaries[1], np.arange(p.width)
+    u0s, u1s = ({id(tf.unitaries[b]): tf.unitaries[b] for tf in p.transformations}.values() for b in (0, 1))
+    return (all(isinstance(u, Monomial) and (u.perm == identity).all() and (u.phases == 1).all() for u in u0s)
+            and all(type(u) is type(first) and _same_unitary(u, first, 0.0) for u in u1s))
 
 
-def _join_split(p: QbProgram) -> int | None:
-    """Where ``evaluate_all`` cuts a program's levels for ``_leaf_join``, or
-    None to walk them.  Only a read-once program is cut, and only where its
-    2^floor(L/2) prefixes number at least 32 and at least 2 d, and what the
-    join holds fits ``linalg.MEMORY_BUDGET_BYTES``.  Measured with numpy's
-    OpenBLAS on 2 cores: the join took 0.05-0.7 of the walk's time for Haar
-    and MOD programs of width 4 to 128 past that line, 0.8-1.1 of it just
-    short of it (width 84 at L = 14 and 15, width 48 at L = 12), and about
-    as long below 2^10 leaves, where both take about 0.1 ms.  The prefix
-    takes one level more than half: that was never slower."""
-    d, levels = p.width, p.length
-    if 1 << levels // 2 < max(32, 2 * d) or not is_read_once(p):
-        return None
-    s = levels // 2 + 1
-    return s if _join_need(d, levels, p.accepting.size, s) <= linalg.MEMORY_BUDGET_BYTES else None
+def _half_counts(mults: Sequence[int], dtype) -> np.ndarray:
+    """The number of levels that read a 1 on each assignment to variables
+    read ``mults`` times each (the first most significant), by doubling."""
+    counts = np.zeros(1 << len(mults), dtype=dtype)
+    for i, mult in enumerate(reversed(mults)):
+        np.add(counts[:1 << i], mult, out=counts[1 << i:2 << i])
+    return counts
 
 
-def _leaf_join(p: QbProgram, s: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``_leaf_walk`` of a read-once program by meet in the middle (Horowitz
-    and Sahni, JACM 1974): its L levels are cut after the first ``s``.
+def _leaf_count(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``_leaf_walk`` of a program that ``_counted`` takes, by counting: u0
+    is the identity and every level applies one u1, so a leaf accepts with
+    T[c], where c is the number of levels that read a 1 and T[c] is the
+    acceptance of U1^c applied to ``initial``.  The paper's MOD_p program,
+    after the unary automaton of Ambainis and Freivalds (FOCS 1998), is one.
 
-    The prefix states psi_a (a over 2^s assignments) are walked as the leaf
-    walk doubles them.  The suffix operators W_b = P_acc U_L(b_L) ... U_{s+1}
-    (b over 2^(L-s)) are built backwards by doubling, a new level's bit the
-    most significant, and reduced to their Gram matrices G_b = W_b^* W_b.
-    Leaf a 2^(L-s) + b accepts with psi_a^* G_b psi_a, the sum over i, j of
-    G_b[i, j] conj(O_a[i, j]) for O_a = psi_a psi_a^*, whose real part is
-    the dot product of the [re, im] pairs of O_a and G_b: so one real matrix
-    product of the O_a rows and the G_b columns gives every leaf, in the
-    walk's leaf order, and is clipped to [0, 1] in place.  Monomial levels
-    are gathered on the prefix and scattered on the suffix.
+    T is read off a block of 8 equal columns that u1 is applied to L times,
+    so zgemm rounds it as it rounds a chunk of the walk (``_CHUNK_BYTES``).
+    That gave the walk's leaves bit for bit on every read-once MOD_p program
+    tried, plain and realified, and on every program with a Monomial u1.
+    zgemm rounds 1-3 trailing columns otherwise, and the walk puts 1-3
+    columns through u1 on its first levels and on re-reads there, so on other
+    programs a leaf may differ from the walk's, within 2 (L + d) 2^-52
+    (measured at up to 0.31 of that on Haar and read-k MOD_p programs).
 
-    Each probability rounds differently from the walk's, within
-    4 (L + d) d 2^-52: measured within 3.1e-15 (14 2^-52) of it at every cut
-    of random Haar, Monomial, MOD_p and realified programs of width up to
-    128.  What it holds (``_join_need``) is checked against
-    ``linalg.MEMORY_BUDGET_BYTES`` before anything is allocated.
+    The read variables are cut into two halves, and each half's counts are
+    built by doubling.  Row r of R holds T[r + c] for the low half's counts
+    c, and the leaves are the rows of R that the high half's counts pick.
+    What it holds is checked against ``linalg.MEMORY_BUDGET_BYTES`` first.
     """
-    d, levels, order = p.width, p.length, p.var_sequence
-    acc = p.accepting - 1
-    linalg.check_budget(_join_need(d, levels, acc.size, s), "evaluation",
-                        f"the meet-in-the-middle join of 2^{s} prefixes and 2^{levels - s} "
-                        f"suffixes of width {d}")
-    w = np.zeros((acc.size, d), dtype=np.complex128)
-    w[np.arange(acc.size), acc] = 1.0
-    for tf in reversed(p.transformations[s:]):
-        r = w.shape[0]
-        nxt = np.empty((2 * r, d), dtype=np.complex128)
-        for b, u in enumerate(tf.unitaries):
-            if isinstance(u, Monomial):  # (W U)[:, perm[i]] = W[:, i] phases[i]
-                nxt[b * r:(b + 1) * r, u.perm] = w * u.phases
-            else:
-                np.matmul(w, u, out=nxt[b * r:(b + 1) * r])
-        w = nxt
-    w = w.reshape(1 << (levels - s), acc.size, d)
-    gram = np.matmul(w.conj().transpose(0, 2, 1), w)
-    del w
-    cols = p.initial.reshape(-1, 1)
-    for tf in p.transformations[:s]:
-        cols = _doubled(tf, cols)
-    states = cols.T
-    outer = np.empty((states.shape[0], d, d), dtype=np.complex128)
-    np.multiply(states[:, :, None], states.conj()[:, None, :], out=outer)
-    del cols, states
-    probs = np.matmul(outer.view(np.float64).reshape(outer.shape[0], -1),
-                      gram.view(np.float64).reshape(gram.shape[0], -1).T)
-    return np.clip(probs, 0.0, 1.0, out=probs).reshape(-1), order
+    reads = Counter(p.var_sequence)  # in first-read order
+    order, mults = tuple(reads), list(reads.values())
+    levels, k, d = p.length, len(order), p.width
+    hi, lo = mults[:k // 2], mults[k // 2:]
+    dtype, most = np.min_scalar_type(levels), sum(lo)  # the largest count of the low half
+    linalg.check_budget((8 << k) + 8 * (levels - most + 1 << len(lo)) + 8 * (levels + 1) + 64 * 8 * d
+                        + (dtype.itemsize + 8) * ((1 << len(hi)) + (1 << len(lo))) + 3 * 16 * np.getbufsize(),
+                        "evaluation", f"counting over 2^{k} configurations of {levels} levels of width {d}")
+    cols = np.repeat(p.initial[:, None], 8, axis=1)
+    table = np.empty(levels + 1)
+    table[0] = _column_accept_probs(cols, p)[0]
+    tf = p.transformations[0]
+    for c in range(1, levels + 1):
+        cols = tf.apply_to_columns(1, cols)
+        table[c] = _column_accept_probs(cols, p)[0]
+    rows = np.lib.stride_tricks.sliding_window_view(table, most + 1)[:, _half_counts(lo, dtype)]  # R
+    return rows[_half_counts(hi, dtype)].reshape(-1), order
 
 
 def _by_input(leaves: np.ndarray, order: Sequence[int], n_vars: int) -> np.ndarray:
@@ -544,24 +531,23 @@ def evaluate_all(p: QbProgram) -> np.ndarray:
     """Acceptance probabilities for all 2^n inputs, indexed by input value.
 
     Every leaf, one per assignment to the variables read, is reached by one
-    pass: a walk over the leaves (``_leaf_walk``), where inputs with a
-    common prefix in read order share their work, or, where ``_join_split``
-    finds a cut of a narrow read-once program, a meet-in-the-middle join of
-    its prefix states and suffix Gram matrices (``_leaf_join``), which may
-    differ from the walk in the last bits.  An uncut one-hot program
-    (``_one_hot``) is walked one (index, phase) pair a leaf.  What the pass holds and
-    the per-input arrays (2^n x 32 bytes) must each fit in
-    ``linalg.MEMORY_BUDGET_BYTES``, else ValueError is raised first.
+    pass, and the leaves are put in input order by ``_by_input``.  A
+    ``_counted`` program is counted (``_leaf_count``); else a ``_one_hot``
+    program is walked one (index, phase) pair a leaf; else the leaves are
+    walked in chunks (``_leaf_walk``), where inputs with a common prefix in
+    read order share their work.  What the pass holds and the per-input
+    arrays (2^n x 32 bytes) must each fit in ``linalg.MEMORY_BUDGET_BYTES``,
+    else ValueError is raised first.
     """
     n = p.n_vars
     # the leaves and the result reordered from them, 16 bytes per input;
-    # ``computes`` then holds the result, one float buffer, two bool masks
-    # and the failing inputs, at most 26 bytes per input, in the same room
+    # ``computes`` then holds the result, a one-sided q = 1 - p, two bool
+    # masks and the failing inputs, at most 18 bytes per input, in the same room
     linalg.check_budget(32 << n, "evaluation", f"the per-input data of 2^{n} inputs")
-    s = _join_split(p)
-    start = _one_hot(p) if s is None else None
-    if start is None:
-        probs, order = _leaf_walk(p) if s is None else _leaf_join(p, s)
+    if _counted(p):
+        probs, order = _leaf_count(p)
+    elif (start := _one_hot(p)) is None:
+        probs, order = _leaf_walk(p)
     else:  # the walk's probabilities, bit for bit; traced at up to 56 bytes a leaf
         linalg.check_budget((60 << p.length) + 24 * p.width + 3 * 16 * np.getbufsize(), "evaluation",
                             f"the one-hot walk over 2^{p.length} configurations of width {p.width}")
@@ -671,18 +657,19 @@ def computes(p: QbProgram, f: TruthTable, criterion: Criterion) -> CheckReport:
     """Exhaustively check the program against a truth table.
 
     Counterexamples are the failing input values in increasing order.
-    Beside the probabilities, the check holds one float buffer, two bool
-    masks and the failing values (counted by ``evaluate_all``).
+    Beside the probabilities, the check holds what ``_failing`` holds and
+    the failing values (counted by ``evaluate_all``); ``min_margin``, the
+    least |p - 1/2|, is taken one ``_CHUNK_BYTES`` slice at a time.
     """
     if p.n_vars != f.n_vars:
         raise ValueError(f"program has n_vars {p.n_vars}, truth table has {f.n_vars}")
     probs = evaluate_all(p)
     bad = _failing(probs, f.bits, criterion)
-    margin = np.subtract(probs, 0.5)
+    step = _CHUNK_BYTES // 8
     return CheckReport(
         holds=bad.size == 0,
         counterexamples=linalg._frozen(bad),
-        min_margin=float(np.min(np.abs(margin, out=margin))),
+        min_margin=min(float(np.min(np.abs(probs[i:i + step] - 0.5))) for i in range(0, probs.size, step)),
         checked=int(probs.size),
     )
 

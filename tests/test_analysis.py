@@ -207,6 +207,7 @@ def test_near_pairs_matches_brute_force_random(seed, m, d, radius):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 40), st.integers(1, 6),
        st.floats(1e-8, 1e-6))
 @example(0, 2, 8, 4, 1e-8)  # the nearest pair's Gram value is not the least
+@example(11, 11, 18, 1, 9.29460782338262e-07)  # the Gram minimum is within CHAIN_INSET but not exact
 @settings(max_examples=60, deadline=None)
 def test_min_cross_distance_fallback_matches_brute_force(seed, ma, mb, d, gap):
     # unit rows with up to three planted cross pairs, within a factor of 2
@@ -403,7 +404,7 @@ def test_measured_separation_detects_non_computation():
 
 def test_one_hot_separation_at_width_2_20_is_explicit():
     # two one-hot classes with no index in common, at width 2^20: the Gram
-    # form's rounding bound there spans 3.95e-9 > CHAIN_INSET, so the
+    # form's rounding bound there spans 3.95e-9 > CHAIN_INSET, and the
     # distance is taken from the explicit |c|^2 of the phases
     rng = np.random.default_rng(20)
     a, b = ((0.999 + 0.001 * rng.random((m, 1))) * np.exp(2j * np.pi * rng.random((m, 1))) for m in (5, 7))

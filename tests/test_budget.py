@@ -53,20 +53,23 @@ def _leaf_block():
     return (lambda: program._leaf_walk(p)), need, "evaluation", None
 
 
-def _join():
-    # width 8 at n = 18, cut after 10 levels: 2^10 prefixes and 2^8 suffixes,
-    # each d^2 entries of its operand and 3 blocks (the prefix's last doubling
-    # and conjugate; the one accepting row's suffix block likewise), numpy's
-    # ufunc buffers and 2^18 probabilities
+def _count():
+    # width 8 at n = 18, counted (u0 and u1 are the identity): 2^18 leaves,
+    # 10 rows of the 2^9 low-half counts' table entries, the two halves' 2^9
+    # uint8 counts and their index copies, the 19 table entries, the table's
+    # block of 8 columns with its temporaries and numpy's ufunc buffers
     p = _identity_program(18, 8, range(1, 19))
-    need = 16 * ((1 << 10) * (64 + 3 * 8) + (1 << 8) * (64 + 3 * 8)) + (8 << 18) + 3 * 16 * np.getbufsize()
-    return (lambda: program._leaf_join(p, 10)), need, "evaluation", None
+    need = (8 << 18) + 8 * (10 << 9) + 9 * (2 << 9) + 8 * 19 + 64 * 8 * 8 + 3 * 16 * np.getbufsize()
+    return (lambda: program._leaf_count(p)), need, "evaluation", None
 
 
 def _one_hot_walk():
-    # width 1024 at n = 16, one-hot and too wide to join: 60 bytes per leaf,
-    # 24 per state and numpy's ufunc buffers, after the 2^16-input check
-    p = _identity_program(16, 1024, range(1, 17))
+    # width 1024 at n = 16, one-hot (u0 a cyclic shift, so not counted): 60
+    # bytes per leaf, 24 per state and numpy's ufunc buffers, after the
+    # 2^16-input check
+    shift = program.Monomial(np.roll(np.arange(1024), 1), np.ones(1024))
+    tfs = tuple(QuantumTransformation(j, shift, np.eye(1024)) for j in range(1, 17))
+    p = QbProgram(16, 1024, tfs, np.eye(1024)[0], frozenset({1}))
     need = (60 << 16) + 24 * 1024 + 3 * 16 * np.getbufsize()
     return (lambda: program.evaluate_all(p)), need, "evaluation", None
 
@@ -178,7 +181,7 @@ def _sweep_range():
 SITES = {
     "evaluation batch": _batch,
     "evaluation leaf block": _leaf_block,
-    "evaluation join": _join,
+    "evaluation count": _count,
     "evaluation one-hot walk": _one_hot_walk,
     "evaluation per-input data": _per_input,
     "reachable level": _reachable_level,

@@ -78,12 +78,7 @@ def ref_classified(p, f, epsilon):
 def ref_min_cross_distance(a, b):
     if not a or not b:
         return math.inf
-    ma, mb = np.array(a), np.array(b)
-    sa = np.einsum("ij,ij->i", ma, ma.conj()).real
-    sb = np.einsum("ij,ij->i", mb, mb.conj()).real
-    gram = (ma @ mb.conj().T).real
-    d2 = np.maximum(sa[:, None] + sb[None, :] - 2.0 * gram, 0.0)
-    return float(math.sqrt(float(d2.min())))
+    return math.sqrt(min(float(np.sum(np.abs(y - x) ** 2)) for x in a for y in b))
 
 
 def ref_derive(p, f, theta, epsilon):

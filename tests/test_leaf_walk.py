@@ -1,10 +1,11 @@
-"""The two ways ``evaluate_all`` reaches every leaf.  The chunked leaf walk
-against the one-block leaf matrix it replaces: bit-identical at every chunk
-size, and within 1e-12 of the dense matrix-chain oracle.  The
-meet-in-the-middle join against the walk: within its stated rounding bound
-at every split, with the same ``computes`` decisions, and taken by the
-narrow read-once programs only.  And what each holds against its budget
-count."""
+"""Two of the ways ``evaluate_all`` reaches every leaf.  The chunked leaf
+walk against the one-block leaf matrix it replaces: bit-identical at every
+chunk size, and within 1e-12 of the dense matrix-chain oracle.  The count
+of a stable program with an identity u0 against the walk: bit-identical on
+read-once MOD_p programs and on permutation programs, within its stated
+rounding bound on the rest, with the same ``computes`` decisions, and taken
+by exactly the programs its rule names.  And what each holds against its
+budget count."""
 
 import tracemalloc
 import warnings
@@ -158,133 +159,203 @@ def test_walk_holds_at_most_its_checked_count(monkeypatch, p, chunk_bytes):
     assert len(checked) == 1 and peak <= checked[0], (peak, checked)
 
 
-# -- the meet-in-the-middle join ---------------------------------------------------
+# -- the count of a stable program with an identity u0 ------------------------------
 
-def join_bound(p: QbProgram) -> float:
-    """How far ``_leaf_join`` may round from the walk, as its docstring states."""
-    return 4 * (p.length + p.width) * p.width * 2.0 ** -52
+def count_bound(p: QbProgram) -> float:
+    """How far ``_leaf_count`` may round from the walk, as its docstring states."""
+    return 2 * (p.length + p.width) * 2.0 ** -52
 
 
-def _monomial(rng: np.random.Generator, d: int) -> program.Monomial:
-    return program.Monomial(rng.permutation(d), np.exp(2j * np.pi * rng.random(d)))
+def _walk_by_input(p: QbProgram) -> np.ndarray:
+    return program._by_input(*program._leaf_walk(p), p.n_vars)
+
+
+def _counted_by_input(p: QbProgram) -> np.ndarray:
+    assert program._counted(p)
+    return program._by_input(*program._leaf_count(p), p.n_vars)
+
+
+def _on(p: QbProgram, n: int, seq) -> QbProgram:
+    """``p``'s first pair, shared by one level per entry of ``seq``, on n variables."""
+    u0, u1 = p.transformations[0].unitaries
+    return QbProgram(n, p.width, tuple(QuantumTransformation._sharing(j, u0, u1) for j in seq),
+                     p.initial, p.accepting)
 
 
 @st.composite
-def read_once_programs(draw):
-    """Read-once Haar, Monomial, MOD_p (greedy and sampled) and counter
-    programs, some realified, reading a drawn order of some of the variables."""
-    kind = draw(st.sampled_from(["haar", "monomial", "mod", "counter"]))
+def stable_programs(draw, read_once: bool):
+    """MOD_p programs (greedy and sampled, some realified) and MOD_w
+    counters, read once in a drawn order of some of the variables (so some
+    may go unread), or read any number of times."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 9))
-    seq = [int(v) + 1 for v in rng.permutation(n)[:draw(st.integers(0, n))]]
-    if kind == "mod":
-        strategy = draw(st.sampled_from(["greedy", "sampled"]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # p > n/2
-            p = build_mod_program(draw(st.sampled_from([3, 5, 7, 13])), n, strategy, seed=draw(st.integers(0, 9)))
-        p = QbProgram(n, p.width, tuple(QuantumTransformation(j, *p.transformations[0].unitaries) for j in seq),
-                      p.initial, p.accepting)
-    elif kind == "counter":
-        p = permutation_bp_to_qbp(_counter(draw(st.integers(1, 7)), seq), n)
+    if read_once:
+        seq = [int(v) + 1 for v in rng.permutation(n)[:draw(st.integers(1, n))]]
     else:
-        d = draw(st.sampled_from([1, 2, 3, 5, 8, 84]))
-        level = (lambda: haar_unitary(rng, d)) if kind == "haar" else (lambda: _monomial(rng, d))
-        tfs = tuple(QuantumTransformation(j, level(), level()) for j in seq)
-        p = QbProgram(n, d, tfs, random_state(rng, d), frozenset(draw(st.sets(st.integers(1, d)))))
+        seq = draw(st.lists(st.integers(1, n), min_size=1, max_size=3 * n))
+    if draw(st.booleans()):
+        return permutation_bp_to_qbp(_counter(draw(st.integers(1, 7)), seq), n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # p > n/2
+        p = build_mod_program(draw(st.sampled_from([3, 5, 7, 13])), n, draw(st.sampled_from(["greedy", "sampled"])),
+                              seed=draw(st.integers(0, 9)))
+    p = _on(p, n, seq)
     return realify_program(p) if p.width <= 8 and draw(st.booleans()) else p
 
 
-@settings(max_examples=40, deadline=None)
-@given(read_once_programs())
-def test_join_matches_the_walk_at_every_split(p):
-    walk, order = program._leaf_walk(p)
-    chain = np.array([chain_probability(p, bits_of_value(v, p.n_vars)) for v in range(1 << p.n_vars)])
-    for s in range(p.length + 1):
-        joined, joined_order = program._leaf_join(p, s)
-        assert joined_order == order and joined.shape == walk.shape
-        assert 0.0 <= joined.min() and joined.max() <= 1.0
-        assert np.max(np.abs(joined - walk)) <= join_bound(p), s
-        by_input = joined[leaf_indices(order, p.n_vars)]
-        assert np.max(np.abs(by_input - chain)) <= 1e-12, s  # the bound of the walk against the chain
+@settings(max_examples=60, deadline=None)
+@given(stable_programs(read_once=True))
+def test_count_is_the_walk_on_read_once_programs(p):
+    assert np.array_equal(_counted_by_input(p), _walk_by_input(p))
 
 
-def _haar_program(d: int, n: int, seed: int) -> QbProgram:
+@settings(max_examples=60, deadline=None)
+@given(stable_programs(read_once=False))
+def test_count_is_the_walk_on_read_k_programs(p):
+    # a Monomial u1 is a gather, exact in any block; a dense one is rounded
+    # by zgemm per group of 4 columns, and a re-read of the walk's first
+    # levels puts 1 or 2 columns through it
+    counted, walk = _counted_by_input(p), _walk_by_input(p)
+    if isinstance(p.transformations[0].unitaries[1], program.Monomial):
+        assert np.array_equal(counted, walk)
+    assert np.max(np.abs(counted - walk)) <= count_bound(p)
+
+
+def _stable_haar(d: int, seq, seed: int) -> QbProgram:
     rng = np.random.default_rng(seed)
-    seq = [int(v) + 1 for v in rng.permutation(n)]
-    tfs = tuple(QuantumTransformation(j, haar_unitary(rng, d), haar_unitary(rng, d)) for j in seq)
-    return QbProgram(n, d, tfs, random_state(rng, d), frozenset(range(1, d // 2 + 1)))
+    u0, u1 = program.Monomial(np.arange(d), np.ones(d)), program._stored(haar_unitary(rng, d))
+    tfs = tuple(QuantumTransformation._sharing(j, u0, u1) for j in seq)
+    return QbProgram(max(seq), d, tfs, random_state(rng, d), frozenset(range(1, d // 2 + 2)))
 
 
-JOINED = {
-    "mod 5 greedy n=14": lambda: build_mod_program(5, 14),
-    "mod 7 greedy n=16": lambda: build_mod_program(7, 16),
-    "mod 5 sampled n=14": lambda: build_mod_program(5, 14, "sampled", seed=1),
-    "haar 8 n=12": lambda: _haar_program(8, 12, 8),
-    "counter 5 n=12": lambda: permutation_bp_to_qbp(_counter(5, [4, 9, 1, 12, 7, 3, 10, 6, 2, 11, 8, 5])),
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5, 8, 84]), st.lists(st.integers(1, 7), min_size=1, max_size=16),
+       st.integers(0, 2**32 - 1))
+def test_count_is_within_its_bound_on_dense_complex_programs(d, seq, seed):
+    # a Haar u1 rounds differently in 1-3 columns than in 4 or more, even
+    # read once
+    p = _stable_haar(d, seq, seed)
+    counted = _counted_by_input(p)
+    assert np.max(np.abs(counted - _walk_by_input(p))) <= count_bound(p)
+    chain = np.array([chain_probability(p, bits_of_value(v, p.n_vars)) for v in range(1 << p.n_vars)])
+    assert np.max(np.abs(counted - chain)) <= 1e-12
+
+
+def _with_level(p: QbProgram, level: int, u0=None, u1=None) -> QbProgram:
+    """``p`` with one level's u0 or u1 replaced."""
+    tfs = list(p.transformations)
+    old = tfs[level].unitaries
+    tfs[level] = QuantumTransformation(tfs[level].var_index, old[0] if u0 is None else u0,
+                                       old[1] if u1 is None else u1)
+    return QbProgram(p.n_vars, p.width, tuple(tfs), p.initial, p.accepting)
+
+
+def _nudged(u) -> np.ndarray | program.Monomial:
+    """``u`` with one entry one ulp larger."""
+    if isinstance(u, program.Monomial):
+        phases = u.phases.copy()
+        phases[0] = np.nextafter(phases[0].real, 2.0) + 1j * phases[0].imag
+        return program.Monomial(u.perm, phases)
+    u = u.copy()
+    u[0, 0] = np.nextafter(u[0, 0].real, 2.0) + 1j * u[0, 0].imag
+    return u
+
+
+MOD_5 = build_mod_program(5, 10, "sampled", seed=2)
+COUNTER = permutation_bp_to_qbp(_counter(5, [3, 1, 8, 5, 2, 7, 4, 6, 6, 2, 4, 8, 1, 7, 3, 5]))
+ONE_OFF = {
+    "u0 phase -1": lambda p: _with_level(p, 3, u0=program.Monomial(np.arange(p.width),
+                                                                    np.r_[-1.0, np.ones(p.width - 1)])),
+    "permuted u0": lambda p: _with_level(p, 3, u0=program.Monomial(np.r_[1, 0, np.arange(2, p.width)],
+                                                                    np.ones(p.width))),
+    "u1 one ulp off": lambda p: _with_level(p, 3, u1=_nudged(p.transformations[3].unitaries[1])),
 }
 
 
-@pytest.mark.parametrize("make", JOINED.values(), ids=JOINED.keys())
-def test_computes_decides_as_the_walk_does(make, monkeypatch):
-    p = make()
-    assert program._join_split(p) is not None
-    walk = program._leaf_walk(p)[0][leaf_indices(p.var_sequence, p.n_vars)]
-    tables = [mod_truth_table(5, p.n_vars), TruthTable(p.n_vars, walk > 0.5), TruthTable(p.n_vars, walk > 0.9)]
-    criteria = [OneSided(), OneSided(0.2), Margin(0.0), Margin(0.1), Margin(0.3)]
-    joined = [computes(p, f, c) for f in tables for c in criteria]
-    monkeypatch.setattr(program, "_join_split", lambda p: None)
-    walked = [computes(p, f, c) for f in tables for c in criteria]
-    for a, b in zip(joined, walked):
-        assert (a.holds, a.checked) == (b.holds, b.checked)
-        assert np.array_equal(a.counterexamples, b.counterexamples)
-        assert abs(a.min_margin - b.min_margin) <= join_bound(p)
+@pytest.mark.parametrize("base", [MOD_5, COUNTER], ids=["mod 5", "counter"])
+@pytest.mark.parametrize("change", ONE_OFF.values(), ids=ONE_OFF.keys())
+def test_a_program_one_thing_off_the_rule_is_walked(base, change):
+    assert program._counted(base)
+    p = change(base)
+    assert not program._counted(p)
+    got = program.evaluate_all(p)
+    chain = np.array([chain_probability(p, bits_of_value(v, p.n_vars)) for v in range(1 << p.n_vars)])
+    assert np.max(np.abs(got - chain)) <= 1e-12
+
+
+def test_an_equal_u1_of_the_same_kind_is_counted():
+    # an equal copy counts as the shared u1; a Monomial and its dense form
+    # are different stored unitaries; a program with no levels is walked
+    p = build_mod_program(5, 10)
+    assert program._counted(_with_level(p, 2, u1=np.array(p.transformations[2].unitaries[1])))
+    (first, *rest), u0, u1 = COUNTER.transformations, *COUNTER.transformations[0].unitaries
+    dense_first = QuantumTransformation._sharing(first.var_index, u0, np.array(u1.dense))
+    assert not program._counted(QbProgram(COUNTER.n_vars, COUNTER.width, (dense_first, *rest),
+                                          COUNTER.initial, COUNTER.accepting))
+    assert not program._counted(QbProgram(3, p.width, (), p.initial, p.accepting))
 
 
 def _read_twice(w: int, n: int) -> QbProgram:
     return permutation_bp_to_qbp(_counter(w, [v for _ in range(2) for v in range(1, n + 1)]))
 
 
-@pytest.mark.parametrize("make, joins", [
-    (lambda: build_mod_program(5, 20), True),
-    (lambda: build_mod_program(7, 20), True),
-    (lambda: build_mod_program(11, 20), True),
-    (lambda: build_mod_program(13, 14, "sampled", seed=1), False),  # width 84
-    (lambda: universal_exact_qbp(TruthTable.random(9, np.random.default_rng(9))), False),
-    (lambda: realify_program(universal_exact_qbp(TruthTable.random(6, np.random.default_rng(6)))), False),
-    (lambda: _read_twice(5, 14), False),
-], ids=["mod 5", "mod 7", "mod 11", "sampled mod 13", "universal n=9", "realified universal n=6",
-        "read twice"])
-def test_the_benchmark_programs_take_their_path(make, joins):
-    # the narrow MOD_p programs of mod-exhaustive are joined; the wide and
-    # read-twice programs of cli-wide and theta-universal are walked
+@pytest.mark.parametrize("make, path", [
+    (lambda: build_mod_program(5, 20), "counted"),
+    (lambda: build_mod_program(7, 20), "counted"),
+    (lambda: build_mod_program(11, 20), "counted"),
+    (lambda: build_mod_program(13, 14, "sampled", seed=1), "counted"),  # width 84
+    (lambda: _read_twice(5, 14), "counted"),
+    (lambda: universal_exact_qbp(TruthTable.random(9, np.random.default_rng(9))), "one-hot"),
+    (lambda: realify_program(universal_exact_qbp(TruthTable.random(6, np.random.default_rng(6)))), "one-hot"),
+], ids=["mod 5", "mod 7", "mod 11", "sampled mod 13", "read twice", "universal n=9", "realified universal n=6"])
+def test_the_benchmark_programs_take_their_path(make, path):
+    # the MOD_p programs of mod-exhaustive and cli-wide and cli-wide's
+    # read-twice program are counted; the universal programs of
+    # theta-universal and cli-wide are walked as (index, phase) pairs
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # p > n/2
         p = make()
-    assert (program._join_split(p) is not None) == joins
+    taken = "counted" if program._counted(p) else "one-hot" if program._one_hot(p) is not None else "walked"
+    assert taken == path
 
 
-def test_a_join_over_the_budget_walks(monkeypatch):
-    # width-84 MOD_13 at n = 16 joins in 96 MB, d^2 entries per prefix and
-    # suffix; with less room it is walked, in 19 MB
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # p > n/2
-        p = build_mod_program(13, 16, "sampled", seed=1)
-    need = program._join_need(p.width, p.length, len(p.accepting), program._join_split(p))
-    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", need - 1)
-    assert program._join_split(p) is None
-    walk = program._leaf_walk(p)[0]
-    assert np.array_equal(program.evaluate_all(p), walk)
+COUNTED = {
+    "mod 5 greedy n=14": lambda: build_mod_program(5, 14),
+    "mod 7 greedy n=16": lambda: build_mod_program(7, 16),
+    "mod 5 sampled n=14": lambda: build_mod_program(5, 14, "sampled", seed=1),
+    "haar 8 n=12": lambda: _stable_haar(8, [int(v) + 1 for v in np.random.default_rng(8).permutation(12)], 8),
+    "counter 5 n=12": lambda: permutation_bp_to_qbp(_counter(5, [4, 9, 1, 12, 7, 3, 10, 6, 2, 11, 8, 5])),
+    "realified mod 5 n=12": lambda: realify_program(build_mod_program(5, 12)),
+    "counter read twice n=7": lambda: _read_twice(5, 7),
+}
 
 
-@pytest.mark.parametrize("make, s", [
-    (lambda: build_mod_program(5, 16), 9),
-    (lambda: build_mod_program(5, 16), 0),
-    (lambda: build_mod_program(5, 16), 16),
-    (lambda: _haar_program(8, 14, 3), 8),
-    (lambda: realify_program(_haar_program(3, 14, 4)), 8),
-    (lambda: permutation_bp_to_qbp(_counter(5, list(range(1, 15)))), 7),
-], ids=["mod", "mod, all suffix", "mod, all prefix", "haar", "realified", "counter"])
-def test_join_holds_at_most_its_checked_count(monkeypatch, make, s):
+@pytest.mark.parametrize("make", COUNTED.values(), ids=COUNTED.keys())
+def test_computes_decides_as_the_walk_does(make, monkeypatch):
+    p = make()
+    assert program._counted(p)
+    walk = _walk_by_input(p)
+    tables = [mod_truth_table(5, p.n_vars), TruthTable(p.n_vars, walk > 0.5), TruthTable(p.n_vars, walk > 0.9)]
+    criteria = [OneSided(), OneSided(0.2), Margin(0.0), Margin(0.1), Margin(0.3)]
+    counted = [computes(p, f, c) for f in tables for c in criteria]
+    monkeypatch.setattr(program, "_counted", lambda p: False)
+    monkeypatch.setattr(program, "_one_hot", lambda p: None)
+    walked = [computes(p, f, c) for f in tables for c in criteria]
+    for a, b in zip(counted, walked):
+        assert (a.holds, a.checked) == (b.holds, b.checked)
+        assert np.array_equal(a.counterexamples, b.counterexamples)
+        assert abs(a.min_margin - b.min_margin) <= count_bound(p)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_mod_program(5, 16),
+    lambda: _on(build_mod_program(13, 26, "sampled", seed=1), 14, range(1, 15)),  # width 84
+    lambda: realify_program(build_mod_program(7, 15)),
+    lambda: _on(build_mod_program(5, 17), 17, [4, 9, 1, 12, 7, 3, 10, 6, 2, 11, 8, 5, 13, 15]),
+    lambda: _read_twice(5, 14),
+    lambda: permutation_bp_to_qbp(_counter(3, [1, 2, 3] * 300), 15),
+], ids=["mod", "wide mod", "realified", "shuffled, unread", "read twice", "read 300 times"])
+def test_count_holds_at_most_its_checked_count(monkeypatch, make):
     p = make()
     real, checked = linalg.check_budget, []
 
@@ -296,7 +367,7 @@ def test_join_holds_at_most_its_checked_count(monkeypatch, make, s):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        program._leaf_join(p, s)
+        program._leaf_count(p)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

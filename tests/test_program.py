@@ -305,6 +305,37 @@ def test_failing_matches_the_mask_rule_on_boundary_floats(criterion):
     assert 0 < got.size < probs.size, "every boundary case fails or none does"
 
 
+def _min_margin_of(probs: np.ndarray) -> float:
+    """``computes``' min_margin when ``evaluate_all`` gives ``probs``."""
+    n = probs.size.bit_length() - 1
+    with mock.patch.object(program_module, "evaluate_all", return_value=probs):
+        return computes(identity_program(n_vars=n), TruthTable.constant(n, True), Margin(0.0)).min_margin
+
+
+def _padded(probs: np.ndarray) -> np.ndarray:
+    return np.resize(probs, 1 << (probs.size - 1).bit_length())
+
+
+@pytest.mark.parametrize("probs", [
+    _padded(_around(0.0, 0.5, 1.0)),
+    _padded(_around(0.0, 0.25, 0.5 - 2.0 ** -30, 1.0)),  # nearest to 1/2 from below only
+    _padded(_around(0.0, 0.5 + 2.0 ** -40)),  # from above only
+    _padded(_around(0.0, 1e-300, 0.125)),  # all below 1/2, rounded in p - 1/2
+    _padded(_around(0.5, 0.75, 1.0)[3:]),  # all at or above 1/2
+    np.full(4, 0.5),
+    np.random.default_rng(1).random(1 << 12),
+    np.clip(0.5 + 1e-15 * np.random.default_rng(2).standard_normal(1 << 10), 0.0, 1.0),
+    np.random.default_rng(3).random(1 << 10) ** 40,
+    np.r_[np.random.default_rng(4).random((1 << 18) - 1), 0.5 + 2.0 ** -50],  # least in the last slice
+], ids=["around 1/2", "below", "above", "all below", "all above", "all 1/2", "random", "near 1/2",
+        "near 0", "several slices"])
+def test_min_margin_is_the_least_rounded_distance_to_one_half(probs):
+    # bit for bit the expression over the whole array, which held 8 bytes per
+    # input where computes now holds one slice
+    want = float(np.min(np.abs(probs - 0.5)))
+    assert np.float64(_min_margin_of(probs)).tobytes() == np.float64(want).tobytes()
+
+
 def test_evaluate_all_matches_per_input_evaluation(rng):
     p = random_program(rng, d=3, n=4)
     probs = evaluate_all(p)
@@ -592,10 +623,11 @@ def test_evaluation_budget_width_8_at_n_24(monkeypatch):
     # chunks of 2^13 columns: it holds eleven doubled blocks of 2^14 columns
     # (one per split level), three chunks of temporaries for the level in
     # progress, 32 bytes per chunk column, numpy's ufunc buffers and 2^24
-    # probabilities, so its check admits it.  evaluate_all joins this
-    # read-once program instead, cut after 13 levels: 2^13 prefixes of width 8
-    # (and d^2 entries each), 2^11 suffixes with one accepting row, and the
-    # 2^24 probabilities.  Both evaluation checks admit it; the 2^24-input
+    # probabilities, so its check admits it.  evaluate_all counts this
+    # program instead, since u0 and u1 are the identity: the 2^24 leaves,
+    # 13 rows of the 2^12 low-half counts' table entries, the halves' 2^12
+    # uint8 counts and their index copies, 25 table entries and the table's
+    # block of 8 columns.  Both evaluation checks admit it; the 2^24-input
     # run itself is not made
     ident = np.eye(8)
     tfs = tuple(QuantumTransformation(j, ident, ident) for j in range(1, 25))
@@ -605,20 +637,20 @@ def test_evaluation_budget_width_8_at_n_24(monkeypatch):
     def admit_then_stop(need, stage, what):
         real(need, stage, what)
         checked.append((stage, need))
-        if "leaf walk" in what or "join" in what:
+        if "leaf walk" in what or "counting" in what:
             raise _Admitted
 
     monkeypatch.setattr(linalg, "check_budget", admit_then_stop)
     with pytest.raises(_Admitted):
         evaluate_all(p)
-    join = 16 * ((1 << 13) * (64 + 24) + (1 << 11) * (64 + 24)) + (8 << 24) + 3 * 16 * np.getbufsize()
-    assert checked == [("evaluation", 32 << 24), ("evaluation", join)]
+    count = (8 << 24) + 8 * (13 << 12) + 9 * (2 << 12) + 8 * 25 + 64 * 8 * 8 + 3 * 16 * np.getbufsize()
+    assert checked == [("evaluation", 32 << 24), ("evaluation", count)]
     checked.clear()
     with pytest.raises(_Admitted):
         program_module._leaf_walk(p)
     walk = 16 * 8 * ((11 << 14) + (3 << 13)) + (32 << 13) + 3 * 16 * np.getbufsize() + (8 << 24)
     assert checked == [("evaluation", walk)]
-    assert max(join, walk) < linalg.MEMORY_BUDGET_BYTES < 16 * 8 << 24
+    assert max(count, walk) < linalg.MEMORY_BUDGET_BYTES < 16 * 8 << 24
     # a program on many variables that reads few still has 2^n outputs
     monkeypatch.setattr(linalg, "check_budget", real)
     wide = QbProgram(40, 2, (), np.array([1.0, 0.0]), frozenset({1}))
@@ -1314,9 +1346,17 @@ def test_truth_table_text_roundtrip(tmp_path, rng, n):
     assert g.n_vars == n and np.array_equal(g.bits, f.bits)
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_truth_table_lines_end_at_any_line_break(tmp_path, end):
+    path = tmp_path / "f.tt"
+    path.write_bytes(f" 3 {end}01101001{end}".encode())
+    assert load_truth_table(path).bits.tolist() == [c == "1" for c in "01101001"]
+
+
 @pytest.mark.parametrize(
     "bits, col, char",
-    [("0120", 3, "2"), ("01\u00e90", 3, "\u00e9"), ("1 01", 2, " "), ("x110", 1, "x"), ("011\u2603", 4, "\u2603")],
+    [("0120", 3, "2"), ("01\u00e90", 3, "\u00e9"), ("1 01", 2, " "), ("x110", 1, "x"), ("011\u2603", 4, "\u2603"),
+     ("  01x1", 5, "x"), ("\t0\u00e910 ", 3, "\u00e9")],  # columns count the leading whitespace
 )
 def test_truth_table_bad_character_column(tmp_path, bits, col, char):
     path = tmp_path / "bad.tt"
