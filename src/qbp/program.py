@@ -17,24 +17,31 @@ included: the JSON file format used by the command line tools.
 Programs are oblivious, so evaluation advances a d x m block of
 configurations level by level (``_advance``): one column per input, or in
 ``evaluate_all`` per assignment to the variables read so far, where a fresh
-variable doubles the block (``_doubled``).  ``evaluate_all`` is the one
-route to every input's acceptance, for ``computes`` and the theta-component
-analysis alike, by one of three paths.  A program whose u0 is the identity
-and whose levels all apply one u1 (``_counted``), as the paper's MOD_p
-program does, is counted: a leaf accepts as U1^c ``initial`` does, for c
-the number of levels that read a 1 (``_leaf_count``).  Else a read-once
-program of Monomial levels started from a basis vector (``_one_hot``) is
-walked as (index, phase) pairs.  Else the block grows to ``_CHUNK_BYTES``
-and is walked in column slices of that size (``_leaf_walk``), never holding
-the 2^|read|-column leaf block at once.  The one-hot walk gives the walk's
-probabilities bit for bit, and the count within a stated bound, bit for
-bit on the paper's MOD_p programs and on permutation programs.  What a
-block, a walk or a count holds is checked against
-``linalg.MEMORY_BUDGET_BYTES`` before it is allocated.
+variable doubles the block (``_doubled``).  ``evaluate_all`` gives every
+input's acceptance by one of three paths.  A program whose u0 is the
+identity and whose levels all apply one u1 (``_counted``), as the paper's
+MOD_p program does, is counted: a leaf accepts as U1^c ``initial`` does, for
+c the number of levels that read a 1, and its count form (``_count_form``)
+holds that table T and the counts of two halves of the read variables,
+through which T is gathered to the leaves.  Else a read-once program of
+Monomial levels started from a basis vector (``_one_hot``) is walked as
+(index, phase) pairs.  Else the block grows to ``_CHUNK_BYTES`` and is
+walked in column slices of that size (``_leaf_walk``), never holding the
+2^|read|-column leaf block at once.  The one-hot walk gives the walk's
+probabilities bit for bit, and the count within a stated bound, bit for bit
+on the paper's MOD_p programs and on permutation programs.  What a block, a
+walk or a count holds is checked against ``linalg.MEMORY_BUDGET_BYTES``
+before it is allocated.
 
 Which inputs miss a criterion is decided by one rule, ``_failing``, for
 ``computes`` and the theta-component analysis alike; at a margin it reads
-``_margin_masks``.
+``_margin_masks``.  ``computes`` applies it to every input's probability
+from ``evaluate_all``, except on a counted program: there it applies it to T
+once per bit and gathers the verdicts through the count form
+(``_counted_check``), never holding the 2^n probabilities.  The
+theta-component analysis (``analysis._classified_final_configs``) keeps
+``evaluate_all`` on every program, since it reports the probability of the
+first failing input.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -476,12 +483,32 @@ def _half_counts(mults: Sequence[int], dtype) -> np.ndarray:
     return counts
 
 
-def _leaf_count(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``_leaf_walk`` of a program that ``_counted`` takes, by counting: u0
-    is the identity and every level applies one u1, so a leaf accepts with
-    T[c], where c is the number of levels that read a 1 and T[c] is the
-    acceptance of U1^c applied to ``initial``.  The paper's MOD_p program,
-    after the unary automaton of Ambainis and Freivalds (FOCS 1998), is one.
+class _CountForm(NamedTuple):
+    """The leaves of a program that ``_counted`` takes, as a table over
+    counts: the variables of ``order`` are cut into a high and a low half,
+    and the leaf of high assignment i and low assignment j (the first
+    variable most significant) has count hi[i] + lo[j]."""
+
+    table: np.ndarray  # T[c], the acceptance of U1^c applied to ``initial``
+    hi: np.ndarray  # the high half's counts, by ``_half_counts``
+    lo: np.ndarray  # the low half's
+    most: int  # the low half's largest count
+    order: tuple[int, ...]  # the variables read, in first-read order
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """values[hi[i] + lo[j]] at every leaf, for ``values`` indexed by
+        count: row r of R holds values[r + lo[j]] for every j, and the leaves
+        are the rows of R that hi picks."""
+        rows = np.lib.stride_tricks.sliding_window_view(values, self.most + 1)[:, self.lo]  # R
+        return rows[self.hi].reshape(-1)
+
+
+def _count_form(p: QbProgram, leaf_bytes: int, input_bytes: int) -> _CountForm:
+    """The count form of a program that ``_counted`` takes: u0 is the
+    identity and every level applies one u1, so a leaf accepts with T[c],
+    where c is the number of levels that read a 1.  The paper's MOD_p
+    program, after the unary automaton of Ambainis and Freivalds (FOCS
+    1998), is one.
 
     T is read off a block of 8 equal columns that u1 is applied to L times,
     so zgemm rounds it as it rounds a chunk of the walk (``_CHUNK_BYTES``).
@@ -492,17 +519,17 @@ def _leaf_count(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
     programs a leaf may differ from the walk's, within 2 (L + d) 2^-52
     (measured at up to 0.31 of that on Haar and read-k MOD_p programs).
 
-    The read variables are cut into two halves, and each half's counts are
-    built by doubling.  Row r of R holds T[r + c] for the low half's counts
-    c, and the leaves are the rows of R that the high half's counts pick.
-    What it holds is checked against ``linalg.MEMORY_BUDGET_BYTES`` first.
+    The form, with what the caller gathers through it (``leaf_bytes`` per
+    leaf and per entry of R) and holds per input (``input_bytes``), is
+    checked against ``linalg.MEMORY_BUDGET_BYTES`` first.
     """
     reads = Counter(p.var_sequence)  # in first-read order
     order, mults = tuple(reads), list(reads.values())
     levels, k, d = p.length, len(order), p.width
     hi, lo = mults[:k // 2], mults[k // 2:]
-    dtype, most = np.min_scalar_type(levels), sum(lo)  # the largest count of the low half
-    linalg.check_budget((8 << k) + 8 * (levels - most + 1 << len(lo)) + 8 * (levels + 1) + 64 * 8 * d
+    dtype, most = np.min_scalar_type(levels), sum(lo)
+    linalg.check_budget(leaf_bytes * ((1 << k) + (levels - most + 1 << len(lo))) + (input_bytes << p.n_vars)
+                        + 8 * (levels + 1) + 64 * 8 * d
                         + (dtype.itemsize + 8) * ((1 << len(hi)) + (1 << len(lo))) + 3 * 16 * np.getbufsize(),
                         "evaluation", f"counting over 2^{k} configurations of {levels} levels of width {d}")
     cols = np.repeat(p.initial[:, None], 8, axis=1)
@@ -512,8 +539,14 @@ def _leaf_count(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
     for c in range(1, levels + 1):
         cols = tf.apply_to_columns(1, cols)
         table[c] = _column_accept_probs(cols, p)[0]
-    rows = np.lib.stride_tricks.sliding_window_view(table, most + 1)[:, _half_counts(lo, dtype)]  # R
-    return rows[_half_counts(hi, dtype)].reshape(-1), order
+    return _CountForm(table, _half_counts(hi, dtype), _half_counts(lo, dtype), most, order)
+
+
+def _leaf_count(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``_leaf_walk`` of a program that ``_counted`` takes, by counting: T
+    gathered through the count form, 8 bytes a leaf and an entry of R."""
+    form = _count_form(p, 8, 0)
+    return form.gather(form.table), form.order
 
 
 def _by_input(leaves: np.ndarray, order: Sequence[int], n_vars: int) -> np.ndarray:
@@ -541,8 +574,10 @@ def evaluate_all(p: QbProgram) -> np.ndarray:
     """
     n = p.n_vars
     # the leaves and the result reordered from them, 16 bytes per input;
-    # ``computes`` then holds the result, a one-sided q = 1 - p, two bool
-    # masks and the failing inputs, at most 18 bytes per input, in the same room
+    # ``computes`` on a program that is not counted then holds the result, a
+    # one-sided q = 1 - p, two bool masks and the failing inputs, at most 18
+    # bytes per input, in the same room (a counted one holds 10, counted by
+    # ``_counted_check``)
     linalg.check_budget(32 << n, "evaluation", f"the per-input data of 2^{n} inputs")
     if _counted(p):
         probs, order = _leaf_count(p)
@@ -653,24 +688,54 @@ def _failing(probs: np.ndarray, bits: np.ndarray, criterion: Criterion) -> np.nd
     return np.flatnonzero(np.logical_not(ok0, out=ok0)).astype(np.int64, copy=False)
 
 
+def _counted_check(p: QbProgram, bits: np.ndarray, criterion: Criterion) -> tuple[np.ndarray, float]:
+    """The failing input values and the least |p - 1/2| of a ``_counted``
+    program, from its count form.  ``_failing`` is applied to T once per bit,
+    giving bool tables bad0[c] and bad1[c]; bad0 and bad0 ^ bad1 are gathered
+    to the leaves and put in input order, and an input fails where
+    bad0 ^ (bit & (bad0 ^ bad1)).  The least |T[c] - 1/2| is taken over the
+    counts that occur (a read-twice counter reaches only even ones).  Every
+    input accepts with exactly its T[c], so both are bit for bit those over
+    ``evaluate_all``.  It holds 2 bytes per leaf and per entry of R, and 10
+    per input: two bool arrays and up to 8 bytes per failing value."""
+    form = _count_form(p, 2, 10)
+    bad = np.zeros((2, form.table.size), dtype=bool)
+    for b in (0, 1):
+        bad[b, _failing(form.table, np.bool_(b), criterion)] = True
+    failing = _by_input(form.gather(bad[0]), form.order, p.n_vars)
+    flips = _by_input(form.gather(bad[0] ^ bad[1]), form.order, p.n_vars)  # a 1 bit changes the verdict
+    np.logical_xor(failing, np.logical_and(flips, bits, out=flips), out=failing)
+    del flips
+    reached = np.add.outer(np.unique(form.hi), np.unique(form.lo))
+    return np.flatnonzero(failing).astype(np.int64, copy=False), float(np.min(np.abs(form.table[reached] - 0.5)))
+
+
 def computes(p: QbProgram, f: TruthTable, criterion: Criterion) -> CheckReport:
     """Exhaustively check the program against a truth table.
 
-    Counterexamples are the failing input values in increasing order.
-    Beside the probabilities, the check holds what ``_failing`` holds and
-    the failing values (counted by ``evaluate_all``); ``min_margin``, the
-    least |p - 1/2|, is taken one ``_CHUNK_BYTES`` slice at a time.
+    Counterexamples are the failing input values in increasing order, by
+    ``_failing``'s rule.  A ``_counted`` program is checked from its count
+    form, at 2 bytes a leaf and 10 bytes per input (``_counted_check``),
+    and never holds the 2^n probabilities.  Any other program's come from
+    ``evaluate_all``; beside them the check holds what ``_failing`` holds
+    and the failing values (counted by ``evaluate_all``), and
+    ``min_margin``, the least |p - 1/2|, is taken one ``_CHUNK_BYTES`` slice
+    at a time.
     """
     if p.n_vars != f.n_vars:
         raise ValueError(f"program has n_vars {p.n_vars}, truth table has {f.n_vars}")
-    probs = evaluate_all(p)
-    bad = _failing(probs, f.bits, criterion)
-    step = _CHUNK_BYTES // 8
+    if _counted(p):
+        bad, margin = _counted_check(p, f.bits, criterion)
+    else:
+        probs = evaluate_all(p)
+        bad = _failing(probs, f.bits, criterion)
+        step = _CHUNK_BYTES // 8
+        margin = min(float(np.min(np.abs(probs[i:i + step] - 0.5))) for i in range(0, probs.size, step))
     return CheckReport(
         holds=bad.size == 0,
         counterexamples=linalg._frozen(bad),
-        min_margin=min(float(np.min(np.abs(probs[i:i + step] - 0.5))) for i in range(0, probs.size, step)),
-        checked=int(probs.size),
+        min_margin=margin,
+        checked=1 << p.n_vars,
     )
 
 
@@ -689,15 +754,16 @@ def computes(p: QbProgram, f: TruthTable, criterion: Criterion) -> CheckReport:
 # that digest, so a caller that writes a program need not format it again.
 #
 # Writing is streamed (``_stream_program``).  Each array is formatted once,
-# as its compact text, and that text is fed to one sha256 in the canonical
-# key order and, widened to ", ", written to the file at once; the digest
-# alone only hashes.  So the writer holds the initial vector's text and one
-# matrix's dense form and texts at a time, never a whole file.  An array's
+# as its compact text, encoded once, and fed to one sha256 in the canonical
+# key order; its file form, the text widened to ", ", is encoded once beside
+# it and written to the file at once; the digest alone only hashes.  So the
+# writer holds one matrix's dense form and texts at a time, and the texts of
+# a repeated pair, never a whole file.  An array's
 # text formats each distinct [re, im] entry once (``_array_text``): the
 # paper's constructions use a handful of amplitudes (0 and +-1, or the cos
 # and sin of 2 pi k / p), so a level of d^2 entries has a few dozen distinct
 # ones.  A unitary that is the same object as the previous level's reuses
-# that level's text, kept only while the next level repeats it: a stable
+# that level's two texts, kept only while the next level repeats it: a stable
 # program's pair is formatted once, and a universal program's identity u0.
 # The budget counts the entries of the initial vector and one level.
 #
@@ -794,11 +860,13 @@ def _checked_program(n_vars, width, tfs, initial, accepting) -> QbProgram:
 
 
 # bytes per complex entry of the initial vector and one level that formatting
-# holds at its peak, one matrix's dense form, sort and texts at a time.
-# Measured (tracemalloc) up to 198.5 with 24-character reprs in both parts of
-# every entry, 191 with Haar entries, and 29-37 with the few distinct entries
-# of the universal, realified and MOD_p programs.
-_FORMAT_BYTES_PER_ENTRY = 216
+# holds at its peak, one matrix's dense form, sort and texts at a time, beside
+# the encoded texts of a repeated pair.  Measured (tracemalloc) with
+# 24-character reprs in both parts of every entry at up to 201 where no
+# level repeats an array and 252.6 where every level repeats its pair, with
+# Haar entries at up to 193 and 236.6, and at 33-46 with the few distinct
+# entries of the universal, realified and MOD_p programs.
+_FORMAT_BYTES_PER_ENTRY = 264
 # Bytes that the json path of loading holds per byte of the file, for the
 # parsed JSON document and the arrays built from it.  Measured (tracemalloc)
 # at 13.4-13.7 for universal, realified and MOD_p files, and 4.2 for Haar files.
@@ -843,7 +911,8 @@ def _stream_program(p: QbProgram, path=None) -> str:
     both streamed piece by piece as the format notes describe.
 
     An array's compact text holds only numbers, brackets and commas, so its
-    file form is that text with every comma widened to ", ".  The bytes of
+    file form is that text with every comma widened to ", ".  Both are
+    encoded once, and a repeated array's pair is kept.  The bytes of
     the largest step are checked against ``linalg.MEMORY_BUDGET_BYTES``
     before the file is opened.
     """
@@ -853,35 +922,41 @@ def _stream_program(p: QbProgram, path=None) -> str:
                         f"the text of {d * (1 + 2 * d * p.length)} complex entries, "
                         f"{step} of them (the initial vector and one level) at a time,")
     sha = hashlib.sha256()
-    with open(path, "w", encoding="utf-8") if path is not None else nullcontext() as fh:
+    with open(path, "wb") if path is not None else nullcontext() as fh:
 
-        def put(canonical: str, file: str | None = None) -> None:
-            """Hash a piece of the canonical text and write its file piece,
-            by default the piece (an array's text) widened."""
-            sha.update(canonical.encode("utf-8"))
+        def encoded(a: np.ndarray) -> tuple[bytes, bytes | None]:
+            """An array's canonical text and, when a file is written, its
+            file form (the text widened), each encoded once."""
+            text = _array_text(a).encode()
+            return text, None if fh is None else text.replace(b",", b", ")
+
+        def put(canonical: bytes, file: bytes | None) -> None:
+            """Hash a piece of the canonical text and write its file piece."""
+            sha.update(canonical)
             if fh is not None:
-                fh.write(canonical.replace(",", ", ") if file is None else file)
+                fh.write(file)
 
-        initial = _array_text(p.initial)
-        accepting = json.dumps(p.accepting.tolist(), separators=(",", ":"))
-        sha.update(f'{{"accepting":{accepting},"initial":{initial},"n_vars":{p.n_vars},'
-                   f'"transformations":['.encode("utf-8"))
+        initial, initial_file = encoded(p.initial)
+        accepting = json.dumps(p.accepting.tolist(), separators=(",", ":")).encode()
+        sha.update(b'{"accepting":%s,"initial":%s,"n_vars":%d,"transformations":['
+                   % (accepting, initial, p.n_vars))
         if fh is not None:
-            fh.write(f'{{"n_vars": {p.n_vars}, "width": {d}, "initial": {initial.replace(",", ", ")}, '
-                     f'"accepting": {accepting.replace(",", ", ")}, "transformations": [')
-        kept = [None, None]  # this level's texts of the arrays the next level repeats
+            fh.write(b'{"n_vars": %d, "width": %d, "initial": %s, "accepting": %s, "transformations": ['
+                     % (p.n_vars, d, initial_file, accepting.replace(b",", b", ")))
+        del initial, initial_file
+        kept = [None, None]  # this level's encoded arrays that the next level repeats
         for i, tf in enumerate(p.transformations):
             after = p.transformations[i + 1].unitaries if i + 1 < p.length else (None, None)
-            put(',{"u0":' if i else '{"u0":', f'{", " if i else ""}{{"var": {tf.var_index}, "u0": ')
+            put(b',{"u0":' if i else b'{"u0":', b'%s{"var": %d, "u0": ' % (b", " if i else b"", tf.var_index))
             for k, (u, v) in enumerate(zip(tf.unitaries, after)):
                 if k:
-                    put(',"u1":', ', "u1": ')
-                text = kept[k] or _array_text(_unitary_dense(u))
-                put(text)
-                kept[k] = text if v is u else None
-                del text  # else it is held while the next array is formatted
-            put(f',"var":{tf.var_index}}}', "}")
-        put(f'],"width":{d}}}', "]}\n")
+                    put(b',"u1":', b', "u1": ')
+                pieces = kept[k] or encoded(_unitary_dense(u))
+                put(*pieces)
+                kept[k] = pieces if v is u else None
+                del pieces  # else they are held while the next array is formatted
+            put(b',"var":%d}' % tf.var_index, b"}")
+        put(b'],"width":%d}' % d, b"]}\n")
     return sha.hexdigest()[:16]
 
 

@@ -13,7 +13,7 @@ import pytest
 from qbp import analysis, cli, constructions, linalg, program, realify
 from qbp.program import QbProgram, QuantumTransformation, TruthTable
 
-from conftest import random_program, superposed
+from conftest import haar_unitary, random_program, random_state, superposed
 
 MiB = 1 << 20
 
@@ -61,6 +61,17 @@ def _count():
     p = _identity_program(18, 8, range(1, 19))
     need = (8 << 18) + 8 * (10 << 9) + 9 * (2 << 9) + 8 * 19 + 64 * 8 * 8 + 3 * 16 * np.getbufsize()
     return (lambda: program._leaf_count(p)), need, "evaluation", None
+
+
+def _counted_check():
+    # the check of the same program against a table: the same count form, two
+    # bool leaves and two entries of R per leaf (1 byte each), two bool arrays
+    # by input and up to 8 bytes per failing input
+    p = _identity_program(18, 8, range(1, 19))
+    f = TruthTable.constant(18, False)
+    need = (2 * ((1 << 18) + (10 << 9)) + (10 << 18) + 9 * (2 << 9) + 8 * 19 + 64 * 8 * 8
+            + 3 * 16 * np.getbufsize())
+    return (lambda: program.computes(p, f, program.OneSided())), need, "evaluation", None
 
 
 def _one_hot_walk():
@@ -182,6 +193,7 @@ SITES = {
     "evaluation batch": _batch,
     "evaluation leaf block": _leaf_block,
     "evaluation count": _count,
+    "evaluation counted check": _counted_check,
     "evaluation one-hot walk": _one_hot_walk,
     "evaluation per-input data": _per_input,
     "reachable level": _reachable_level,
@@ -256,6 +268,23 @@ def test_width_oracle_peak_within_its_count(kind, shuffled):
     order = tuple(int(v) + 1 for v in rng.permutation(n)) if shuffled else None
     peak, _ = _traced(lambda: analysis.min_obdd_width(f, order))
     assert peak <= (65 << n) // 4
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh levels", "a repeated pair"])
+def test_format_peak_within_its_count(shared, tmp_path):
+    # Haar entries of width 64: the writer holds one matrix's dense form,
+    # sort and texts, and where the next level repeats the pair, the pair's
+    # canonical and file texts beside them.  Measured: 193 and 236.6 bytes
+    # per entry of the initial vector and one level
+    rng = np.random.default_rng(64)
+    pair = [program._stored(haar_unitary(rng, 64)) for _ in range(2)]
+    tfs = tuple(QuantumTransformation._sharing(j, *(pair if shared else map(program._stored, (
+        haar_unitary(rng, 64), haar_unitary(rng, 64))))) for j in (1, 2, 3))
+    p = QbProgram(3, 64, tfs, random_state(rng, 64), frozenset({1}))
+    count = 64 * (1 + 2 * 64) * program._FORMAT_BYTES_PER_ENTRY
+    for call in (lambda: program.save_program(p, tmp_path / "p.json"), lambda: program.program_digest(p)):
+        peak, _ = _traced(call)
+        assert 0 < peak <= count, peak / (count / program._FORMAT_BYTES_PER_ENTRY)
 
 
 def test_realify_counts_a_shared_pair_once():
@@ -381,6 +410,38 @@ def test_batch_with_constant_bits_works_on_the_block(make):
     for bits in (np.zeros((1024, p.n_vars), dtype=np.int8), np.ones((1024, p.n_vars), dtype=np.int8)):
         peak, _ = _traced(lambda: program.evaluate_batch(p, bits))
         assert peak <= 2.25 * block, peak / block
+
+
+def _counter(w: int, n: int, order) -> QbProgram:
+    """A MOD_w counter on n variables reading those of ``order``."""
+    step = tuple(s % w + 1 for s in range(1, w + 1))
+    levels = tuple((v, tuple(range(1, w + 1)), step) for v in order)
+    return constructions.permutation_bp_to_qbp(constructions.PermutationBp(w, levels, 1, frozenset({1})), n)
+
+
+@pytest.mark.parametrize("table", ["own", "complement"])
+@pytest.mark.parametrize("make", [
+    lambda: constructions.build_mod_program(5, 18),
+    lambda: constructions.build_mod_program(13, 16, "sampled", seed=1),
+    lambda: realify.realify_program(constructions.build_mod_program(5, 16)),
+    lambda: _counter(5, 18, [int(v) + 1 for v in np.random.default_rng(18).permutation(18)[:15]]),
+    lambda: _counter(5, 17, [v for _ in range(2) for v in range(1, 18)]),
+], ids=["mod 5", "wide mod 13", "realified mod 5", "shuffled counter, unread", "counter read twice"])
+def test_counted_check_peak_within_its_count(make, table, monkeypatch):
+    # against the function the program accepts with certainty no input
+    # fails; against its complement every input does, and the failing values
+    # take their 8 bytes each
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # p > n/2
+        p = make()
+    assert program._counted(p)
+    own = program.evaluate_all(p) > 1.0 - 1e-9
+    f = TruthTable(p.n_vars, own if table == "own" else ~own)
+    del own
+    counted = []
+    monkeypatch.setattr(linalg, "check_budget", lambda need, stage, what: counted.append(need))
+    peak, _ = _traced(lambda: program.computes(p, f, program.OneSided()))
+    assert len(counted) == 1 and 0 < peak <= counted[0], (peak, counted)
 
 
 @pytest.mark.parametrize("n", [10, 12, 14])

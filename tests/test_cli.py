@@ -230,6 +230,48 @@ def test_analyze_builds_the_leaf_block_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def _mod_files(tmp_path):
+    table, flipped, prog = tmp_path / "mod5.tt", tmp_path / "flipped.tt", tmp_path / "mod5.json"
+    bits = "".join("1" if bin(v).count("1") % 5 == 0 else "0" for v in range(1 << 12))
+    table.write_text(f"12\n{bits}\n")
+    flipped.write_text("12\n" + "".join("10"[int(b)] if v % 700 == 3 else b for v, b in enumerate(bits)) + "\n")
+    built = CliRunner().invoke(main, ["build", "mod", "--p", "5", "--n", "12", "-o", str(prog)])
+    assert built.exit_code == 0, built.output
+    return prog, table, flipped
+
+
+@pytest.mark.parametrize("kind, calls", [("counted", 0), ("universal", 1)])
+def test_exhaustive_eval_of_a_counted_program_makes_no_evaluate_all_call(tmp_path, monkeypatch, kind, calls):
+    # a counted program is checked from its count form; any other program
+    # through evaluate_all, once
+    prog, table = _mod_files(tmp_path)[:2] if kind == "counted" else _universal_files(tmp_path)
+    assert program._counted(load_program(prog)) == (kind == "counted")
+    real, made = program.evaluate_all, []
+    monkeypatch.setattr(program, "evaluate_all", lambda p: made.append(p) or real(p))
+    result = CliRunner().invoke(main, ["eval", str(prog), "--exhaustive", "--truth-table", str(table),
+                                       "--criterion", "one-sided"])
+    assert result.exit_code == 0, result.output
+    assert len(made) == calls
+
+
+@pytest.mark.parametrize("criterion", ["one-sided", "margin:0.05", "margin:0"])
+def test_exhaustive_eval_prints_what_the_walk_gives(tmp_path, monkeypatch, criterion):
+    # stdout of the counted check is byte for byte that of the check over
+    # the walk's probabilities, for a table that holds and one with six
+    # flipped bits (under a margin the MOD_5 program fails more inputs)
+    prog, table, flipped = _mod_files(tmp_path)
+    args = ["eval", str(prog), "--exhaustive", "--criterion", criterion, "--max-listed", "100", "--truth-table"]
+    counted = [CliRunner().invoke(main, [*args, str(t)]) for t in (table, flipped)]
+    monkeypatch.setattr(program, "_counted", lambda p: False)
+    monkeypatch.setattr(program, "_one_hot", lambda p: None)
+    walked = [CliRunner().invoke(main, [*args, str(t)]) for t in (table, flipped)]
+    assert [r.exit_code for r in counted] == [r.exit_code for r in walked]
+    assert [r.stdout for r in counted] == [r.stdout for r in walked]
+    assert counted[1].exit_code == 1 and "counterexamples=0\n" not in counted[1].stdout
+    if criterion == "one-sided":
+        assert counted[0].exit_code == 0 and "counterexamples=6\n" in counted[1].stdout
+
+
 def test_analyze_exits_1_when_the_derived_obdd_disagrees(tmp_path, monkeypatch):
     univ, table = _universal_files(tmp_path)
     real = analysis.Obdd.classify_all

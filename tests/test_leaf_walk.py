@@ -372,3 +372,94 @@ def test_count_holds_at_most_its_checked_count(monkeypatch, make):
     finally:
         tracemalloc.stop()
     assert len(checked) == 1 and peak <= checked[0], (peak, checked)
+
+
+# -- the check of a counted program --------------------------------------------------
+
+def reference_computes(p: QbProgram, f: TruthTable, criterion) -> program.CheckReport:
+    """``computes`` as it was on every program: ``_failing`` over the
+    probabilities of ``evaluate_all``, and the least |p - 1/2| over them one
+    ``_CHUNK_BYTES`` slice at a time."""
+    probs = program.evaluate_all(p)
+    bad = program._failing(probs, f.bits, criterion)
+    step = program._CHUNK_BYTES // 8
+    return program.CheckReport(
+        holds=bad.size == 0,
+        counterexamples=bad,
+        min_margin=min(float(np.min(np.abs(probs[i:i + step] - 0.5))) for i in range(0, probs.size, step)),
+        checked=int(probs.size),
+    )
+
+
+CHECKED = {
+    "mod 5 greedy n=14": lambda: build_mod_program(5, 14),
+    "mod 7 greedy n=13": lambda: build_mod_program(7, 13),
+    "mod 5 sampled n=13": lambda: build_mod_program(5, 13, "sampled", seed=2),
+    "mod 13 sampled n=12": lambda: build_mod_program(13, 12, "sampled", seed=1),  # width 84
+    "realified mod 5 n=12": lambda: realify_program(build_mod_program(5, 12)),
+    "realified mod 7 n=11": lambda: realify_program(build_mod_program(7, 11)),
+    "shuffled mod 5, unread": lambda: _on(build_mod_program(5, 15), 15, [4, 9, 1, 12, 7, 3, 10, 6, 2, 11, 8, 14]),
+    "shuffled counter, unread": lambda: permutation_bp_to_qbp(_counter(5, [6, 2, 11, 4, 9, 1, 7, 3]), 12),
+    "counter read twice n=12": lambda: _read_twice(5, 12),
+    "shuffled counter read twice n=11": lambda: _read_twice_counter(5, 11),
+}
+CRITERIA = [Margin(0.0), Margin(0.05), Margin(0.3), Margin(0.5), OneSided(), OneSided(0.2, 0.0)]
+
+
+def _tables(p: QbProgram, probs: np.ndarray) -> dict[str, TruthTable]:
+    """The function the program accepts with certainty, its complement, and
+    that function with a few bits flipped at random."""
+    own = probs > 1.0 - 1e-9
+    flips = np.random.default_rng(p.n_vars).choice(own.size, size=7, replace=False)
+    flipped = own.copy()
+    flipped[flips] ^= True
+    return {"own": TruthTable(p.n_vars, own), "complement": TruthTable(p.n_vars, ~own),
+            "flipped": TruthTable(p.n_vars, flipped)}
+
+
+@pytest.mark.parametrize("make", CHECKED.values(), ids=CHECKED.keys())
+def test_counted_check_is_the_reference_bit_for_bit(make, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # p > n/2
+        p = make()
+    assert program._counted(p)
+    tables = _tables(p, program.evaluate_all(p))
+    want = {(name, c): reference_computes(p, f, c) for name, f in tables.items() for c in CRITERIA}
+
+    def no_evaluate_all(p):
+        raise AssertionError("a counted program was checked through evaluate_all")
+
+    monkeypatch.setattr(program, "evaluate_all", no_evaluate_all)
+    outcomes = set()
+    for (name, c), ref in want.items():
+        got = computes(p, tables[name], c)
+        assert (got.holds, got.checked) == (ref.holds, ref.checked), (name, c)
+        assert got.counterexamples.dtype == np.int64 and not got.counterexamples.flags.writeable
+        assert np.array_equal(got.counterexamples, ref.counterexamples), (name, c)
+        assert np.float64(got.min_margin).tobytes() == np.float64(ref.min_margin).tobytes(), (name, c)
+        outcomes.add(got.holds)
+    assert outcomes == {True, False}
+
+
+def test_a_read_twice_program_reaches_only_even_counts():
+    # a stable Haar program reading x_1..x_6 twice: T is nearest 1/2 at the
+    # odd count 1, which no input has, so min_margin is taken over the even
+    # counts alone
+    p = _stable_haar(4, list(range(1, 7)) * 2, 2)
+    table = program._count_form(p, 8, 0).table
+    distance = np.abs(table - 0.5)
+    assert np.argmin(distance) == 1 and distance.min() < distance[::2].min() / 5
+    f = TruthTable(6, program.evaluate_all(p) > 0.5)
+    got, want = computes(p, f, Margin(0.0)), reference_computes(p, f, Margin(0.0))
+    assert got.min_margin == want.min_margin == distance[::2].min()
+
+
+def test_count_form_gathers_every_leaf_by_its_count():
+    # the leaf of high assignment i and low assignment j reads values[hi[i] + lo[j]]
+    p = _on(build_mod_program(5, 10), 10, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8])
+    form = program._count_form(p, 8, 0)
+    values = np.random.default_rng(5).random(form.table.size)
+    want = (form.hi[:, None].astype(int) + form.lo[None, :]).reshape(-1)
+    assert np.array_equal(form.gather(values), values[want])
+    assert np.array_equal(form.gather(values > 0.5), values[want] > 0.5)
+    assert form.most == form.lo.max() and form.order == (3, 1, 4, 5, 9, 2, 6, 8)

@@ -306,10 +306,14 @@ def test_failing_matches_the_mask_rule_on_boundary_floats(criterion):
 
 
 def _min_margin_of(probs: np.ndarray) -> float:
-    """``computes``' min_margin when ``evaluate_all`` gives ``probs``."""
+    """``computes``' min_margin when ``evaluate_all`` gives ``probs``, on a
+    program with no levels: it is not counted, so ``computes`` takes
+    ``evaluate_all``'s probabilities and the sliced expression."""
     n = probs.size.bit_length() - 1
+    p = QbProgram(n, 2, (), np.array([1.0, 0.0]), frozenset({1}))
+    assert not program_module._counted(p)
     with mock.patch.object(program_module, "evaluate_all", return_value=probs):
-        return computes(identity_program(n_vars=n), TruthTable.constant(n, True), Margin(0.0)).min_margin
+        return computes(p, TruthTable.constant(n, True), Margin(0.0)).min_margin
 
 
 def _padded(probs: np.ndarray) -> np.ndarray:
@@ -583,9 +587,8 @@ def _traced(fn) -> tuple[int, object]:
 
 @pytest.mark.filterwarnings("ignore:modulus 37 exceeds")
 def test_computes_holds_one_float_buffer_beside_the_walk():
-    # width 8 at n = 22: after the walk, ``computes`` holds the probabilities,
-    # one float buffer and at most four bool masks, so its peak is the walk's
-    # or 20 bytes per input
+    # width 8 at n = 22, counted: ``computes`` holds two bool arrays by input
+    # and no failing values, so its peak is the walk's or 20 bytes per input
     n = 22
     p = build_mod_program(37, n)
     assert p.width == 8
@@ -599,7 +602,7 @@ def test_computes_holds_one_float_buffer_beside_the_walk():
 def test_computes_lists_counterexamples_as_one_int64_array():
     # greedy MOD_5 against the MOD_7 table at n = 20 fails on about a third
     # of the inputs; their values are one frozen int64 array, 8 bytes each,
-    # so the check stays within the 32 bytes per input that evaluate_all counts
+    # within the 10 bytes per input that the counted check counts
     n = 20
     p = build_mod_program(5, n)
     f = mod_truth_table(7, n)
