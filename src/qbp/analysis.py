@@ -33,9 +33,15 @@ distinct (low, high) pairs of nodes of the level below, keyed as
 low * width + high.  The keys of a level lie below width^2, so where width^2
 is at most the number of pairs they are ranked through a presence table of
 width^2 flags: the keys present, in order, and each pair's rank among them
-(a running count of the flags), in linear time and without a sort.  Only
-the wide levels near the root of an unstructured table, with more possible
-keys than pairs, sort their pairs with ``np.unique``.
+(a running count of the flags, in the narrowest unsigned dtype that holds
+the level's width), in linear time and without a sort.  Only the wide
+levels near the root of an unstructured table, with more possible keys than
+pairs, sort their pairs with ``np.unique``.  The last three variables of the
+order are not reduced over the table: they are folded into one byte per node
+of level n - 3, its subfunction, and only the at most 256 distinct bytes are
+reduced to the bottom three levels.  A level's nodes depend only on the set
+of pairs present, so the result is the same as reducing every level over the
+table, in less time and memory (see ``min_obdd_width``).
 
 Also here: the measured accept/reject separation of a read-once program
 (the theta of the lower bound, over its last reachable level), read off the
@@ -571,50 +577,101 @@ def derive_deterministic_obdd(
     )
 
 
+def _ranked_pairs(ids: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of a level from the ids of the level below, shaped (x, 2, y)
+    and paired along axis 1: the keys low * w + high present, in order, and
+    each pair's rank among them.  The pairs are cast to ``intp`` once; where
+    w^2 is at most their number they are ranked through a presence table and
+    a running count of its flags in the narrowest unsigned dtype that holds
+    the level's width, so the ids stay narrow, and by ``np.unique`` otherwise."""
+    pairs = ids[:, 0].astype(np.intp)
+    pairs *= w
+    pairs += ids[:, 1]
+    pairs = pairs.reshape(-1)
+    if w * w > pairs.size:
+        return np.unique(pairs, return_inverse=True)
+    present = np.zeros(w * w, dtype=bool)
+    present[pairs] = True
+    keys = np.flatnonzero(present)
+    rank = np.cumsum(present, dtype=np.min_scalar_type(keys.size))
+    rank -= 1
+    return keys, rank.take(pairs)
+
+
 def min_obdd_width(f: TruthTable, order: Sequence[int] | None = None) -> Obdd:
     """The minimal quasi-reduced OBDD of ``f`` for a variable order (default
     1..n), built bottom up with one unique table per level (Bryant 1986; see
     the module docstring).  Its nodes at level j are the distinct
     subfunctions after fixing the first j variables of the order.
 
-    Each level's (low, high) keys are ranked through a presence table when
-    width^2 is at most the number of pairs, which keeps the table no larger
-    than the pairs, and by ``np.unique`` otherwise.  The ids keep the table's
-    layout, an axis per variable in ``axes`` (not yet removed), and a level
-    pairs the slices along its variable's axis, so no order transposes the
-    table.  Leaf values present come from ``any`` and ``all``, leaf ids are
-    one byte each, and every transition table is ``intp``.  The arrays peak
-    at 8 bytes per table entry (tracemalloc, n = 20: MOD_7, random and
-    constant tables, with and without an order), within the 16.25 checked
-    against ``linalg.MEMORY_BUDGET_BYTES`` first."""
+    The last k = min(n, 3) variables of the order are folded into one byte
+    per node of level n - k, its subfunction: bit j is the table's value at
+    the bottom assignment j, the last variable its lowest bit.  Each fold
+    pairs the slices along its variable's axis of the table, an axis per
+    variable in ``axes`` (not yet removed), so no order transposes the table.
+    The bytes present are found through a presence table of 256 flags, and
+    only those distinct bytes are unpacked and reduced to the bottom k levels;
+    the nodes of level n - k are their ranks, gathered through a 256-entry
+    table.  The levels above are reduced from these ranks, each level's ids
+    in the narrowest unsigned dtype that holds its width (``_ranked_pairs``).
+    Leaf values present come from ``any`` and ``all``, and every transition
+    table is ``intp``.  The arrays peak at up to 4.8 bytes per table entry
+    for a random table, whose level n - 4 is sorted below n = 20, and at 1.5
+    to 2.9 for MOD_p and constant tables (tracemalloc, n = 16 to 22, with and
+    without an order), within the 6 checked against
+    ``linalg.MEMORY_BUDGET_BYTES`` first."""
     n = f.n_vars
-    check_budget((65 << n) // 4, "width oracle", f"a table of 2^{n} entries")
+    check_budget(6 << n, "width oracle", f"a table of 2^{n} entries")
     order = tuple(range(1, n + 1)) if order is None else tuple(int(v) for v in order)
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"order must be a permutation of 1..{n}, got {order}")
     # the values present, in order; a leaf's id is its value's rank among them
     any_true = bool(f.bits.any())
     values = [False, True] if any_true and not f.bits.all() else [any_true]
-    ids = f.bits.astype(np.uint8)
-    ids -= np.uint8(values[0])
-    widths, tables, axes = [len(values)], [], list(range(1, n + 1))
-    for v in reversed(order):
-        w = widths[-1]
-        ids = ids.reshape(1 << axes.index(v), 2, -1)
+    k, axes = min(n, 3), list(range(1, n + 1))
+    packed = np.ascontiguousarray(f.bits).view(np.uint8)
+    for i, v in enumerate(reversed(order[n - k:])):
+        # fold v in as bit 2^i of the bottom assignment: high slice << s | low
+        # slice, s = 2^i.  A byte holds s bits before the fold, so no shift
+        # carries into the next byte and the slices are shifted as words: a
+        # slice of r < 8 bytes as one little-endian word, low slice then high,
+        # shifted right by 8r - s and or-ed with itself into its low r bytes;
+        # longer slices as 8-byte words
+        lead = 1 << axes.index(v)
         axes.remove(v)
-        pairs = (ids[:, 0] * w + ids[:, 1]).reshape(-1)
-        if w * w <= pairs.size:
-            present = np.zeros(w * w, dtype=bool)
-            present[pairs] = True
-            keys = np.flatnonzero(present)
-            ids = (np.cumsum(present) - 1)[pairs]
+        r, s = packed.size // (2 * lead), 1 << i
+        if r < 8:
+            pair = packed.view(f"<u{2 * r}")
+            out = np.empty(pair.size, f"<u{r}")
+            np.right_shift(pair, 8 * r - s, out=out, casting="unsafe")
+            np.bitwise_or(out, pair, out=out, casting="unsafe")
         else:
-            keys, ids = np.unique(pairs, return_inverse=True)
-        del pairs
-        table = np.stack(np.divmod(keys.astype(np.intp, copy=False), w), axis=1)
-        table.flags.writeable = False
-        widths.append(keys.size)
-        tables.append(table)
+            halves = packed.reshape(lead, 2, r).view(np.uint64)
+            out = halves[:, 1] << np.uint64(s)
+            out |= halves[:, 0]
+        packed = out.view(np.uint8).reshape(-1)
+    present = np.zeros(256, dtype=bool)
+    present[packed] = True
+    distinct = np.flatnonzero(present)
+    leaves = np.unpackbits(distinct.astype(np.uint8)[:, None], axis=1, count=1 << k, bitorder="little")
+    leaves -= np.uint8(values[0])
+    widths, tables = [len(values)], []
+
+    def reduce(ids: np.ndarray, lead: int, axes: list[int], variables: Sequence[int]) -> np.ndarray:
+        for v in reversed(variables):
+            w = widths[-1]
+            keys, ids = _ranked_pairs(ids.reshape(lead << axes.index(v), 2, -1), w)
+            axes.remove(v)
+            table = np.stack(np.divmod(keys.astype(np.intp, copy=False), w), axis=1)
+            table.flags.writeable = False
+            widths.append(keys.size)
+            tables.append(table)
+        return ids
+
+    bottom = reduce(leaves, distinct.size, list(order[n - k:]), order[n - k:])
+    rank = np.zeros(256, dtype=bottom.dtype)
+    rank[distinct] = bottom.reshape(-1)
+    reduce(rank.take(packed), 1, axes, order[:n - k])
     return Obdd(
         n_vars=n,
         var_sequence=order,

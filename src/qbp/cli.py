@@ -16,6 +16,11 @@ click decorators; it holds the contract of all commands:
   does not hold), after the record is written;
 * exit 2 on a usage or parse error (``ParseFailure``, which every
   ValueError of the body becomes); no record is written then.
+
+Output is echoed to ``sys.stdout`` and ``sys.stderr`` by name: click's
+default streams are cached per stream in a weak map whose value is its own
+key, so each command run in process (under ``CliRunner``) would keep its
+captured streams alive.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ class ExperimentRecord:
             "wall_time_s": round(self.wall_time_s, 6),
             "metrics": {k: _finite_or_text(v) for k, v in self.metrics.items()},
         }
-        click.echo(json.dumps(payload, sort_keys=True, allow_nan=False), err=True)
+        click.echo(json.dumps(payload, sort_keys=True, allow_nan=False), file=sys.stderr)
 
 
 def _finite_or_text(value):
@@ -146,7 +151,8 @@ def _write_program(p: program.QbProgram, out) -> str:
     click.echo(
         f"width={p.width} length={p.length} n_vars={p.n_vars} "
         f"read_once={program.is_read_once(p)} stable={program.is_stable(p)} "
-        f"digest={digest}"
+        f"digest={digest}",
+        file=sys.stdout,
     )
     return digest
 
@@ -279,18 +285,18 @@ def eval_cmd(program_path, input_bits, exhaustive, table_path, criterion, max_li
         if input_bits is None:
             raise ParseFailure("provide --input BITS or --exhaustive --truth-table FILE")
         prob = program.evaluate(prog, input_bits)
-        click.echo(f"{prob:.17g}")
+        click.echo(f"{prob:.17g}", file=sys.stdout)
         return ExperimentRecord(program_digest=program.program_digest(prog), metrics={"probability": prob})
     if table_path is None:
         raise ParseFailure("--exhaustive requires --truth-table")
     f = load_truth_table(table_path)
     report = program.computes(prog, f, _parse_criterion(criterion))
-    click.echo(f"holds={report.holds}")
-    click.echo(f"checked={report.checked}")
-    click.echo(f"min_margin={report.min_margin:.17g}")
-    click.echo(f"counterexamples={len(report.counterexamples)}")
+    click.echo(f"holds={report.holds}", file=sys.stdout)
+    click.echo(f"checked={report.checked}", file=sys.stdout)
+    click.echo(f"min_margin={report.min_margin:.17g}", file=sys.stdout)
+    click.echo(f"counterexamples={len(report.counterexamples)}", file=sys.stdout)
     for v in report.counterexamples[:max_listed].tolist():
-        click.echo("  " + "".join(map(str, program.bits_of_value(v, prog.n_vars))))
+        click.echo("  " + "".join(map(str, program.bits_of_value(v, prog.n_vars))), file=sys.stdout)
     return ExperimentRecord(
         program_digest=program.program_digest(prog),
         metrics={"holds": report.holds, "min_margin": report.min_margin,
@@ -348,10 +354,10 @@ def analyze_cmd(program_path, table_path, epsilon, theta, auto_theta, out):
     for j, (width, components) in enumerate(zip(minimal.level_widths, obdd.level_widths)):
         if not width <= components <= bound:
             click.echo(f"chain broken at level {j}: minimal width {width}, "
-                       f"components {components}, bound {bound:.17g}", err=True)
+                       f"components {components}, bound {bound:.17g}", file=sys.stderr)
             verified = False
             break
-    click.echo(f"verified={str(verified).lower()} max_width={obdd.max_width}", err=True)
+    click.echo(f"verified={str(verified).lower()} max_width={obdd.max_width}", file=sys.stderr)
     return ExperimentRecord(
         program_digest=program.program_digest(prog),
         metrics={"theta": theta, "epsilon": epsilon, "max_width": obdd.max_width, "bound": bound,
@@ -376,7 +382,7 @@ def widths_cmd(table_path, order, out):
             raise ParseFailure(f"invalid order {order!r}: {e}") from e
     widths = analysis.min_obdd_width(f, parsed_order)
     _write_csv(out, ["level", "width"], [[j, w] for j, w in enumerate(widths.level_widths)])
-    click.echo(f"max_width={widths.max_width}", err=True)
+    click.echo(f"max_width={widths.max_width}", file=sys.stderr)
     return ExperimentRecord(metrics={"n": f.n_vars, "max_width": widths.max_width})
 
 

@@ -42,13 +42,31 @@ def _require_prime(p: int) -> None:
 
 
 def mod_truth_table(p: int, n: int) -> TruthTable:
-    """MOD_p: 1 iff the number of ones in the input is divisible by p.  One
-    popcount of the uint32 input values; 5 bytes per entry at the peak."""
+    """MOD_p: 1 iff the number of ones in the input is divisible by p.  The
+    counts of ones mod p are built by doubling in one byte per entry: the
+    inputs s..2s-1 are those below s with one more 1, so their counts are
+    (counts[:s] + 1) mod p, and the table is the test of the counts for 0,
+    made in their place.  1.5 bytes per entry at the peak, the counts and
+    the last step's wrapped copy, within the 2 checked first."""
     _require_prime(p)
-    linalg.check_budget(5 << n, "truth table", f"MOD_{p} on 2^{n} inputs")
-    counts = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-    # a uint8 count is at most 32: a larger p divides only a count of 0
-    return TruthTable(n, counts == 0 if p > 32 else counts % p == 0)
+    linalg.check_budget(2 << n, "truth table", f"MOD_{p} on 2^{n} inputs")
+    if p > n:  # no count of ones but 0 is divisible by p
+        bits = np.zeros(1 << n, dtype=bool)
+        bits[0] = True
+    else:
+        counts = np.empty(1 << n, dtype=np.uint8)
+        counts[0] = 0
+        s = 1
+        while s < counts.size:
+            step = counts[s:2 * s]
+            np.add(counts[:s], 1, out=step)
+            # step is 1..p, and p <= n < 30 within the budget: step - p wraps
+            # above step unless it is 0, so the minimum is step mod p
+            np.minimum(step, step - np.uint8(p), out=step)
+            s *= 2
+        bits = np.equal(counts, 0, out=counts.view(bool))
+    bits.flags.writeable = False  # the table keeps it as its bits, uncopied
+    return TruthTable(n, bits)
 
 
 # -- universal exact program ---------------------------------------------------

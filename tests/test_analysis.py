@@ -13,6 +13,7 @@ from qbp.analysis import (
     CONFIG_DEDUP_TOL,
     _greedy_dedup,
     _near_pairs,
+    _ranked_pairs,
     derive_deterministic_obdd,
     lower_bound_width,
     measured_separation,
@@ -715,17 +716,26 @@ def test_classify_all_matches_a_per_input_walk(seed):
         assert np.array_equal(obdd.classify_all(), f.bits)
 
 
+def assert_reference_obdd(f, order):
+    """``min_obdd_width`` is ``reference_min_obdd`` bit for bit, its
+    transition tables ``intp``; returns the OBDD."""
+    obdd = min_obdd_width(f, order)
+    widths, tables, accepting = reference_min_obdd(f, order)
+    assert obdd.var_sequence == tuple(order)
+    assert obdd.level_widths == widths
+    assert obdd.accepting.tolist() == sorted(accepting)
+    assert len(obdd.transitions) == len(tables)
+    for got, want in zip(obdd.transitions, tables):
+        assert got.dtype == np.intp
+        assert np.array_equal(got, want)
+    return obdd
+
+
 def test_min_obdd_width_matches_sort_reference():
     paths = set()
     for f, order in width_oracle_cases():
-        obdd = min_obdd_width(f, order)
-        widths, tables, accepting = reference_min_obdd(f, order)
-        assert obdd.level_widths == widths
-        assert obdd.accepting.tolist() == sorted(accepting)
-        assert len(obdd.transitions) == len(tables)
-        for got, want in zip(obdd.transitions, tables):
-            assert got.dtype == np.intp
-            assert np.array_equal(got, want)
+        obdd = assert_reference_obdd(f, order)
+        widths = obdd.level_widths
         assert np.array_equal(obdd.classify_all(), f.bits)
         # level j's nodes are ranked from 2^j pairs of nodes of level j + 1,
         # keyed below widths[j + 1]^2
@@ -740,11 +750,84 @@ def test_min_obdd_width_in_the_table_layout_matches_the_transposed_reference(dat
     # the oracle pairs slices along each variable's axis of the untransposed
     # table; the reference transposes the table into the order first
     f = TruthTable.random(n, np.random.default_rng(seed)) if modulus is None else mod_truth_table(modulus, n)
-    order = tuple(data.draw(st.permutations(range(1, n + 1))))
-    obdd = min_obdd_width(f, order)
-    widths, tables, accepting = reference_min_obdd(f, order)
-    assert (obdd.level_widths, obdd.accepting.tolist()) == (widths, sorted(accepting))
-    assert all(np.array_equal(got, want) for got, want in zip(obdd.transitions, tables, strict=True))
+    assert_reference_obdd(f, tuple(data.draw(st.permutations(range(1, n + 1)))))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_min_obdd_width_packs_a_whole_short_order(n):
+    # at n <= 3 every variable is folded into the byte: every table, every order
+    for value in range(1 << (1 << n)):
+        f = TruthTable(n, [bool(value >> v & 1) for v in range(1 << n)])
+        for order in itertools.permutations(range(1, n + 1)):
+            assert_reference_obdd(f, order)
+
+
+@pytest.mark.parametrize("bottom", [(10, 11, 12), (12, 11, 10), (1, 2, 3), (3, 1, 2), (5, 6, 7),
+                                    (1, 6, 12), (12, 1, 6), (2, 9, 11)],
+                         ids=["innermost", "innermost reversed", "outermost", "outermost mixed",
+                              "adjacent", "split to both ends", "split reversed", "split"])
+def test_min_obdd_width_folds_the_bottom_on_any_axes(bottom):
+    # the last three variables of the order on adjacent, split and outermost
+    # axes of the table: slices of 1 to 4 bytes are folded as one word, of 8
+    # bytes or more as 8-byte words
+    n = 12
+    rng = np.random.default_rng(sum(bottom))
+    rest = [v for v in range(1, n + 1) if v not in bottom]
+    for f in (TruthTable.random(n, rng), mod_truth_table(3, n), mod_truth_table(7, n),
+              TruthTable.constant(n, False), TruthTable.constant(n, True)):
+        for top in (rest, [int(v) for v in rng.permutation(rest)]):
+            assert_reference_obdd(f, (*top, *bottom))
+
+
+def keyed_table(pairs):
+    """The table whose nodes of level n - 4 under the identity order are the
+    rows of ``pairs``, one per assignment to the first n - 4 variables, each a
+    pair of nodes of level n - 3: bytes whose bit j is their value at the
+    assignment j to the last three variables."""
+    keys = np.asarray(pairs, dtype=np.uint8).reshape(-1)
+    return TruthTable(keys.size.bit_length() + 2, np.unpackbits(keys, bitorder="little").view(bool))
+
+
+_ALL_PAIRS = np.stack(np.divmod(np.arange(1 << 16), 256), axis=1)
+
+
+@pytest.mark.parametrize("pairs, widths", [
+    (_ALL_PAIRS, (256, 65536)),
+    (np.where(np.arange(1 << 16)[:, None] == 65535, 0, _ALL_PAIRS), (256, 65535)),
+    (np.minimum(_ALL_PAIRS, 254), (255, 255 * 255)),
+    *((np.stack(np.divmod(np.arange(1 << 16) % t, 32), axis=1), (32, t)) for t in (255, 256, 257)),
+], ids=["256 and 65536", "256 and 65535", "255 and 65025", "32 and 255", "32 and 256", "32 and 257"])
+def test_min_obdd_width_where_the_narrow_ids_widen(pairs, widths):
+    # n = 20: levels 17 and 16 of exactly these widths, where a level's ids
+    # need one more byte, level 16 ranked through its presence table
+    f = keyed_table(pairs)
+    assert f.n_vars == 20
+    obdd = assert_reference_obdd(f, tuple(range(1, 21)))
+    assert obdd.level_widths[17] == widths[0] and obdd.level_widths[16] == widths[1]
+    assert widths[0] ** 2 <= 1 << 16
+
+
+@pytest.mark.parametrize("width, dtype", [(255, np.uint8), (256, np.uint16), (65535, np.uint16),
+                                          (65536, np.uint32)])
+def test_ranked_pairs_keep_ids_in_the_narrowest_dtype(width, dtype):
+    # the first ``width`` of all pairs of 256 ids, repeated to 65536 pairs,
+    # as many as the presence table has flags
+    pairs = np.resize(_ALL_PAIRS[:width], (1 << 16, 2))
+    keys, ids = _ranked_pairs(pairs.astype(np.uint8).T.reshape(1, 2, -1), 256)
+    assert keys.size == width and ids.dtype == dtype
+    assert np.array_equal(keys[ids], pairs[:, 0] * 256 + pairs[:, 1])
+
+
+def test_widths_stdout_is_the_reference_csv(tmp_path):
+    # the CSV is the reference's widths, byte for byte
+    for n, f in ((14, mod_truth_table(5, 14)), (12, TruthTable.random(12, np.random.default_rng(12)))):
+        order = tuple(int(v) + 1 for v in np.random.default_rng(n).permutation(n))
+        save_truth_table(f, tmp_path / "f.tt")
+        result = CliRunner().invoke(main, ["widths", "--truth-table", str(tmp_path / "f.tt"),
+                                           "--order", ",".join(map(str, order))])
+        assert result.exit_code == 0, result.output
+        widths = reference_min_obdd(f, order)[0]
+        assert result.stdout == "level,width\n" + "".join(f"{j},{w}\n" for j, w in enumerate(widths))
 
 
 def test_min_obdd_width_validates_order():

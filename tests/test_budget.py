@@ -124,8 +124,8 @@ def _gram():
 
 
 def _width_oracle():
-    f = TruthTable.random(17, np.random.default_rng(17))
-    return (lambda: analysis.min_obdd_width(f)), (65 << 17) // 4, "width oracle", None
+    f = TruthTable.random(19, np.random.default_rng(19))
+    return (lambda: analysis.min_obdd_width(f)), 6 << 19, "width oracle", None
 
 
 def _universal():
@@ -181,7 +181,7 @@ def _good_set():
 
 
 def _truth_table():
-    return (lambda: constructions.mod_truth_table(3, 19)), 5 << 19, "truth table", None
+    return (lambda: constructions.mod_truth_table(3, 20)), 2 << 20, "truth table", None
 
 
 def _sweep_range():
@@ -259,15 +259,27 @@ def test_memory_budget_is_one_gib():
 @pytest.mark.parametrize("kind", ["mod", "random"])
 @pytest.mark.parametrize("shuffled", [False, True], ids=["identity order", "shuffled order"])
 def test_width_oracle_peak_within_its_count(kind, shuffled):
-    # a MOD_7 table ranks every level through the presence table; a random
-    # one sorts its wide levels near the root.  A shuffled order copies the
-    # table once.  Measured: 8 bytes per entry in all four cases.
+    # a MOD_7 table ranks every level above its packed bottom through the
+    # presence table; a random one sorts its wide levels near the root, from
+    # level n - 4 on at n = 18.  Measured: 2.4 bytes per entry for MOD_7 and
+    # 4.2 for the random table, in either order
     n = 18
     rng = np.random.default_rng(n)
     f = constructions.mod_truth_table(7, n) if kind == "mod" else TruthTable.random(n, rng)
     order = tuple(int(v) + 1 for v in rng.permutation(n)) if shuffled else None
     peak, _ = _traced(lambda: analysis.min_obdd_width(f, order))
-    assert peak <= (65 << n) // 4
+    assert 0 < peak <= 6 << n, peak / (1 << n)
+
+
+@pytest.mark.parametrize("p", [2, 7, 23])
+def test_truth_table_peak_within_its_count(p):
+    # the counts mod p, one byte per entry, made into the table in place,
+    # beside the last doubling step's wrapped copy: measured at 1.5 bytes per
+    # entry (5 for the popcount of the uint32 input values it replaced); a
+    # prime past n needs the table alone, 1.0
+    n = 20
+    peak, _ = _traced(lambda: constructions.mod_truth_table(p, n))
+    assert 0 < peak <= 2 << n, peak / (1 << n)
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["fresh levels", "a repeated pair"])

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -7,8 +8,8 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from qbp import analysis, program
-from qbp.cli import ExperimentRecord, _parse_criterion, main
+from qbp import analysis, constructions, program
+from qbp.cli import ExperimentRecord, _parse_criterion, main, save_truth_table
 from qbp.program import OneSided, load_program, program_digest
 
 
@@ -326,3 +327,22 @@ def test_analyze_theta_usage_errors_exit_2(tmp_path, theta_args, message):
     )
     assert result.exit_code == 2
     assert message in result.output
+
+
+def test_in_process_commands_leave_nothing_behind(tmp_path):
+    # each CliRunner run captures stdout and stderr in new text streams; click
+    # caches the stream its default echo writes to as the value of its own
+    # weak key, which kept every run's streams alive (50 more after 50 runs,
+    # about 1.6 KB a run traced)
+    save_truth_table(constructions.mod_truth_table(3, 6), tmp_path / "mod3.tt")
+    runner, args = CliRunner(), ["widths", "--truth-table", str(tmp_path / "mod3.tt")]
+
+    def live_streams():
+        gc.collect()
+        return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())
+
+    assert runner.invoke(main, args).exit_code == 0
+    before = live_streams()
+    for _ in range(50):
+        assert runner.invoke(main, args).exit_code == 0
+    assert live_streams() == before

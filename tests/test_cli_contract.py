@@ -234,11 +234,11 @@ def test_usage_error_exits_2_without_traceback_or_record(files, case):
 
 
 def test_widths_over_budget_exits_2(files, monkeypatch):
-    # a table of 2^6 entries needs 16.25 bytes each
-    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", (65 << 6) // 4 - 1)
+    # a table of 2^6 entries needs 6 bytes each
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", (6 << 6) - 1)
     result = CliRunner().invoke(main, ["widths", "--truth-table", files["mod3.tt"]])
     assert result.exit_code == 2, result.output
-    assert "width oracle budget exceeded: a table of 2^6 entries needs 1040 bytes" in result.output
+    assert "width oracle budget exceeded: a table of 2^6 entries needs 384 bytes" in result.output
     assert _records(result.stderr) == []
 
 

@@ -557,3 +557,14 @@ def test_mod_truth_table_matches_popcount_for_every_modulus(p):
         t = mod_truth_table(p, n)
         assert t.n_vars == n
         assert np.array_equal(t.bits, counts % p == 0)
+
+
+def test_mod_truth_table_by_doubling_is_the_popcount_table():
+    # reference: one popcount of the uint32 input values.  Every prime up to
+    # the first past n, and every n from 1 to 24
+    for n in range(1, 25):
+        counts = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+        for p in (q for q in range(2, n + 7) if is_prime(q)):
+            t = mod_truth_table(p, n)
+            assert not t.bits.flags.writeable
+            assert np.array_equal(t.bits, counts % p == 0), (p, n)
