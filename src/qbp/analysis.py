@@ -66,11 +66,9 @@ from .program import (
     _by_input,
     _column_accept_probs,
     _failing,
-    _margin_masks,
     _one_hot,
     _one_hot_doubled,
     bits_of_value,
-    evaluate_all,
     is_read_once,
 )
 
@@ -383,18 +381,28 @@ def _classified_final_configs(
     other one rejects), and the reachable levels, so callers need not
     enumerate them again.
 
-    A program that is not read-once is refused first.  ``evaluate_all``
-    gives every input's acceptance probability, to verify that the program
-    computes ``f`` at the margin.  The final configurations are the last
-    reachable level; a one-hot level's two classes, if they share no index,
-    are measured on their phases alone.
+    A program that is not read-once is refused first.  The final
+    configurations are the last reachable level, and every input's row
+    there is read off the levels' transitions (``_walked``), so the
+    program is checked against ``f`` at the margin by ``_failing`` on the
+    probabilities of those rows, with no second pass over the inputs.  Every
+    final configuration is some input's, so one inside the margin band fails
+    that input.  A one-hot level's two classes, if they share no index, are
+    measured on their phases alone.
     """
     _require_read_once(p)
     if p.n_vars != f.n_vars:
         raise ValueError(f"program has n_vars {p.n_vars}, truth table has {f.n_vars}")
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
-    probs = evaluate_all(p)
+    levels = reachable_configurations(p)
+    final = levels[-1]
+    final_probs = _column_accept_probs(final.block.T if final.index is None else final.phase, p, final.index)
+    # each input's row and the probability gathered through it, then the
+    # probabilities beside _failing's two masks and failing values, freed
+    # before the separation
+    probs = final_probs[_by_input(_walked([lv.prev_transitions for lv in levels[1:]], p.n_vars, 18),
+                                  p.var_sequence, p.n_vars)]
     bad = _failing(probs, f.bits, Margin(epsilon))
     if bad.size:
         v = int(bad[0])
@@ -402,16 +410,8 @@ def _classified_final_configs(
             f"program does not compute the table with margin {epsilon}: input "
             f"{''.join(map(str, bits_of_value(v, p.n_vars)))} has acceptance {float(probs[v])!r}"
         )
-    levels = reachable_configurations(p)
-    final = levels[-1]
-    probs = _column_accept_probs(final.block.T if final.index is None else final.phase, p, final.index)
-    accepts, rejects = _margin_masks(probs, epsilon)
-    band = np.flatnonzero(~(accepts | rejects))
-    if band.size:
-        raise RuntimeError(
-            f"final configuration with acceptance {float(probs[band[0]])!r} "
-            f"is inside the margin band"
-        )
+    del probs, bad
+    accepts = final_probs > 0.5  # the margin rule's class, as every final configuration meets it
     one_hot = final.index is not None and not np.intersect1d(final.index[accepts], final.index[~accepts]).size
     rows, width = (final.phase[:, None], final.width) if one_hot else (final.configs, None)
     return _min_cross_distance(rows[accepts], rows[~accepts], width), accepts, levels
@@ -489,13 +489,28 @@ class Obdd:
         return max(self.level_widths)
 
     def classify_all(self) -> np.ndarray:
-        """Boolean decision for every input value: the tables walked over every
-        assignment to the variables read (node c, bit b to leaf 2c + b), by input."""
-        node = np.zeros(1, dtype=np.intp)
-        for table in self.transitions:
-            node = table[node].reshape(-1)
+        """Boolean decision for every input value: the leaves of the tables'
+        walk (``_walked``), a bool gathered per leaf and put in input order."""
+        leaves = _walked(self.transitions, self.n_vars, 2)  # the gather and its input-order copy
         accepts = np.isin(np.arange(self.level_widths[-1]), self.accepting)  # per node of the last level
-        return _by_input(accepts[node], self.var_sequence, self.n_vars)
+        return _by_input(accepts[leaves], self.var_sequence, self.n_vars)
+
+
+def _walked(tables: Sequence[np.ndarray], n_vars: int, per_input: int) -> np.ndarray:
+    """The node of the last level that every assignment to the k variables
+    read reaches from node 0, node c on bit b going to ``tables[j][c, b]``:
+    one ``intp`` id per leaf, the first variable most significant, the order
+    of ``_by_input``.  The walk holds two levels of ids, at most 12 bytes a
+    leaf; that, the ``per_input`` bytes its caller then holds for each of
+    the 2^``n_vars`` inputs and 16 KiB are checked against
+    ``linalg.MEMORY_BUDGET_BYTES`` before its first step."""
+    k = len(tables)
+    check_budget((12 << k) + (per_input << n_vars) + (16 << 10), "evaluation",
+                 f"the walk to 2^{k} leaves and the per-input data of 2^{n_vars} inputs")
+    node = np.zeros(1, dtype=np.intp)
+    for table in tables:
+        node = table[node].reshape(-1)
+    return node
 
 
 def packing_width_bound(theta: float, d: int) -> float:

@@ -29,6 +29,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -98,35 +99,58 @@ def _recorded(command: str):
 def load_truth_table(path) -> program.TruthTable:
     """A truth table file: n on line 1 and its 2^n bits as '0' and '1' on line
     2, each line stripped, the bits checked by one comparison of their bytes;
-    a bad character is named by its column in the line as written."""
+    a bad character is named by its column in the line as written.
+
+    The file is UTF-8 text whose lines end at \\n, \\r or \\r\\n, as in text
+    mode.  It is read as bytes and only lines 1 and 2 are decoded, and each
+    copy of the bits line is freed once the next is made: an ASCII file
+    holds two at a time, the file's bytes and the decoded line, the line and
+    its encoding, then the encoding and the values.  A file that is not
+    ASCII is decoded whole once to check it, at up to 4 bytes a character,
+    so 5 bytes per file byte are checked against
+    ``linalg.MEMORY_BUDGET_BYTES`` before the read."""
+    size = os.path.getsize(path)
+    linalg.check_budget(5 * size, "truth table", f"a truth table file of {size} bytes")
     with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    if "\r" in text:  # lines end at \n, \r or \r\n, as in text mode
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if not text:
+        raw = fh.read()
+    if not raw.isascii():
+        raw.decode("utf-8")  # raises on a file that is not UTF-8; the text is not kept
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+        raw = raw.replace(b"\r", b"\n")
+    if not raw:
         raise ParseFailure(f"{path}: line 1: expected the number of variables")
-    head, _, rest = text.partition("\n")
+    end = raw.find(b"\n")
+    head = (raw if end < 0 else raw[:end]).decode("utf-8")
     try:
         n = int(head.strip())
     except ValueError:
         raise ParseFailure(f"{path}: line 1: expected an integer, got {head!r}")
     if n < 1:
         raise ParseFailure(f"{path}: line 1: number of variables must be >= 1")
-    if not rest:
+    if end < 0 or end + 1 == len(raw):
         raise ParseFailure(f"{path}: line 2: expected 2^{n} bits")
-    line = rest.partition("\n")[0]
+    stop = raw.find(b"\n", end + 1)
+    with memoryview(raw) as view:  # decoded from the file's bytes, uncopied
+        line = str(view[end + 1:None if stop < 0 else stop], "utf-8")
+    del raw
+    lead = len(line) - len(line.lstrip())
     bits = line.strip()
+    del line
     # 2^n is never built: a huge n on line 1 would allocate it
     m = len(bits)
     if m & (m - 1) or m.bit_length() != n + 1:
         raise ParseFailure(f"{path}: line 2: expected 2^{n} bits, got {m}")
-    values = np.frombuffer(bits.encode("ascii"), np.uint8) - np.uint8(ord("0")) if bits.isascii() else None
-    if values is None or values.max() > 1:  # locate the first bad character
-        lead = len(line) - len(line.lstrip())
-        col, c = next((col, c) for col, c in enumerate(bits, start=lead + 1) if c not in "01")
-        raise ParseFailure(f"{path}: line 2 column {col}: expected 0 or 1, got {c!r}")
-    values.flags.writeable = False  # the table keeps it as its bits, uncopied
-    return program.TruthTable(n, values.view(bool))
+    if bits.isascii():
+        data = bits.encode("ascii")
+        del bits
+        values = np.frombuffer(data, np.uint8) - np.uint8(ord("0"))
+        if values.max() <= 1:
+            values.flags.writeable = False  # the table keeps it as its bits, uncopied
+            return program.TruthTable(n, values.view(bool))
+        bits = data.decode("ascii")
+    col, c = next((col, c) for col, c in enumerate(bits, start=lead + 1) if c not in "01")
+    raise ParseFailure(f"{path}: line 2 column {col}: expected 0 or 1, got {c!r}")
 
 
 def save_truth_table(f: program.TruthTable, path) -> None:

@@ -39,9 +39,9 @@ Which inputs miss a criterion is decided by one rule, ``_failing``, for
 from ``evaluate_all``, except on a counted program: there it applies it to T
 once per bit and gathers the verdicts through the count form
 (``_counted_check``), never holding the 2^n probabilities.  The
-theta-component analysis (``analysis._classified_final_configs``) keeps
-``evaluate_all`` on every program, since it reports the probability of the
-first failing input.
+theta-component analysis (``analysis._classified_final_configs``) applies it
+to the probabilities of the final configurations it enumerates, gathered to
+the inputs.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,8 +44,10 @@ from qbp.program import (
     final_configuration,
     save_program,
 )
+from qbp.realify import realify_program
 
 from conftest import chain_probability, haar_unitary, random_program, random_state, superposed
+from test_derivation_reference import ref_classified, ref_derive, ref_min_cross_distance
 
 
 def identity_program(n=4):
@@ -438,12 +441,13 @@ def test_measured_separation_is_exact_at_small_distances(delta):
 
 def test_derive_refuses_read_twice_before_any_configuration(monkeypatch, tmp_path):
     # read-twice MOD_5 at n = 12: the derivation and the separation are both
-    # refused before the leaf block is built or any configuration deduplicated
+    # refused before any configuration is enumerated or deduplicated and
+    # before any leaf is walked
     block = mod_block(ModBlockSpec(5, 1, 12))
     p = QbProgram(12, 2, block.transformations * 2, block.initial, block.accepting)
     f = TruthTable(12, evaluate_all(p) > 0.5)
     calls = []
-    for name in ("evaluate_all", "_greedy_dedup"):
+    for name in ("reachable_configurations", "_greedy_dedup", "_walked"):
         monkeypatch.setattr(qbp.analysis, name, lambda *args, name=name: calls.append(name))
     for refused in (lambda: derive_deterministic_obdd(p, f, None, 0.25),
                     lambda: measured_separation(p, f, 0.25)):
@@ -460,6 +464,60 @@ def test_derive_refuses_read_twice_before_any_configuration(monkeypatch, tmp_pat
     assert result.exit_code == 2
     assert "requires a read-once program" in result.output
     assert calls == []
+
+
+def _verdict_program(kind: str, rng: np.random.Generator, n: int) -> QbProgram:
+    """A read-once program of ``kind`` on n variables, read in a random order."""
+    if kind == "haar":  # some read only a prefix of the variables
+        p = random_program(rng, d=int(rng.integers(2, 6)), n=n, length=int(rng.integers(1, n + 1)))
+    elif kind == "mod block":
+        p = mod_block(ModBlockSpec(int(rng.choice([3, 5, 7])), int(rng.integers(1, 3)), n))
+    else:
+        p = universal_exact_qbp(TruthTable.random(n, rng))
+        p = {"universal": p, "realified universal": realify_program(p), "superposed universal": superposed(p)}[kind]
+    order = rng.permutation(n) + 1
+    tfs = tuple(QuantumTransformation(int(order[tf.var_index - 1]), *tf.unitaries) for tf in p.transformations)
+    return QbProgram(n, p.width, tfs, p.initial, p.accepting)
+
+
+@given(st.sampled_from(["haar", "universal", "realified universal", "superposed universal", "mod block"]),
+       st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_derivation_verdict_is_the_exhaustive_check(kind, seed, n, flip):
+    # the derivation checks a program on the final configurations it
+    # enumerates: it refuses what computes refuses, naming computes' first
+    # counterexample, and on what computes accepts it gives the result of
+    # the reference, which checks every input through evaluate_all
+    rng = np.random.default_rng(seed)
+    p = _verdict_program(kind, rng, n)
+    probs = evaluate_all(p)
+    bits = probs > 0.5
+    if flip:
+        bits[int(rng.integers(bits.size))] ^= True
+    f = TruthTable(p.n_vars, bits)
+    epsilon = min(max(float(np.min(np.abs(probs - 0.5))), 1e-3), 0.5)
+    report = computes(p, f, Margin(epsilon))
+    if not report.holds:
+        named = "".join(map(str, bits_of_value(int(report.counterexamples[0]), p.n_vars)))
+        for refused in (lambda: measured_separation(p, f, epsilon),
+                        lambda: derive_deterministic_obdd(p, f, None, epsilon)):
+            with pytest.raises(ValueError, match=f"^program does not compute the table with margin "
+                                                 f"{re.escape(repr(epsilon))}: input {named} has acceptance "):
+                refused()
+        return
+    accepting, rejecting, _ = ref_classified(p, f, epsilon)
+    sep = ref_min_cross_distance(accepting, rejecting)
+    assert measured_separation(p, f, epsilon) == sep
+    for theta in (None, sep / 2):
+        ref = ref_derive(p, f, theta, epsilon)
+        obdd = derive_deterministic_obdd(p, f, theta, epsilon)
+        assert (obdd.theta, obdd.level_widths, obdd.reachable_counts) == (
+            ref["theta"], ref["level_counts"], ref["reachable_counts"])
+        assert len(obdd.transitions) == len(ref["transitions"])
+        for got, want in zip(obdd.transitions, ref["transitions"]):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert obdd.accepting.tolist() == sorted(ref["accepting"])
+        assert np.array_equal(obdd.classify_all(), f.bits)
 
 
 def test_random_programs_meet_theta1(rng):

@@ -112,15 +112,29 @@ def _one_hot_reachable_level():
 
 
 def _separation_per_input():
-    p = _identity_program(16, 1, ())
-    f = TruthTable.constant(16, True)
-    return (lambda: analysis.measured_separation(p, f, 0.5)), 32 << 16, "evaluation", None
+    # width 1 reading 8 of 17 variables, after its 9 levels are enumerated:
+    # the walk to the 2^8 final rows, 12 bytes a leaf, and 18 bytes per input
+    # (the rows' input-order copy and the probabilities gathered through it,
+    # then _failing's two masks and failing values beside the probabilities)
+    # and 16 KiB
+    p = _identity_program(17, 1, range(1, 9))
+    f = TruthTable.constant(17, True)
+    need = (12 << 8) + (18 << 17) + (16 << 10)
+    return (lambda: analysis.measured_separation(p, f, 0.5)), need, "evaluation", None
 
 
 def _gram():
     rng = np.random.default_rng(5)
     a, b = (rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2)) for _ in range(2))
     return (lambda: analysis._min_cross_distance(a, b)), 32 * 256 * 256, "separation", None
+
+
+def _classify_all():
+    # the minimal OBDD of a random table at n = 18: the walk to 2^18 leaves,
+    # 12 bytes a leaf, per input the bool gathered and its input-order copy,
+    # and 16 KiB
+    obdd = analysis.min_obdd_width(TruthTable.random(18, np.random.default_rng(18)))
+    return obdd.classify_all, (12 << 18) + (2 << 18) + (16 << 10), "evaluation", None
 
 
 def _width_oracle():
@@ -184,6 +198,16 @@ def _truth_table():
     return (lambda: constructions.mod_truth_table(3, 20)), 2 << 20, "truth table", None
 
 
+def _truth_table_file():
+    # a saved random table at n = 19: 5 bytes per file byte, for the text of
+    # a file that is not ASCII; the lambda keeps the temporary directory alive
+    tmp = tempfile.TemporaryDirectory()
+    path = os.path.join(tmp.name, "f.tt")
+    cli.save_truth_table(TruthTable.random(19, np.random.default_rng(19)), path)
+    need = 5 * os.path.getsize(path)
+    return (lambda: (tmp, cli.load_truth_table(path))), need, "truth table", None
+
+
 def _sweep_range():
     return ((lambda: cli._parse_range("0:99999", "p range")), 100000 * cli._SWEEP_POINT_BYTES,
             "sweep", None)
@@ -200,6 +224,7 @@ SITES = {
     "one-hot reachable level": _one_hot_reachable_level,
     "separation per-input data": _separation_per_input,
     "separation Gram matrix": _gram,
+    "Obdd.classify_all": _classify_all,
     "min_obdd_width": _width_oracle,
     "universal_exact_qbp": _universal,
     "Monomial.dense": _dense_level,
@@ -209,6 +234,7 @@ SITES = {
     "build_mod_program": _mod_construction,
     "_good_table": _good_set,
     "mod_truth_table": _truth_table,
+    "load_truth_table": _truth_table_file,
     "sweep range": _sweep_range,
 }
 
@@ -256,6 +282,40 @@ def test_memory_budget_is_one_gib():
         linalg.check_budget((1 << 30) + 1, "any", "a block")
 
 
+@pytest.mark.parametrize("reads, table", [
+    ("all", True), ("all shuffled", True), ("all shuffled", False), ("half", True), ("half", False),
+])
+def test_leaf_walk_peak_within_its_count(reads, table, monkeypatch):
+    # width 1 at n = 18, so the enumeration holds next to nothing: the
+    # separation's walk, its per-input probabilities and the verdict (every
+    # input fails against the constant-False table), then the derived OBDD's
+    # classify_all.  Measured: 16.0 to 16.1 bytes per input for the
+    # separation, 18.0 to 18.1 where every input fails, and for classify_all
+    # 12.0 where every variable is read and 1.03 where half are
+    n = 18
+    order = {"all": range(1, n + 1), "half": range(1, n // 2 + 1),
+             "all shuffled": np.random.default_rng(n).permutation(n) + 1}[reads]
+    p = _identity_program(n, 1, [int(v) for v in order])
+    f = TruthTable.constant(n, table)
+    counted = {}
+    for module in (linalg, analysis):
+        monkeypatch.setattr(module, "check_budget", lambda need, stage, what: counted.setdefault(stage, need))
+
+    def separation():
+        try:
+            analysis.measured_separation(p, f, 0.5)
+        except ValueError as e:
+            assert not table and "does not compute the table" in str(e)
+
+    calls = [separation]
+    if table:
+        calls.append(analysis.derive_deterministic_obdd(p, f, None, 0.5).classify_all)
+    for call in calls:
+        counted.clear()
+        peak, _ = _traced(call)
+        assert 0 < peak <= counted["evaluation"], (peak / (1 << n), counted["evaluation"] / (1 << n))
+
+
 @pytest.mark.parametrize("kind", ["mod", "random"])
 @pytest.mark.parametrize("shuffled", [False, True], ids=["identity order", "shuffled order"])
 def test_width_oracle_peak_within_its_count(kind, shuffled):
@@ -280,6 +340,21 @@ def test_truth_table_peak_within_its_count(p):
     n = 20
     peak, _ = _traced(lambda: constructions.mod_truth_table(p, n))
     assert 0 < peak <= 2 << n, peak / (1 << n)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", " \t\n"], ids=["lf", "crlf", "trailing blanks"])
+def test_truth_table_file_peak_within_3_bytes_an_entry(end, tmp_path):
+    # each copy of the bits line is freed once the next is made, and no \r
+    # is replaced where the file has none.  Measured: 2.0 bytes per entry
+    # (5.0 before: the file's bytes, its text, the partition copies and the
+    # encoded line)
+    n = 20
+    f = TruthTable.random(n, np.random.default_rng(n))
+    path = tmp_path / "f.tt"
+    path.write_bytes(f"{n}{end}".encode() + (f.bits.astype(np.uint8) + ord("0")).tobytes() + end.encode())
+    peak, _ = _traced(lambda: cli.load_truth_table(path))
+    assert 0 < peak <= 3 << n, peak / (1 << n)
+    assert np.array_equal(cli.load_truth_table(path).bits, f.bits)
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["fresh levels", "a repeated pair"])

@@ -214,21 +214,23 @@ def _universal_files(tmp_path):
 
 
 def test_analyze_builds_the_leaf_block_once(tmp_path, monkeypatch):
-    # every exhaustive evaluation enters the leaves through one function
+    # analyze enumerates the reachable levels once and checks the program on
+    # them: no per-input probabilities from evaluate_all, one leaf walk for
+    # the derivation's verdicts and one for the derived OBDD's classify_all
     univ, table = _universal_files(tmp_path)
-    real, calls = program.evaluate_all, []
+    calls = []
 
-    def counting(p):
-        calls.append(p)
-        return real(p)
+    def counting(name, real):
+        return lambda *args: calls.append(name) or real(*args)
 
-    monkeypatch.setattr(program, "evaluate_all", counting)
-    monkeypatch.setattr(analysis, "evaluate_all", counting)
+    monkeypatch.setattr(program, "evaluate_all", counting("evaluate_all", program.evaluate_all))
+    for name in ("reachable_configurations", "_walked"):
+        monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
     result = CliRunner().invoke(
         main, ["analyze", str(univ), "--truth-table", str(table), "--epsilon", "0.5", "--auto-theta"]
     )
     assert result.exit_code == 0, result.output
-    assert len(calls) == 1
+    assert calls == ["reachable_configurations", "_walked", "_walked"]
 
 
 def _mod_files(tmp_path):
