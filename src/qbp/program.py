@@ -5,14 +5,19 @@ depending on the value of one input variable, then measures the final
 configuration against a set of accepting basis states.  Bit i of an input
 string is the value of variable x_{i+1}; the transformation at a level
 reads ``input[var_index - 1]``.  A unitary is stored as a dense matrix or as
-a ``Monomial`` (perm, phases): the universal and permutation constructions
-build Monomials, and a dense matrix of that shape is read as one.
-Evaluation reads the stored form; only ``u0``/``u1`` build (and keep) a
-Monomial's dense matrix, while ``is_stable``, realify and the file format
-build one at a time (``_unitary_dense``) and keep none.  Levels may share a
-stored unitary, as the levels of a stable program share one pair: a shared
-one is scanned, checked, formatted, parsed and realified once.  Also
-included: the JSON file format used by the command line tools.
+a ``Monomial`` (perm, phases, zeros): the universal and permutation
+constructions and realify build Monomials, and a dense matrix of that shape
+is read as one (``_stored``).  Its zero slots' signed zeros are kept as a
+1 x 1 or 2 x 2 tile, as a realified level's -0.0 in each 2 x 2 zero block
+is; only a pattern that fits no tile keeps the given matrix.  Evaluation
+reads the stored form, and the file format writes and reads a Monomial by
+rows (``arraytext``); only ``u0``/``u1`` build (and keep) a Monomial's dense
+matrix, while ``is_stable``, the realify of complex phases and the file
+format's other paths build one at a time (``_unitary_dense``) and keep
+none.  Levels may share a stored unitary, as the levels of a stable program
+share one pair: a shared one is scanned, checked, formatted, parsed and
+realified once.  Also included: the JSON file format used by the command
+line tools.
 
 Programs are oblivious, so evaluation advances a d x m block of
 configurations level by level (``_advance``): one column per input, or in
@@ -55,12 +60,12 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import linalg
+from .arraytext import _array_text, _canonical_cells, _monomial_texts, _read_rows, _zero_tile
 from .linalg import MARGIN_SLACK, NORMALIZATION_TOL, ONE_SIDED_TOL, STABLE_TOL
 
 Bits = Sequence[int] | str
@@ -103,11 +108,15 @@ def _integers(values, what: str):
 @dataclass(frozen=True, eq=False)
 class Monomial:
     """A unitary stored as built: row i holds ``phases[i]`` in column
-    ``perm[i]`` and exact zeros elsewhere, so it is applied as a gather, bit
-    for bit the dense product.  ``dense`` builds the matrix once, on first use."""
+    ``perm[i]`` and signed zeros elsewhere, so it is applied as a gather, bit
+    for bit the dense product.  ``zeros`` is None (every zero slot holds
+    0.0 + 0.0j) or a 1 x 1 or 2 x 2 tile of signed zeros: with k its size,
+    slot (i, j) holds ``zeros[i % k, j % k]``, as a realified level's 2 x 2
+    zero blocks do.  ``dense`` builds the matrix once, on first use."""
 
     perm: np.ndarray
     phases: np.ndarray
+    zeros: np.ndarray | None = None
 
     def __post_init__(self):
         phases = linalg.as_cvector(self.phases)
@@ -116,6 +125,11 @@ class Monomial:
         perm = np.array(_integers(self.perm, "perm entry"), dtype=np.intp)
         object.__setattr__(self, "perm", linalg._frozen(perm))
         object.__setattr__(self, "phases", phases)
+        if self.zeros is not None:
+            zeros = linalg.as_cmatrix(self.zeros)
+            if zeros.shape[0] > 2 or (zeros != 0).any():
+                raise ValueError("zeros must be a 1 x 1 or 2 x 2 tile of signed zeros")
+            object.__setattr__(self, "zeros", zeros)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -126,6 +140,10 @@ class Monomial:
         d = self.phases.size
         linalg.check_budget(16 * d * d, "dense level", f"a {d} x {d} matrix")
         u = np.zeros((d, d), dtype=np.complex128)
+        if self.zeros is not None:
+            k = self.zeros.shape[0]
+            for (i, j), z in np.ndenumerate(self.zeros):
+                u[i::k, j::k] = z
         u[np.arange(d), self.perm] = self.phases
         return linalg._frozen(u)
 
@@ -133,9 +151,11 @@ class Monomial:
 def _stored(u) -> np.ndarray | Monomial:
     """A matrix with exactly one nonzero per row and column as a Monomial
     whose dense form it is (-0.0 entries included), else ``u`` as it is.
-    The given matrix is kept as the Monomial's dense form only where that
-    form, built from (perm, phases), would put 0.0 in place of a -0.0 (as
-    in a realified level's zero slots)."""
+    The signed zeros of the zero slots are kept as the canonical tile
+    (``_zero_tile``) that the sign codes of each class (i % 2, j % 2) give,
+    found in the pass that finds the nonzeros.  Where one class holds two
+    different zeros no tile fits, and the given matrix is kept as the
+    Monomial's dense form."""
     if isinstance(u, Monomial):
         return u
     u = linalg.as_cmatrix(u)
@@ -143,10 +163,22 @@ def _stored(u) -> np.ndarray | Monomial:
     if not (nz.sum(axis=1) == 1).all() or not (nz.sum(axis=0) == 1).all():
         return u
     perm = nz.argmax(axis=1)
-    m = Monomial(perm, u[np.arange(u.shape[0]), perm])
-    if np.signbit(u[~nz].view(np.float64)).any():
-        m.__dict__["dense"] = u  # where cached_property keeps it
-    return m
+    phases = u[np.arange(u.shape[0]), perm]
+    if not np.signbit(u[~nz].view(np.float64)).any():
+        return Monomial(perm, phases)
+    signs = np.signbit(u.view(np.float64)).view(np.int8)
+    codes = signs[:, 0::2] + 2 * signs[:, 1::2]
+    codes[nz] = -1
+    classes = []
+    for i, j in np.ndindex(2, 2):
+        cls = codes[i::2, j::2]
+        cls = cls[cls >= 0]
+        if cls.size and (cls != cls[0]).any():  # fits no tile
+            m = Monomial(perm, phases)
+            m.__dict__["dense"] = u  # where cached_property keeps it
+            return m
+        classes.append(int(cls[0]) if cls.size else -1)
+    return Monomial(perm, phases, _zero_tile(classes))
 
 
 def _dense(u: np.ndarray | Monomial) -> np.ndarray:
@@ -757,24 +789,32 @@ def computes(p: QbProgram, f: TruthTable, criterion: Criterion) -> CheckReport:
 # as its compact text, encoded once, and fed to one sha256 in the canonical
 # key order; its file form, the text widened to ", ", is encoded once beside
 # it and written to the file at once; the digest alone only hashes.  So the
-# writer holds one matrix's dense form and texts at a time, and the texts of
-# a repeated pair, never a whole file.  An array's
-# text formats each distinct [re, im] entry once (``_array_text``): the
-# paper's constructions use a handful of amplitudes (0 and +-1, or the cos
-# and sin of 2 pi k / p), so a level of d^2 entries has a few dozen distinct
-# ones.  A unitary that is the same object as the previous level's reuses
-# that level's two texts, kept only while the next level repeats it: a stable
-# program's pair is formatted once, and a universal program's identity u0.
-# The budget counts the entries of the initial vector and one level.
+# writer holds one level's texts (and a dense level's matrix) at a time, and
+# the texts of a repeated pair, never a whole file.  A Monomial that keeps no
+# dense form is written by rows (``arraytext._Rows``): each row is its
+# parity's template of the tile's zero cells, built once per program, with
+# the row's phase cell spliced in, so only its d phases are told apart and
+# formatted.  Any other array's text formats each distinct [re, im] entry
+# once (``_array_text``): the paper's constructions use a handful of
+# amplitudes (0 and +-1, or the cos and sin of 2 pi k / p), so a level of d^2
+# entries has a few dozen distinct ones.  A unitary that is the same object
+# as the previous level's reuses that level's two texts, kept only while the
+# next level repeats it: a stable program's pair is formatted once, and a
+# universal program's identity u0.  The budget counts the entries of the
+# initial vector and one level.
 #
-# Reading takes a fast path for exactly the writer's text (``_load_canonical``):
-# string scans split each array into rows on "]], [[" and cells on "], [", and
-# parse each distinct cell once, as two JSON numbers with a "." or an exponent
-# (float() then gives json's float, -0.0 included).  An array whose text
-# equals one of the previous level's two is that level's stored unitary, so
-# a repeated level is parsed once and a loaded program shares it again.  Any
-# other text goes to ``json.load`` and ``program_from_obj``, so a file gives
-# the same program or the same error on either path.
+# Reading takes a fast path for exactly the writer's text (``_load_canonical``).
+# The previous level's two texts are tried first where each array starts: an
+# array with one of them is that level's stored unitary, scanned once and
+# neither searched nor parsed again, so a loaded program shares it again.
+# Else a Monomial's text is read by rows (``arraytext._read_rows``), parsing
+# only its d phase cells, and accepted only if it equals its tile's templates
+# with them spliced in.  Any other array is split into rows on "]], [[" and
+# cells on "], [", and each distinct cell parsed once
+# (``arraytext._canonical_cells``), as two JSON numbers with a "." or an
+# exponent (float() then gives json's float, -0.0 included).  Any other text
+# goes to ``json.load`` and ``program_from_obj``, so a file gives the same
+# program or the same error on every path.
 
 class ProgramFormatError(ValueError):
     """Malformed program document; ``where`` locates the first error."""
@@ -816,11 +856,6 @@ def _complex_matrix(obj, where: str) -> np.ndarray:
             raise ProgramFormatError(f"{where}[{i}]", f"row length {len(cells)} in a {d}-row matrix")
         out.append([_complex_pair(c, f"{where}[{i}][{j}]") for j, c in enumerate(cells)])
     return np.array(out, dtype=np.complex128)
-
-
-def _pairs(a: np.ndarray) -> list:
-    """[re, im] float pairs of a complex array, nested like the array."""
-    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def program_from_obj(obj) -> QbProgram:
@@ -873,34 +908,11 @@ _FORMAT_BYTES_PER_ENTRY = 264
 _LOAD_BYTES_PER_FILE_BYTE = 16
 
 
-def _array_text(a: np.ndarray) -> str:
-    """The compact JSON text of a complex vector or matrix as [re, im] pairs,
-    ``json.dumps(_pairs(a), separators=(",", ":"))``, formatting each
-    distinct entry once.  Entries are told apart by their 16 raw bytes, the
-    two uint64 halves that one lexsort orders, so -0.0 and 0.0 stay
-    distinct."""
-    halves = np.ascontiguousarray(a).reshape(-1).view(np.uint64)
-    order = np.lexsort((halves[1::2], halves[0::2]))
-    re, im = halves[0::2][order], halves[1::2][order]
-    # an entry starts a group where either half differs from the one before
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (re[1:] != re[:-1]) | (im[1:] != im[:-1])
-    inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    distinct = a.reshape(-1)[order[first]]
-    del order, re, im, first  # the text is built from the groups alone
-    vocab = json.dumps(_pairs(distinct), separators=(",", ":"))
-    cells = np.array(vocab[2:-2].split("],["), dtype=object)[inverse]
-    rows = cells.reshape(-1, a.shape[-1]).tolist()
-    text = ",".join("[[" + "],[".join(row) + "]]" for row in rows)
-    return text if a.ndim == 1 else "[" + text + "]"
-
-
 def _unitary_dense(u: np.ndarray | Monomial) -> np.ndarray:
     """The dense form of a stored unitary, built afresh and not cached for a
-    Monomial that keeps none (``_stored`` keeps one only for a -0.0 in a zero
-    slot), so that formatting holds one level's dense form at a time and a
-    stability check leaves the program as it found it."""
+    Monomial that keeps none (``_stored`` keeps one only for signed zeros
+    that fit no tile), so that formatting holds one level's dense form at a
+    time and a stability check leaves the program as it found it."""
     if isinstance(u, Monomial):
         return u.__dict__["dense"] if "dense" in u.__dict__ else Monomial.dense.func(u)
     return u
@@ -911,23 +923,27 @@ def _stream_program(p: QbProgram, path=None) -> str:
     both streamed piece by piece as the format notes describe.
 
     An array's compact text holds only numbers, brackets and commas, so its
-    file form is that text with every comma widened to ", ".  Both are
-    encoded once, and a repeated array's pair is kept.  The bytes of
-    the largest step are checked against ``linalg.MEMORY_BUDGET_BYTES``
-    before the file is opened.
+    file form is that text with every comma widened to ", "; a Monomial's
+    is built by rows from the file's templates instead.  Both are encoded
+    once, and a repeated array's pair is kept.  The bytes of the largest
+    step are checked against ``linalg.MEMORY_BUDGET_BYTES`` before the file
+    is opened.
     """
     d = p.width
     step = d * (1 + 2 * d * min(p.length, 1))
     linalg.check_budget(step * _FORMAT_BYTES_PER_ENTRY, "program format",
                         f"the text of {d * (1 + 2 * d * p.length)} complex entries, "
                         f"{step} of them (the initial vector and one level) at a time,")
-    sha = hashlib.sha256()
+    sha, rows = hashlib.sha256(), {}
     with open(path, "wb") if path is not None else nullcontext() as fh:
 
-        def encoded(a: np.ndarray) -> tuple[bytes, bytes | None]:
+        def encoded(u: np.ndarray | Monomial) -> tuple[bytes, bytes | None]:
             """An array's canonical text and, when a file is written, its
-            file form (the text widened), each encoded once."""
-            text = _array_text(a).encode()
+            file form (the text widened), each encoded once; both are built
+            by rows for a Monomial that keeps no dense form."""
+            if isinstance(u, Monomial) and "dense" not in vars(u):
+                return _monomial_texts(u, rows, fh is not None)
+            text = _array_text(_unitary_dense(u)).encode()
             return text, None if fh is None else text.replace(b",", b", ")
 
         def put(canonical: bytes, file: bytes | None) -> None:
@@ -951,7 +967,7 @@ def _stream_program(p: QbProgram, path=None) -> str:
             for k, (u, v) in enumerate(zip(tf.unitaries, after)):
                 if k:
                     put(b',"u1":', b', "u1": ')
-                pieces = kept[k] or encoded(_unitary_dense(u))
+                pieces = kept[k] or encoded(u)
                 put(*pieces)
                 kept[k] = pieces if v is u else None
                 del pieces  # else they are held while the next array is formatted
@@ -966,29 +982,9 @@ def save_program(p: QbProgram, path) -> str:
 
 
 _INT = rb"[1-9]\d{0,8}"
-_NUMBER = rb"-?(?:0|[1-9]\d*)(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+)"  # not an integer
+_VAR = re.compile(_INT)
 _HEAD = re.compile(rb'\{"n_vars": (%s), "width": (%s), "initial": \[\[(.*?)\]\], "accepting": '
                    rb'\[((?:%s(?:, %s)*)?)\], "transformations": \[' % ((_INT,) * 4))
-_CELL = re.compile(rb"(%s), (%s)" % (_NUMBER, _NUMBER))
-
-
-def _canonical_cells(text: bytes, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The complex array of ``shape`` whose text between its outer brackets
-    is ``text`` in the writer's layout, each distinct cell parsed once; None
-    for any other text."""
-    parts = [row.split(b"], [") for row in text.split(b"]], [[")]
-    if len(parts) != math.prod(shape[:-1]) or set(map(len, parts)) != {shape[-1]}:
-        return None
-    cells = list(chain.from_iterable(parts))
-    ids, values = dict.fromkeys(cells), []
-    for i, cell in enumerate(ids):
-        m = _CELL.fullmatch(cell)
-        if m is None:
-            return None
-        values += (float(m[1]), float(m[2]))
-        ids[cell] = i
-    index = np.fromiter(map(ids.__getitem__, cells), np.intp, len(cells)).reshape(shape)
-    return linalg._frozen(np.array(values).view(np.complex128)[index])
 
 
 def _load_canonical(raw: bytes) -> QbProgram | None:
@@ -1002,34 +998,45 @@ def _load_canonical(raw: bytes) -> QbProgram | None:
     if initial is None:
         return None
     tfs, pos, end, start = [], head.end(), len(raw) - 3, b'{"var": '
-    last = ()  # (text, stored unitary) of the last level's two arrays
+    last, rows = (), {}  # (text, stored unitary) of the last level's two arrays; row templates
 
-    def stored(lo: int, hi: int) -> tuple[bytes, np.ndarray | Monomial | None]:
-        """The text raw[lo:hi] of an array and its stored unitary, None for
-        other text: an array with the text of one of the last level's is
-        that level's stored unitary, neither parsed nor scanned again."""
+    def stored(lo: int, stop: bytes) -> tuple[bytes, np.ndarray | Monomial | None, int]:
+        """The array whose text, between its outer brackets, starts at
+        raw[lo] and ends where ``stop`` next starts: its text, its stored
+        unitary (None for other text) and that end (-1 if none).  The last
+        level's two texts are tried there first: a repeated array is that
+        level's stored unitary, scanned once (by ``startswith``) and neither
+        searched nor parsed again."""
         for t, u in last:
-            if len(t) == hi - lo and raw.startswith(t, lo):
-                return t, u
-        text = raw[lo:hi]
-        cells = _canonical_cells(text, (d, d))
-        return text, None if cells is None else _stored(cells)
+            if raw.startswith(t, lo) and raw.startswith(stop, lo + len(t)):
+                return t, u, lo + len(t)
+        hi = raw.find(stop, lo)
+        if hi < 0:
+            return b"", None, hi
+        found = _read_rows(raw, lo - 3, hi + 3, d, rows)
+        if found is not None:
+            u = Monomial(*found)
+        else:
+            cells = _canonical_cells(raw[lo:hi], (d, d))
+            u = None if cells is None else _stored(cells)
+        return raw[lo:hi], u, hi
 
     while pos != end:
         a = raw.find(b', "u0": [[[', pos)
-        b = raw.find(b']]], "u1": [[[', a)
-        c = raw.find(b"]]]}", b)
         var = raw[pos + len(start):a] if 0 <= a <= pos + len(start) + 9 else b""
-        if min(b, c) < 0 or not raw.startswith(start, pos) or re.fullmatch(_INT, var) is None:
+        if not raw.startswith(start, pos) or _VAR.fullmatch(var) is None:
             return None
         try:
-            last = (stored(a + 11, b), stored(b + 14, c))
-            (_, u0), (_, u1) = last
-            if u0 is None or u1 is None:
+            t0, u0, b = stored(a + 11, b']]], "u1": [[[')
+            if u0 is None:
+                return None
+            t1, u1, c = stored(b + 14, b"]]]}")
+            if u1 is None:
                 return None
             tfs.append(QuantumTransformation._sharing(int(var), u0, u1))
         except ValueError:  # the json path locates it, after any earlier format error
             return None
+        last = ((t0, u0), (t1, u1))
         pos, start = c + 4, b', {"var": '
     accepting = np.fromstring(head[4], dtype=np.int64, sep=",")
     return _checked_program(int(head[1]), d, tfs, initial, accepting)

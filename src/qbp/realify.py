@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .program import QbProgram, QuantumTransformation, _stored, _unitary_dense
+from .arraytext import _zero_tile
+from .program import Monomial, QbProgram, QuantumTransformation, _stored, _unitary_dense
 
 
 def realify_matrix(u) -> np.ndarray:
@@ -42,6 +43,28 @@ def realify_matrix(u) -> np.ndarray:
     return out
 
 
+def _realified_monomial(m: Monomial) -> Monomial | None:
+    """``_stored(realify_matrix(m.dense))`` built from (perm, phases) alone,
+    for a Monomial with real, nonzero phases and a tile of at most 1 x 1;
+    None for any other.  A phase a + bi (b a signed zero) doubles to a on
+    the diagonal of its 2 x 2 block, b and -b off it, and a zero z to
+    [[Re z, Im z], [-Im z, Re z]], all with +0.0 imaginary parts: so the
+    double has the tile of sign codes [[Re z, b], [-b, Re z]] (``_zero_tile``)
+    when every phase's b has the sign of Im z, and else fits no tile (None,
+    for the dense doubling)."""
+    a, b = m.phases.real, m.phases.imag
+    if b.any() or not a.all() or (m.zeros is not None and m.zeros.shape[0] > 1):
+        return None
+    z = 0j if m.zeros is None else m.zeros[0, 0]
+    zero_slots = a.size > 1  # so the double has zero blocks too
+    signs = set(np.signbit(b).tolist()) | ({bool(np.signbit(z.imag))} if zero_slots else set())
+    if len(signs) > 1:
+        return None
+    s, diagonal = int(signs.pop()), int(np.signbit(z.real)) if zero_slots else -1
+    perm = np.stack([2 * m.perm, 2 * m.perm + 1], axis=1).reshape(-1)
+    return Monomial(perm, np.repeat(a, 2).astype(np.complex128), _zero_tile((diagonal, s, 1 - s, diagonal)))
+
+
 def realify_vector(psi) -> np.ndarray:
     """Interleave real and imaginary parts: (z_1, ..., z_d) becomes
     (a_1, b_1, ..., a_d, b_d).  Norms are preserved."""
@@ -59,16 +82,20 @@ def realify_program(p: QbProgram) -> QbProgram:
 
     The initial configuration is encoded conjugated (see module docstring);
     for programs with a real initial configuration this is the plain
-    interleaving.  A source ``Monomial``'s dense form is built for its
-    level only (``_unitary_dense``) and not cached on the source, so the
-    call leaves the source program as it found it.  A source unitary that
-    several levels share is doubled once, and its double is shared by the
-    same levels.  The realified unitaries it keeps (one per distinct source
-    unitary, told apart by identity) and one level's temporaries (the
+    interleaving.  A source ``Monomial`` with real phases (the universal
+    and permutation constructions) is doubled from (perm, phases) into a
+    tiled Monomial (``_realified_monomial``), with no dense temporary; any
+    other source unitary is doubled densely, a Monomial's dense form built
+    for its level only (``_unitary_dense``) and not cached on the source, so
+    the call leaves the source program as it found it.  A source unitary
+    that several levels share is doubled once, and its double is shared by
+    the same levels.  The realified unitaries it keeps (one per distinct
+    source unitary, told apart by identity) and one level's temporaries (the
     unitarity check's products of a dense level, traced with tracemalloc at
     up to 3.7 realified unitaries) are checked against
     ``linalg.MEMORY_BUDGET_BYTES`` before the first level is built, counted
-    as 1 unitary per distinct source unitary and 4 for the temporaries.
+    as 1 dense unitary per distinct source unitary and 4 for the
+    temporaries, which overstates what a tiled double holds.
     Beside them, 2 KiB per level and 16 KiB once count the Python objects,
     traced at up to 1.2 KiB a level and 7.2 KiB once for programs of width 2
     to 8.
@@ -83,7 +110,8 @@ def realify_program(p: QbProgram) -> QbProgram:
     for tf in p.transformations:
         for u in tf.unitaries:
             if id(u) not in doubled:
-                doubled[id(u)] = _stored(realify_matrix(_unitary_dense(u)))
+                m = _realified_monomial(u) if isinstance(u, Monomial) else None
+                doubled[id(u)] = m or _stored(realify_matrix(_unitary_dense(u)))
         tfs.append(QuantumTransformation._sharing(tf.var_index, *(doubled[id(u)] for u in tf.unitaries)))
     initial = realify_vector(np.conj(p.initial))
     accepting = (2 * p.accepting[:, None] - (1, 0)).reshape(-1)  # 2a - 1, 2a for each a, in order

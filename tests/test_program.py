@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbp import linalg
+from qbp import arraytext, linalg
 from qbp import program as program_module
 from qbp.analysis import measured_separation
 from qbp.cli import ParseFailure, load_truth_table, save_truth_table
@@ -755,6 +756,126 @@ def test_evaluation_reads_monomials_without_building_dense_levels(rng):
     assert not any("dense" in vars(u) for tf in p.transformations for u in tf.unitaries)
 
 
+# -- signed-zero tiles ---------------------------------------------------------------
+
+SIGNED_ZEROS = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+# every zero-slot tile: none, each 1 x 1 and each 2 x 2 tile of signed zeros
+TILES = [None] + [np.array([[z]]) for z in SIGNED_ZEROS] + [
+    np.array(cells).reshape(2, 2) for cells in itertools.product(SIGNED_ZEROS, repeat=4)]
+
+
+def dense_by_loops(perm, phases, tile) -> np.ndarray:
+    """A Monomial's matrix, slot by slot: the phase in column perm[i] of row
+    i, and ``tile[i % k, j % k]`` (or 0.0 + 0.0j) in every other slot."""
+    d = len(perm)
+    u = np.empty((d, d), dtype=np.complex128)
+    for i, j in np.ndindex(d, d):
+        k = 1 if tile is None else tile.shape[0]
+        u[i, j] = phases[i] if j == perm[i] else (0j if tile is None else tile[i % k, j % k])
+    return u
+
+
+def random_phases(rng, d: int) -> np.ndarray:
+    return np.exp(2j * np.pi * rng.random(d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 9])
+def test_stored_dense_of_a_tiled_monomial_round_trips_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for tile in TILES:
+        perm, phases = rng.permutation(d), random_phases(rng, d)
+        m = Monomial(perm, phases, tile)
+        want = dense_by_loops(perm, phases, tile)
+        assert np.array_equal(bit_pattern(m.dense), bit_pattern(want))
+        stored = program_module._stored(want)
+        assert isinstance(stored, Monomial) and "dense" not in vars(stored)
+        assert np.array_equal(stored.perm, perm) and np.array_equal(bit_pattern(stored.phases), bit_pattern(phases))
+        assert np.array_equal(bit_pattern(stored.dense), bit_pattern(want))
+        again = program_module._stored(stored.dense)  # the tile kept is canonical
+        assert (again.zeros is None) == (stored.zeros is None)
+        assert stored.zeros is None or np.array_equal(bit_pattern(again.zeros), bit_pattern(stored.zeros))
+
+
+def test_a_signed_zero_pattern_that_fits_no_tile_keeps_the_given_matrix(tmp_path):
+    # slots (0, 2) and (2, 0) share the class (0, 0) but hold different zeros
+    u = np.eye(4, dtype=np.complex128)
+    u[0, 2] = complex(-0.0, 0.0)
+    m = program_module._stored(u)
+    assert isinstance(m, Monomial) and m.zeros is None
+    assert vars(m)["dense"] is not None and np.array_equal(bit_pattern(m.dense), bit_pattern(u))
+    p = QbProgram(1, 4, (QuantumTransformation(1, m, u),), np.eye(4)[0], frozenset({1}))
+    path = tmp_path / "prog.json"
+    assert save_program(p, path) == reference_digest(p)
+    assert path.read_bytes() == reference_file_text(p).encode("utf-8")
+    assert_bit_identical(load_program(path), p)
+
+
+@pytest.mark.parametrize("tile", [0, 2, 4, 5 + 0b0110, len(TILES) - 1])
+def test_a_tiled_monomial_is_applied_as_the_level_kept_with_its_matrix(tile):
+    # the level as kept before tiles: (perm, phases) with the given matrix cached
+    rng = np.random.default_rng(tile)
+    d = 6
+    perm, phases, zeros = rng.permutation(d), random_phases(rng, d), TILES[tile]
+    tiled = Monomial(perm, phases, zeros)
+    cached = Monomial(perm, phases)
+    cached.__dict__["dense"] = linalg._frozen(dense_by_loops(perm, phases, zeros))
+    cols = rng.normal(size=(d, 5)) + 1j * rng.normal(size=(d, 5))
+    for u, v in ((tiled, cached), (cached, tiled)):
+        got = QuantumTransformation(1, u, v).apply_to_columns(0, cols)
+        want = QuantumTransformation(1, v, u).apply_to_columns(1, cols)
+        assert np.array_equal(bit_pattern(got), bit_pattern(want))
+        assert np.array_equal(bit_pattern(got), bit_pattern(phases[:, None] * cols[perm, :]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 128])
+def test_row_writer_and_reader_match_the_dense_text(d):
+    rng = np.random.default_rng(d)
+    tiles = TILES if d < 64 else [TILES[i] for i in (0, 1, 5 + 0b0100, 5 + 0b0110, len(TILES) - 1)]
+    for tile in tiles:
+        phases = rng.choice([1.0, -1.0, 1j, -1j], d) if d % 2 else random_phases(rng, d)
+        m = Monomial(rng.permutation(d), phases, tile)
+        dense = program_module._unitary_dense(m)
+        compact, wide = arraytext._monomial_texts(m, {}, True)
+        assert compact == program_module._array_text(dense).encode()
+        assert wide == compact.replace(b",", b", ")
+        found = arraytext._read_rows(wide, 0, len(wide), d, {})
+        if d < 4:
+            assert found is None
+            continue
+        perm, phases, zeros = found
+        stored = program_module._stored(dense)
+        assert np.array_equal(perm, stored.perm)
+        assert np.array_equal(bit_pattern(np.array(phases)), bit_pattern(stored.phases))
+        assert (zeros is None) == (stored.zeros is None)
+        assert zeros is None or np.array_equal(bit_pattern(zeros), bit_pattern(stored.zeros))
+
+
+def test_row_reader_turns_away_a_zero_phase():
+    # "0.0e1" holds a digit 1-9, so it is taken for row 0's phase cell
+    _, wide = arraytext._monomial_texts(Monomial(np.arange(4), np.ones(4)), {}, True)
+    text = wide.replace(b"[1.0, 0.0]", b"[0.0e1, 0.0]", 1)
+    assert arraytext._read_rows(text, 0, len(text), 4, {}) is None
+
+
+def test_realified_levels_are_kept_and_loaded_as_tiles(tmp_path):
+    p = realify_program(universal_exact_qbp(TruthTable.random(6, np.random.default_rng(6))))
+    levels = [u for tf in p.transformations for u in tf.unitaries]
+    assert all(isinstance(u, Monomial) and u.zeros.shape == (2, 2) and "dense" not in vars(u) for u in levels)
+    path = tmp_path / "real.json"
+    save_program(p, path)
+    shapes, by_cells = [], program_module._canonical_cells
+
+    def canonical_cells(text, shape):
+        shapes.append(shape)
+        return by_cells(text, shape)
+
+    with mock.patch.object(program_module, "_canonical_cells", canonical_cells):
+        loaded = load_program(path)
+    assert shapes == [(p.width,)]  # the levels are read by rows, only the initial vector by cells
+    assert_bit_identical(loaded, p)
+    assert all("dense" not in vars(u) for tf in loaded.transformations for u in tf.unitaries)
+
+
 @pytest.mark.parametrize("perm", [[0, 0], [0, 2], [0], [1, 0, 2], [0.5, 1]])
 def test_monomial_perm_must_permute_its_rows(perm):
     with pytest.raises(ValueError, match=r"^perm must be a permutation of 0\.\.1$"):
@@ -1002,10 +1123,26 @@ def signed_zeros_program(rng: np.random.Generator, n: int) -> QbProgram:
     return QbProgram(n, 3, tfs, initial, frozenset({1, 3}))
 
 
+def tiled_monomial_program(rng: np.random.Generator, d: int, n: int) -> QbProgram:
+    """Levels of Monomials with complex phases, each with a random zero-slot tile."""
+    def level():
+        return Monomial(rng.permutation(d), random_phases(rng, d), TILES[rng.integers(len(TILES))])
+
+    tfs = tuple(QuantumTransformation(j, level(), level()) for j in range(1, n + 1))
+    return QbProgram(n, d, tfs, random_state(rng, d), frozenset({1}))
+
+
 @st.composite
 def format_programs(draw):
-    kind = draw(st.sampled_from(["haar", "mod", "wide", "signed-zeros", "universal", "realified"]))
+    kind = draw(st.sampled_from(["haar", "mod", "wide", "signed-zeros", "universal", "realified",
+                                 "wide-monomial"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "wide-monomial":  # the files that are read and written by rows
+        which = draw(st.sampled_from(["universal", "realified", "tiled"]))
+        if which == "tiled":
+            return kind, tiled_monomial_program(rng, draw(st.integers(1, 40)), draw(st.integers(1, 3)))
+        universal = universal_exact_qbp(TruthTable.random(draw(st.integers(4 + (which == "universal"), 6)), rng))
+        return kind, universal if which == "universal" else realify_program(universal)
     if kind == "haar":
         return kind, random_program(rng, d=draw(st.integers(2, 5)), n=draw(st.integers(1, 4)))
     if kind == "mod":
@@ -1080,7 +1217,7 @@ def test_array_text_matches_json_dumps(shape, transpose):
     a.imag = pool[rng.integers(pool.size, size=shape)]
     a.flat[:4] = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)][:a.size]
     a = a.T if transpose else a
-    assert program_module._array_text(a) == json.dumps(program_module._pairs(a), separators=(",", ":"))
+    assert program_module._array_text(a) == json.dumps(arraytext._pairs(a), separators=(",", ":"))
 
 
 @pytest.mark.parametrize("make", [
@@ -1098,8 +1235,8 @@ def test_writer_holds_one_level_at_a_time(tmp_path, make):
     path = tmp_path / "prog.json"
     save_peak, _ = _traced(lambda: save_program(p, path))
     digest_peak, _ = _traced(lambda: program_digest(p))
-    level_texts = [len(json.dumps({"var": tf.var_index, "u0": program_module._pairs(tf.u0),
-                                   "u1": program_module._pairs(tf.u1)})) for tf in p.transformations]
+    level_texts = [len(json.dumps({"var": tf.var_index, "u0": arraytext._pairs(tf.u0),
+                                   "u1": arraytext._pairs(tf.u1)})) for tf in p.transformations]
     assert path.stat().st_size > 5 * max(level_texts)
     assert max(save_peak, digest_peak) <= 5 * max(level_texts), (save_peak, digest_peak, max(level_texts))
 
@@ -1112,19 +1249,22 @@ def test_writer_holds_one_level_at_a_time(tmp_path, make):
 ], ids=["mod 5", "mod width 84", "universal n=6", "haar"])
 def test_a_repeated_level_is_formatted_once(tmp_path, monkeypatch, make, matrices):
     # a MOD program's levels share one pair and a universal program's their
-    # identity u0, so their files format 2 and n + 1 matrices; the initial
-    # vector is one more text
+    # identity u0, so their files format 2 and n + 1 matrices, dense ones by
+    # cells and Monomials by rows; the initial vector is one more text.  The
+    # reference reads the levels' dense forms, which Monomials then keep, so
+    # it is taken last.
     p = make()
-    want = reference_file_text(p).encode("utf-8")
     calls = []
-    array_text = program_module._array_text
+    array_text, monomial_texts = program_module._array_text, program_module._monomial_texts
     monkeypatch.setattr(program_module, "_array_text", lambda a: calls.append(a.ndim) or array_text(a))
+    monkeypatch.setattr(program_module, "_monomial_texts", lambda *a: calls.append(2) or monomial_texts(*a))
     digest = save_program(p, tmp_path / "prog.json")
     assert sorted(calls) == [1] + [2] * matrices
-    assert (tmp_path / "prog.json").read_bytes() == want
     calls.clear()
-    assert program_digest(p) == digest == reference_digest(p)
+    assert program_digest(p) == digest
     assert sorted(calls) == [1] + [2] * matrices
+    assert (tmp_path / "prog.json").read_bytes() == reference_file_text(p).encode("utf-8")
+    assert digest == reference_digest(p)
 
 
 def test_loaded_universal_program_shares_its_identity_and_keeps_no_dense_form(tmp_path):
@@ -1264,6 +1404,7 @@ def test_saved_files_load_through_the_fast_path_bit_identical(case):
 
 
 _CELL_TEXT = re.compile(r"\[(-?[0-9.eE+-]+), (-?[0-9.eE+-]+)\]")
+_ZERO_CELL_TEXT = re.compile(r"\[(-?0\.0), (-?0\.0)\]")
 
 
 def _perturbed(text: str, kind: str, data) -> str:
@@ -1286,6 +1427,26 @@ def _perturbed(text: str, kind: str, data) -> str:
         return text if i < 0 else text[:j] + "]], [[" + text[j + 4:i] + "], [" + text[i + 6:]
     if kind == "accepting":  # in the layout, but outside the program's states
         return text.replace('"accepting": [', '"accepting": [9999, ', 1)
+    if kind in ("zero spelling", "second nonzero", "off tile"):  # one zero cell of a level changed
+        zeros = list(_ZERO_CELL_TEXT.finditer(text, text.find('"transformations"')))
+        if not zeros:
+            return text
+        cell = zeros[data.draw(st.integers(0, len(zeros) - 1))]
+        new = {"zero spelling": data.draw(st.sampled_from(["0.0e0", "-0.00"])), "second nonzero": "0.5",
+               "off tile": "0.0" if cell[1] == "-0.0" else "-0.0"}[kind]
+        return text[:cell.start(1)] + new + text[cell.end(1):]
+    if kind == "shared column":  # a row's one nonzero cell moved into another row's column
+        arrays = list(re.finditer(r'"u[01]": \[\[\[(.*?)\]\]\]', text))
+        array = arrays[data.draw(st.integers(0, len(arrays) - 1))] if arrays else None
+        rows = [row.split("], [") for row in array[1].split("]], [[")] if array else []
+        nonzero = [[j for j, c in enumerate(row) if not _ZERO_CELL_TEXT.fullmatch(f"[{c}]")] for row in rows]
+        ones = [i for i, js in enumerate(nonzero) if len(js) == 1]
+        if len(ones) < 2:
+            return text
+        r1, r2 = data.draw(st.lists(st.sampled_from(ones), min_size=2, max_size=2, unique=True))
+        (j1,), (j2,) = nonzero[r1], nonzero[r2]
+        rows[r2][j1], rows[r2][j2] = rows[r2][j2], rows[r2][j1]
+        return text[:array.start(1)] + "]], [[".join("], [".join(row) for row in rows) + text[array.end(1):]
     cells = list(_CELL_TEXT.finditer(text))
     cell = cells[data.draw(st.integers(0, len(cells) - 1))]
     new = {"NaN": "NaN", "true": "true", "string": '"0"', "overflow": "1e999", "scaled": "0.5"}[kind]
@@ -1293,7 +1454,8 @@ def _perturbed(text: str, kind: str, data) -> str:
 
 
 PERTURBATIONS = ["indent", "sorted keys", "ints", "trailing", "truncated", "ragged", "accepting",
-                 "NaN", "true", "string", "overflow", "scaled"]
+                 "NaN", "true", "string", "overflow", "scaled",
+                 "zero spelling", "second nonzero", "shared column", "off tile"]
 
 
 @settings(max_examples=80, deadline=None)

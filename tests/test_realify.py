@@ -1,12 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from qbp import linalg
+from qbp import realify as realify_module
 from qbp.constructions import ModBlockSpec, TruthTable, mod_block, universal_exact_qbp
-from qbp.program import evaluate_all, is_stable
-from qbp.realify import realify_matrix, realify_program, realify_vector
+from qbp.program import Monomial, _stored, _unitary_dense, evaluate_all, is_stable
+from qbp.realify import _realified_monomial, realify_matrix, realify_program, realify_vector
 
 from conftest import haar_unitary, random_program
 
@@ -109,3 +111,48 @@ def test_realify_double_application_squares_width(rng):
     twice = realify_program(realify_program(p))
     assert twice.width == 4 * p.width
     assert np.max(np.abs(evaluate_all(twice) - evaluate_all(p))) <= 1e-12
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_a_real_phase_monomial_is_doubled_as_the_dense_doubling_stores_it(d):
+    # every source tile of at most 1 x 1, and +-0.0 imaginary parts, alike
+    # or mixed: the double is the dense doubling's tiled Monomial bit for
+    # bit, or None exactly where that keeps its matrix (no tile fits)
+    rng = np.random.default_rng(d)
+    zeros = [None] + [np.array([[z]]) for z in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))]
+    for tile, imag in itertools.product(zeros, ("+0", "-0", "mixed")):
+        signs = {"+0": [0.0] * d, "-0": [-0.0] * d, "mixed": rng.choice([0.0, -0.0], d)}[imag]
+        phases = [complex(a, b) for a, b in zip(rng.choice([1.0, -1.0], d), signs)]
+        m = Monomial(rng.permutation(d), phases, tile)
+        want = _stored(realify_matrix(_unitary_dense(m)))
+        got = _realified_monomial(m)
+        assert isinstance(want, Monomial)
+        if "dense" in vars(want):
+            assert got is None
+            continue
+        assert np.array_equal(got.perm, want.perm) and np.array_equal(_bits(got.phases), _bits(want.phases))
+        assert np.array_equal(_bits(got.zeros), _bits(want.zeros))
+        assert np.array_equal(_bits(got.dense), _bits(realify_matrix(_unitary_dense(m))))
+
+
+@pytest.mark.parametrize("phase", [1j, (1 + 1j) / math.sqrt(2)])
+def test_a_complex_phase_monomial_is_doubled_densely(phase):
+    m = Monomial([1, 0], [phase, 1.0])
+    assert _realified_monomial(m) is None
+
+
+def test_realify_of_a_monomial_program_builds_no_dense_level(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a dense level was built")
+
+    p = universal_exact_qbp(TruthTable.random(5, np.random.default_rng(5)))
+    monkeypatch.setattr(realify_module, "realify_matrix", refused)
+    monkeypatch.setattr(realify_module, "_stored", refused)
+    real = realify_program(p)
+    levels = [u for tf in real.transformations for u in tf.unitaries]
+    assert all(isinstance(u, Monomial) and "dense" not in vars(u) for u in levels)
+    assert np.array_equal(evaluate_all(real), evaluate_all(p))
