@@ -6,7 +6,11 @@ program's unitaries).  Partitioning each level's configurations into
 theta-components (transitive closure of steps of length at most theta) and
 tracking where components go yields a deterministic OBDD that classifies
 inputs exactly like the program does at a given margin, with width bounded
-by a sphere-packing count of (1 + 2/theta)^(2d).
+by a sphere-packing count of (1 + 2/theta)^(2d).  The automaton and the OBDD
+are leveled DAGs: the program's check on its final configurations and
+``Obdd.classify_all`` gather a value per node of the last level to every
+input by one split walk (``program._split_walk``), which cuts the DAG where
+the fewest ids are walked.
 
 Both geometric steps, collapsing configurations within 1e-9 of each other
 and chaining them into theta-components, rest on one query of one
@@ -65,9 +69,10 @@ from .program import (
     TruthTable,
     _by_input,
     _column_accept_probs,
-    _failing,
+    _failing_by_node,
     _one_hot,
     _one_hot_doubled,
+    _split_walk,
     bits_of_value,
     is_read_once,
 )
@@ -382,13 +387,15 @@ def _classified_final_configs(
     enumerate them again.
 
     A program that is not read-once is refused first.  The final
-    configurations are the last reachable level, and every input's row
-    there is read off the levels' transitions (``_walked``), so the
-    program is checked against ``f`` at the margin by ``_failing`` on the
-    probabilities of those rows, with no second pass over the inputs.  Every
-    final configuration is some input's, so one inside the margin band fails
-    that input.  A one-hot level's two classes, if they share no index, are
-    measured on their phases alone.
+    configurations are the last reachable level, and every input accepts as
+    the row that the levels' transitions take it to, so the program is
+    checked against ``f`` at the margin on the rows: ``_failing`` decides
+    each row once per bit, and the verdicts are gathered to the inputs
+    (``_failing_by_node``), with no second pass over the inputs and no
+    probability held per input.  A refusal names the first failing input and
+    the acceptance of its row.  Every final configuration is some input's,
+    so one inside the margin band fails that input.  A one-hot level's two
+    classes, if they share no index, are measured on their phases alone.
     """
     _require_read_once(p)
     if p.n_vars != f.n_vars:
@@ -398,19 +405,16 @@ def _classified_final_configs(
     levels = reachable_configurations(p)
     final = levels[-1]
     final_probs = _column_accept_probs(final.block.T if final.index is None else final.phase, p, final.index)
-    # each input's row and the probability gathered through it, then the
-    # probabilities beside _failing's two masks and failing values, freed
-    # before the separation
-    probs = final_probs[_by_input(_walked([lv.prev_transitions for lv in levels[1:]], p.n_vars, 18),
-                                  p.var_sequence, p.n_vars)]
-    bad = _failing(probs, f.bits, Margin(epsilon))
+    tables = [lv.prev_transitions for lv in levels[1:]]
+    bad = _failing_by_node(tables, final_probs, p.var_sequence, f.bits, Margin(epsilon))
     if bad.size:
-        v = int(bad[0])
+        bits, node = bits_of_value(int(bad[0]), p.n_vars), 0
+        for table, j in zip(tables, p.var_sequence):
+            node = table[node, bits[j - 1]]
         raise ValueError(
             f"program does not compute the table with margin {epsilon}: input "
-            f"{''.join(map(str, bits_of_value(v, p.n_vars)))} has acceptance {float(probs[v])!r}"
+            f"{''.join(map(str, bits))} has acceptance {float(final_probs[node])!r}"
         )
-    del probs, bad
     accepts = final_probs > 0.5  # the margin rule's class, as every final configuration meets it
     one_hot = final.index is not None and not np.intersect1d(final.index[accepts], final.index[~accepts]).size
     rows, width = (final.phase[:, None], final.width) if one_hot else (final.configs, None)
@@ -489,28 +493,11 @@ class Obdd:
         return max(self.level_widths)
 
     def classify_all(self) -> np.ndarray:
-        """Boolean decision for every input value: the leaves of the tables'
-        walk (``_walked``), a bool gathered per leaf and put in input order."""
-        leaves = _walked(self.transitions, self.n_vars, 2)  # the gather and its input-order copy
-        accepts = np.isin(np.arange(self.level_widths[-1]), self.accepting)  # per node of the last level
-        return _by_input(accepts[leaves], self.var_sequence, self.n_vars)
-
-
-def _walked(tables: Sequence[np.ndarray], n_vars: int, per_input: int) -> np.ndarray:
-    """The node of the last level that every assignment to the k variables
-    read reaches from node 0, node c on bit b going to ``tables[j][c, b]``:
-    one ``intp`` id per leaf, the first variable most significant, the order
-    of ``_by_input``.  The walk holds two levels of ids, at most 12 bytes a
-    leaf; that, the ``per_input`` bytes its caller then holds for each of
-    the 2^``n_vars`` inputs and 16 KiB are checked against
-    ``linalg.MEMORY_BUDGET_BYTES`` before its first step."""
-    k = len(tables)
-    check_budget((12 << k) + (per_input << n_vars) + (16 << 10), "evaluation",
-                 f"the walk to 2^{k} leaves and the per-input data of 2^{n_vars} inputs")
-    node = np.zeros(1, dtype=np.intp)
-    for table in tables:
-        node = table[node].reshape(-1)
-    return node
+        """Boolean decision for every input value: whether each node of the
+        last level accepts, gathered to the leaves by ``_split_walk`` and
+        put in input order (a byte per input)."""
+        accepts = np.isin(np.arange(self.level_widths[-1]), self.accepting)
+        return _by_input(_split_walk(self.transitions, accepts, 1, self.n_vars), self.var_sequence, self.n_vars)
 
 
 def packing_width_bound(theta: float, d: int) -> float:

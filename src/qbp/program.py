@@ -25,28 +25,32 @@ configurations level by level (``_advance``): one column per input, or in
 variable doubles the block (``_doubled``).  ``evaluate_all`` gives every
 input's acceptance by one of three paths.  A program whose u0 is the
 identity and whose levels all apply one u1 (``_counted``), as the paper's
-MOD_p program does, is counted: a leaf accepts as U1^c ``initial`` does, for
-c the number of levels that read a 1, and its count form (``_count_form``)
-holds that table T and the counts of two halves of the read variables,
-through which T is gathered to the leaves.  Else a read-once program of
-Monomial levels started from a basis vector (``_one_hot``) is walked as
-(index, phase) pairs.  Else the block grows to ``_CHUNK_BYTES`` and is
-walked in column slices of that size (``_leaf_walk``), never holding the
-2^|read|-column leaf block at once.  The one-hot walk gives the walk's
+MOD_p program does, is counted.  A leaf accepts with T[c], as U1^c
+``initial`` does, for c the number of levels that read a 1, and T is
+gathered to the leaves through the count DAG (``_count_form``), where node
+c goes to c + mult b on a variable read mult times.  Else a read-once
+program of Monomial levels started from a basis vector (``_one_hot``) is
+walked as (index, phase) pairs.  Else the block grows to ``_CHUNK_BYTES``
+and is walked in column slices of that size (``_leaf_walk``), never holding
+the 2^|read|-column leaf block at once.  The one-hot walk gives the walk's
 probabilities bit for bit, and the count within a stated bound, bit for bit
 on the paper's MOD_p programs and on permutation programs.  What a block, a
 walk or a count holds is checked against ``linalg.MEMORY_BUDGET_BYTES``
 before it is allocated.
 
+One split walk (``_split_walk``) gathers a value per node of the last level
+of a leveled DAG to every leaf: the count DAG, the reachable configurations
+of the theta-component analysis and an OBDD (``analysis.Obdd``).
+
 Which inputs miss a criterion is decided by one rule, ``_failing``, for
 ``computes`` and the theta-component analysis alike; at a margin it reads
 ``_margin_masks``.  ``computes`` applies it to every input's probability
-from ``evaluate_all``, except on a counted program: there it applies it to T
-once per bit and gathers the verdicts through the count form
-(``_counted_check``), never holding the 2^n probabilities.  The
-theta-component analysis (``analysis._classified_final_configs``) applies it
-to the probabilities of the final configurations it enumerates, gathered to
-the inputs.
+from ``evaluate_all``, except on a counted program.  There, and on the
+final configurations that the theta-component analysis enumerates
+(``analysis._classified_final_configs``), every input accepts as the node
+it reaches does, so the rule decides each node once per bit and the split
+walk gathers the verdicts (``_failing_by_node``), never holding the 2^n
+probabilities.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -506,41 +510,14 @@ def _counted(p: QbProgram) -> bool:
             and all(type(u) is type(first) and _same_unitary(u, first, 0.0) for u in u1s))
 
 
-def _half_counts(mults: Sequence[int], dtype) -> np.ndarray:
-    """The number of levels that read a 1 on each assignment to variables
-    read ``mults`` times each (the first most significant), by doubling."""
-    counts = np.zeros(1 << len(mults), dtype=dtype)
-    for i, mult in enumerate(reversed(mults)):
-        np.add(counts[:1 << i], mult, out=counts[1 << i:2 << i])
-    return counts
-
-
-class _CountForm(NamedTuple):
-    """The leaves of a program that ``_counted`` takes, as a table over
-    counts: the variables of ``order`` are cut into a high and a low half,
-    and the leaf of high assignment i and low assignment j (the first
-    variable most significant) has count hi[i] + lo[j]."""
-
-    table: np.ndarray  # T[c], the acceptance of U1^c applied to ``initial``
-    hi: np.ndarray  # the high half's counts, by ``_half_counts``
-    lo: np.ndarray  # the low half's
-    most: int  # the low half's largest count
-    order: tuple[int, ...]  # the variables read, in first-read order
-
-    def gather(self, values: np.ndarray) -> np.ndarray:
-        """values[hi[i] + lo[j]] at every leaf, for ``values`` indexed by
-        count: row r of R holds values[r + lo[j]] for every j, and the leaves
-        are the rows of R that hi picks."""
-        rows = np.lib.stride_tricks.sliding_window_view(values, self.most + 1)[:, self.lo]  # R
-        return rows[self.hi].reshape(-1)
-
-
-def _count_form(p: QbProgram, leaf_bytes: int, input_bytes: int) -> _CountForm:
-    """The count form of a program that ``_counted`` takes: u0 is the
-    identity and every level applies one u1, so a leaf accepts with T[c],
-    where c is the number of levels that read a 1.  The paper's MOD_p
-    program, after the unary automaton of Ambainis and Freivalds (FOCS
-    1998), is one.
+def _count_form(p: QbProgram) -> tuple[list[np.ndarray], np.ndarray, tuple[int, ...]]:
+    """The count DAG of a program that ``_counted`` takes, its table T and
+    the variables read in first-read order: u0 is the identity and every
+    level applies one u1, so a leaf accepts with T[c], where c is the number
+    of levels that read a 1.  The paper's MOD_p program, after the unary
+    automaton of Ambainis and Freivalds (FOCS 1998), is one.  On a variable
+    read mult times node c goes to c + mult b: the first rows of one array
+    of steps (c, c + mult) per multiplicity.
 
     T is read off a block of 8 equal columns that u1 is applied to L times,
     so zgemm rounds it as it rounds a chunk of the walk (``_CHUNK_BYTES``).
@@ -550,35 +527,58 @@ def _count_form(p: QbProgram, leaf_bytes: int, input_bytes: int) -> _CountForm:
     columns through u1 on its first levels and on re-reads there, so on other
     programs a leaf may differ from the walk's, within 2 (L + d) 2^-52
     (measured at up to 0.31 of that on Haar and read-k MOD_p programs).
-
-    The form, with what the caller gathers through it (``leaf_bytes`` per
-    leaf and per entry of R) and holds per input (``input_bytes``), is
-    checked against ``linalg.MEMORY_BUDGET_BYTES`` first.
     """
     reads = Counter(p.var_sequence)  # in first-read order
-    order, mults = tuple(reads), list(reads.values())
-    levels, k, d = p.length, len(order), p.width
-    hi, lo = mults[:k // 2], mults[k // 2:]
-    dtype, most = np.min_scalar_type(levels), sum(lo)
-    linalg.check_budget(leaf_bytes * ((1 << k) + (levels - most + 1 << len(lo))) + (input_bytes << p.n_vars)
-                        + 8 * (levels + 1) + 64 * 8 * d
-                        + (dtype.itemsize + 8) * ((1 << len(hi)) + (1 << len(lo))) + 3 * 16 * np.getbufsize(),
-                        "evaluation", f"counting over 2^{k} configurations of {levels} levels of width {d}")
+    counts = np.arange(p.length + 1)
+    steps = {mult: np.stack((counts, counts + mult), axis=1) for mult in set(reads.values())}
+    tables, width = [], 1
+    for mult in reads.values():
+        tables.append(steps[mult][:width])
+        width += mult
     cols = np.repeat(p.initial[:, None], 8, axis=1)
-    table = np.empty(levels + 1)
+    table = np.empty(p.length + 1)
     table[0] = _column_accept_probs(cols, p)[0]
     tf = p.transformations[0]
-    for c in range(1, levels + 1):
+    for c in range(1, p.length + 1):
         cols = tf.apply_to_columns(1, cols)
         table[c] = _column_accept_probs(cols, p)[0]
-    return _CountForm(table, _half_counts(hi, dtype), _half_counts(lo, dtype), most, order)
+    return tables, table, tuple(reads)
+
+
+def _split_walk(tables: Sequence[np.ndarray], values: np.ndarray, per_input: int, n_vars: int) -> np.ndarray:
+    """values[node] at every leaf, one per assignment to the k levels'
+    variables (the first most significant, as ``_by_input`` takes them),
+    for the node of the last level it reaches from node 0, node c on bit b
+    going to ``tables[j][c, b]``.  A meet in the middle (Horowitz and Sahni,
+    J. ACM 1974): the 2^h high assignments are walked to ids of level h,
+    every one of its w_h nodes through the other k - h levels into a
+    w_h x 2^(k-h) table of values, and a leaf is the table's entry that its
+    high id and low assignment pick.  h makes w_h 2^(k-h) + 2^h least, so a
+    DAG whose nodes merge walks far fewer than 2^k ids, and a tree 2^k.  The
+    ids (at most 12 bytes each), the table and the leaves, the ``per_input``
+    bytes its caller holds for each of 2^``n_vars`` inputs, 32 bytes per
+    node of the last level (a count DAG's counts, steps and T) and 16 KiB
+    are checked against ``linalg.MEMORY_BUDGET_BYTES`` first."""
+    k, widths = len(tables), [t.shape[0] for t in tables] + [values.size]
+    h = min(range(k + 1), key=lambda j: (widths[j] << k - j) + (1 << j))
+    entries = widths[h] << k - h
+    linalg.check_budget(12 * ((1 << h) + entries) + values.itemsize * (entries + (1 << k)) + (per_input << n_vars)
+                        + 32 * values.size + (16 << 10), "evaluation",
+                        f"the split walk to 2^{k} leaves and the per-input data of 2^{n_vars} inputs")
+    high = np.zeros(1, dtype=np.intp)
+    for t in tables[:h]:
+        high = t[high].reshape(-1)
+    low = np.arange(widths[h])
+    for t in tables[h:]:
+        low = t[low].reshape(widths[h], -1)
+    return values.take(low).take(high, axis=0).reshape(-1)
 
 
 def _leaf_count(p: QbProgram) -> tuple[np.ndarray, tuple[int, ...]]:
     """``_leaf_walk`` of a program that ``_counted`` takes, by counting: T
-    gathered through the count form, 8 bytes a leaf and an entry of R."""
-    form = _count_form(p, 8, 0)
-    return form.gather(form.table), form.order
+    gathered through the count DAG (``_count_form``), 8 bytes a leaf."""
+    tables, table, order = _count_form(p)
+    return _split_walk(tables, table, 0, p.n_vars), order
 
 
 def _by_input(leaves: np.ndarray, order: Sequence[int], n_vars: int) -> np.ndarray:
@@ -597,19 +597,20 @@ def evaluate_all(p: QbProgram) -> np.ndarray:
 
     Every leaf, one per assignment to the variables read, is reached by one
     pass, and the leaves are put in input order by ``_by_input``.  A
-    ``_counted`` program is counted (``_leaf_count``); else a ``_one_hot``
-    program is walked one (index, phase) pair a leaf; else the leaves are
-    walked in chunks (``_leaf_walk``), where inputs with a common prefix in
-    read order share their work.  What the pass holds and the per-input
-    arrays (2^n x 32 bytes) must each fit in ``linalg.MEMORY_BUDGET_BYTES``,
-    else ValueError is raised first.
+    ``_counted`` program is counted, T gathered through its count DAG by the
+    split walk (``_leaf_count``); else a ``_one_hot`` program is walked one
+    (index, phase) pair a leaf; else the leaves are walked in chunks
+    (``_leaf_walk``), where inputs with a common prefix in read order share
+    their work.  What the pass holds and the per-input arrays (2^n x 32
+    bytes) must each fit in ``linalg.MEMORY_BUDGET_BYTES``, else ValueError
+    is raised first.
     """
     n = p.n_vars
     # the leaves and the result reordered from them, 16 bytes per input;
     # ``computes`` on a program that is not counted then holds the result, a
     # one-sided q = 1 - p, two bool masks and the failing inputs, at most 18
-    # bytes per input, in the same room (a counted one holds 10, counted by
-    # ``_counted_check``)
+    # bytes per input, in the same room (a counted one holds 9, counted by
+    # ``_counted_check``'s split walk)
     linalg.check_budget(32 << n, "evaluation", f"the per-input data of 2^{n} inputs")
     if _counted(p):
         probs, order = _leaf_count(p)
@@ -720,35 +721,45 @@ def _failing(probs: np.ndarray, bits: np.ndarray, criterion: Criterion) -> np.nd
     return np.flatnonzero(np.logical_not(ok0, out=ok0)).astype(np.int64, copy=False)
 
 
+def _failing_by_node(tables: Sequence[np.ndarray], probs: np.ndarray, order: Sequence[int], bits: np.ndarray,
+                     criterion: Criterion) -> np.ndarray:
+    """``_failing`` of a program whose every input accepts with probs[c],
+    for c the node of a leveled DAG's last level that it reaches
+    (``_split_walk``, the levels reading ``order``), bit for bit.  The rule
+    gives bad0[c] and bad1[c], the code bad0 + 2 bad1 is gathered to the
+    leaves and put in input order, and an input fails where bit b of its
+    code is set, b its value in ``bits``: a byte per leaf and per input and
+    8 per failing value."""
+    n_vars = bits.size.bit_length() - 1
+    code = np.zeros(probs.size, dtype=np.uint8)
+    for b in (0, 1):
+        code[_failing(probs, np.bool_(b), criterion)] += 1 << b
+    code = _by_input(_split_walk(tables, code, 9, n_vars), order, n_vars)
+    np.right_shift(code, bits.view(np.uint8), out=code)
+    np.bitwise_and(code, 1, out=code)
+    return np.flatnonzero(code).astype(np.int64, copy=False)
+
+
 def _counted_check(p: QbProgram, bits: np.ndarray, criterion: Criterion) -> tuple[np.ndarray, float]:
     """The failing input values and the least |p - 1/2| of a ``_counted``
-    program, from its count form.  ``_failing`` is applied to T once per bit,
-    giving bool tables bad0[c] and bad1[c]; bad0 and bad0 ^ bad1 are gathered
-    to the leaves and put in input order, and an input fails where
-    bad0 ^ (bit & (bad0 ^ bad1)).  The least |T[c] - 1/2| is taken over the
-    counts that occur (a read-twice counter reaches only even ones).  Every
-    input accepts with exactly its T[c], so both are bit for bit those over
-    ``evaluate_all``.  It holds 2 bytes per leaf and per entry of R, and 10
-    per input: two bool arrays and up to 8 bytes per failing value."""
-    form = _count_form(p, 2, 10)
-    bad = np.zeros((2, form.table.size), dtype=bool)
-    for b in (0, 1):
-        bad[b, _failing(form.table, np.bool_(b), criterion)] = True
-    failing = _by_input(form.gather(bad[0]), form.order, p.n_vars)
-    flips = _by_input(form.gather(bad[0] ^ bad[1]), form.order, p.n_vars)  # a 1 bit changes the verdict
-    np.logical_xor(failing, np.logical_and(flips, bits, out=flips), out=failing)
-    del flips
-    reached = np.add.outer(np.unique(form.hi), np.unique(form.lo))
-    return np.flatnonzero(failing).astype(np.int64, copy=False), float(np.min(np.abs(form.table[reached] - 0.5)))
+    program, from its count DAG: the failing values by ``_failing_by_node``
+    over T, and the least |T[c] - 1/2| over the counts that the DAG reaches
+    (a read-twice counter reaches only even ones).  Every input accepts with
+    exactly its T[c], so both are bit for bit those over ``evaluate_all``."""
+    tables, table, order = _count_form(p)
+    reached = np.zeros(1, dtype=np.intp)
+    for t in tables:
+        reached = np.unique(t[reached])
+    return _failing_by_node(tables, table, order, bits, criterion), float(np.min(np.abs(table[reached] - 0.5)))
 
 
 def computes(p: QbProgram, f: TruthTable, criterion: Criterion) -> CheckReport:
     """Exhaustively check the program against a truth table.
 
     Counterexamples are the failing input values in increasing order, by
-    ``_failing``'s rule.  A ``_counted`` program is checked from its count
-    form, at 2 bytes a leaf and 10 bytes per input (``_counted_check``),
-    and never holds the 2^n probabilities.  Any other program's come from
+    ``_failing``'s rule.  A ``_counted`` program is checked on its count
+    DAG, at a byte a leaf and 9 bytes per input (``_counted_check``), and
+    never holds the 2^n probabilities.  Any other program's come from
     ``evaluate_all``; beside them the check holds what ``_failing`` holds
     and the failing values (counted by ``evaluate_all``), and
     ``min_margin``, the least |p - 1/2|, is taken one ``_CHUNK_BYTES`` slice

@@ -447,8 +447,9 @@ def test_derive_refuses_read_twice_before_any_configuration(monkeypatch, tmp_pat
     p = QbProgram(12, 2, block.transformations * 2, block.initial, block.accepting)
     f = TruthTable(12, evaluate_all(p) > 0.5)
     calls = []
-    for name in ("reachable_configurations", "_greedy_dedup", "_walked"):
-        monkeypatch.setattr(qbp.analysis, name, lambda *args, name=name: calls.append(name))
+    for module, name in ((qbp.analysis, "reachable_configurations"), (qbp.analysis, "_greedy_dedup"),
+                         (qbp.program, "_split_walk")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
     for refused in (lambda: derive_deterministic_obdd(p, f, None, 0.25),
                     lambda: measured_separation(p, f, 0.25)):
         with pytest.raises(ValueError, match="requires a read-once program"):

@@ -53,25 +53,37 @@ def _leaf_block():
     return (lambda: program._leaf_walk(p)), need, "evaluation", None
 
 
+# the split walk over a DAG of widths w_0..w_k cuts it at the h where
+# w_h 2^(k-h) + 2^h is least, and holds 12 bytes per high id and middle-table
+# entry, a value per entry and per leaf, its caller's per-input bytes, 32
+# bytes per node of the last level and 16 KiB
+
+def _split_walk_count(widths, value_bytes: int, per_input: int, n_vars: int) -> int:
+    k = len(widths) - 1
+    h = min(range(k + 1), key=lambda j: (widths[j] << k - j) + (1 << j))
+    entries = widths[h] << k - h
+    return (12 * ((1 << h) + entries) + value_bytes * (entries + (1 << k)) + (per_input << n_vars)
+            + 32 * widths[-1] + (16 << 10))
+
+
 def _count():
-    # width 8 at n = 18, counted (u0 and u1 are the identity): 2^18 leaves,
-    # 10 rows of the 2^9 low-half counts' table entries, the two halves' 2^9
-    # uint8 counts and their index copies, the 19 table entries, the table's
-    # block of 8 columns with its temporaries and numpy's ufunc buffers
+    # width 8 at n = 18, counted (u0 and u1 are the identity): the count DAG
+    # has j + 1 nodes at level j, cut at h = 11 into 2^11 high ids and a
+    # 12 x 2^7 table, and T is gathered to 2^18 leaves
     p = _identity_program(18, 8, range(1, 19))
-    need = (8 << 18) + 8 * (10 << 9) + 9 * (2 << 9) + 8 * 19 + 64 * 8 * 8 + 3 * 16 * np.getbufsize()
+    need = _split_walk_count(range(1, 20), 8, 0, 18)
+    assert need == 12 * ((1 << 11) + (12 << 7)) + 8 * ((12 << 7) + (1 << 18)) + 32 * 19 + (16 << 10)
     return (lambda: program._leaf_count(p)), need, "evaluation", None
 
 
 def _counted_check():
-    # the check of the same program against a table: the same count form, two
-    # bool leaves and two entries of R per leaf (1 byte each), two bool arrays
-    # by input and up to 8 bytes per failing input
+    # the check of the same program against a table: the same walk of a
+    # one-byte verdict code, a byte per input for the codes in input order
+    # and up to 8 bytes per failing input
     p = _identity_program(18, 8, range(1, 19))
     f = TruthTable.constant(18, False)
-    need = (2 * ((1 << 18) + (10 << 9)) + (10 << 18) + 9 * (2 << 9) + 8 * 19 + 64 * 8 * 8
-            + 3 * 16 * np.getbufsize())
-    return (lambda: program.computes(p, f, program.OneSided())), need, "evaluation", None
+    return ((lambda: program.computes(p, f, program.OneSided())), _split_walk_count(range(1, 20), 1, 9, 18),
+            "evaluation", None)
 
 
 def _one_hot_walk():
@@ -112,15 +124,14 @@ def _one_hot_reachable_level():
 
 
 def _separation_per_input():
-    # width 1 reading 8 of 17 variables, after its 9 levels are enumerated:
-    # the walk to the 2^8 final rows, 12 bytes a leaf, and 18 bytes per input
-    # (the rows' input-order copy and the probabilities gathered through it,
-    # then _failing's two masks and failing values beside the probabilities)
-    # and 16 KiB
-    p = _identity_program(17, 1, range(1, 9))
-    f = TruthTable.constant(17, True)
-    need = (12 << 8) + (18 << 17) + (16 << 10)
-    return (lambda: analysis.measured_separation(p, f, 0.5)), need, "evaluation", None
+    # width 1 reading 8 of 18 variables, after its 9 levels (one row each)
+    # are enumerated: the split walk of the final row's verdict code to the
+    # 2^8 leaves and 9 bytes per input (the codes in input order and up to 8
+    # bytes per failing input)
+    p = _identity_program(18, 1, range(1, 9))
+    f = TruthTable.constant(18, True)
+    return ((lambda: analysis.measured_separation(p, f, 0.5)), _split_walk_count([1] * 9, 1, 9, 18),
+            "evaluation", None)
 
 
 def _gram():
@@ -130,11 +141,11 @@ def _gram():
 
 
 def _classify_all():
-    # the minimal OBDD of a random table at n = 18: the walk to 2^18 leaves,
-    # 12 bytes a leaf, per input the bool gathered and its input-order copy,
-    # and 16 KiB
-    obdd = analysis.min_obdd_width(TruthTable.random(18, np.random.default_rng(18)))
-    return obdd.classify_all, (12 << 18) + (2 << 18) + (16 << 10), "evaluation", None
+    # the minimal OBDD of a random table at n = 20: the split walk of a bool
+    # per node of its last level to 2^20 leaves, cut at h = 17 below the
+    # widest level, and a byte per input for the leaves in input order
+    obdd = analysis.min_obdd_width(TruthTable.random(20, np.random.default_rng(20)))
+    return obdd.classify_all, _split_walk_count(obdd.level_widths, 1, 1, 20), "evaluation", None
 
 
 def _width_oracle():
@@ -287,11 +298,12 @@ def test_memory_budget_is_one_gib():
 ])
 def test_leaf_walk_peak_within_its_count(reads, table, monkeypatch):
     # width 1 at n = 18, so the enumeration holds next to nothing: the
-    # separation's walk, its per-input probabilities and the verdict (every
-    # input fails against the constant-False table), then the derived OBDD's
-    # classify_all.  Measured: 16.0 to 16.1 bytes per input for the
-    # separation, 18.0 to 18.1 where every input fails, and for classify_all
-    # 12.0 where every variable is read and 1.03 where half are
+    # separation's split walk of the verdict codes and the codes in input
+    # order (every input fails against the constant-False table), then the
+    # derived OBDD's classify_all.  Measured: 1.04 to 2.07 bytes per input
+    # for the separation, 9.04 to 9.08 where every input fails, and for
+    # classify_all 1.04 where every variable is read in order, 2.01 in a
+    # shuffled order and 1.01 where half are
     n = 18
     order = {"all": range(1, n + 1), "half": range(1, n // 2 + 1),
              "all shuffled": np.random.default_rng(n).permutation(n) + 1}[reads]
@@ -529,6 +541,33 @@ def test_counted_check_peak_within_its_count(make, table, monkeypatch):
     monkeypatch.setattr(linalg, "check_budget", lambda need, stage, what: counted.append(need))
     peak, _ = _traced(lambda: program.computes(p, f, program.OneSided()))
     assert len(counted) == 1 and 0 < peak <= counted[0], (peak, counted)
+
+
+@pytest.mark.parametrize("table", ["own", "complement"])
+def test_derivation_check_peak_within_its_count(table, monkeypatch):
+    # mod_block(7, 1, 18) reaches at most 7 configurations a level, so the
+    # derivation's check holds the split walk's leaves, a byte per input for
+    # the verdict codes in input order, and, against the complement of the
+    # table it computes at margin 0.111, where every input fails, 8 bytes per
+    # failing value.  Measured: 1.17 and 9.08 bytes per input (3.9 for the
+    # first call in a fresh process) against the 10.2 counted
+    n = 18
+    p = constructions.mod_block(constructions.ModBlockSpec(7, 1, n))
+    own = np.cos(2 * np.pi * np.bitwise_count(np.arange(1 << n)) / 7) ** 2 > 0.5
+    f = TruthTable(n, own if table == "own" else ~own)
+    del own
+    counted = {}
+    for module in (linalg, analysis):
+        monkeypatch.setattr(module, "check_budget", lambda need, stage, what: counted.setdefault(stage, need))
+
+    def derive():
+        try:
+            analysis.derive_deterministic_obdd(p, f, None, 0.111)
+        except ValueError as e:
+            assert table == "complement" and "does not compute the table" in str(e)
+
+    peak, _ = _traced(derive)
+    assert 0 < peak <= counted["evaluation"], (peak / (1 << n), counted["evaluation"] / (1 << n))
 
 
 @pytest.mark.parametrize("n", [10, 12, 14])

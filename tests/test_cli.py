@@ -215,7 +215,7 @@ def _universal_files(tmp_path):
 
 def test_analyze_builds_the_leaf_block_once(tmp_path, monkeypatch):
     # analyze enumerates the reachable levels once and checks the program on
-    # them: no per-input probabilities from evaluate_all, one leaf walk for
+    # them: no per-input probabilities from evaluate_all, one split walk for
     # the derivation's verdicts and one for the derived OBDD's classify_all
     univ, table = _universal_files(tmp_path)
     calls = []
@@ -224,13 +224,16 @@ def test_analyze_builds_the_leaf_block_once(tmp_path, monkeypatch):
         return lambda *args: calls.append(name) or real(*args)
 
     monkeypatch.setattr(program, "evaluate_all", counting("evaluate_all", program.evaluate_all))
-    for name in ("reachable_configurations", "_walked"):
-        monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
+    monkeypatch.setattr(analysis, "reachable_configurations",
+                        counting("reachable_configurations", analysis.reachable_configurations))
+    walk = counting("_split_walk", program._split_walk)
+    for module in (program, analysis):  # the verdicts' walk and classify_all's
+        monkeypatch.setattr(module, "_split_walk", walk)
     result = CliRunner().invoke(
         main, ["analyze", str(univ), "--truth-table", str(table), "--epsilon", "0.5", "--auto-theta"]
     )
     assert result.exit_code == 0, result.output
-    assert calls == ["reachable_configurations", "_walked", "_walked"]
+    assert calls == ["reachable_configurations", "_split_walk", "_split_walk"]
 
 
 def _mod_files(tmp_path):

@@ -4,8 +4,9 @@ chunk size, and within 1e-12 of the dense matrix-chain oracle.  The count
 of a stable program with an identity u0 against the walk: bit-identical on
 read-once MOD_p programs and on permutation programs, within its stated
 rounding bound on the rest, with the same ``computes`` decisions, and taken
-by exactly the programs its rule names.  And what each holds against its
-budget count."""
+by exactly the programs its rule names.  The split walk that gathers the
+count's leaves, against a walk of each leaf alone, on leveled DAGs of every
+kind of split.  And what each holds against its budget count."""
 
 import tracemalloc
 import warnings
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbp import linalg, program
+from qbp import analysis, linalg, program
 from qbp.constructions import (
     PermutationBp,
     build_mod_program,
@@ -446,7 +447,7 @@ def test_a_read_twice_program_reaches_only_even_counts():
     # odd count 1, which no input has, so min_margin is taken over the even
     # counts alone
     p = _stable_haar(4, list(range(1, 7)) * 2, 2)
-    table = program._count_form(p, 8, 0).table
+    table = program._count_form(p)[1]
     distance = np.abs(table - 0.5)
     assert np.argmin(distance) == 1 and distance.min() < distance[::2].min() / 5
     f = TruthTable(6, program.evaluate_all(p) > 0.5)
@@ -455,11 +456,106 @@ def test_a_read_twice_program_reaches_only_even_counts():
 
 
 def test_count_form_gathers_every_leaf_by_its_count():
-    # the leaf of high assignment i and low assignment j reads values[hi[i] + lo[j]]
+    # the split walk over the count DAG reads values[c] at every leaf, c the
+    # sum of the multiplicities of the variables that the leaf sets to 1
     p = _on(build_mod_program(5, 10), 10, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8])
-    form = program._count_form(p, 8, 0)
-    values = np.random.default_rng(5).random(form.table.size)
-    want = (form.hi[:, None].astype(int) + form.lo[None, :]).reshape(-1)
-    assert np.array_equal(form.gather(values), values[want])
-    assert np.array_equal(form.gather(values > 0.5), values[want] > 0.5)
-    assert form.most == form.lo.max() and form.order == (3, 1, 4, 5, 9, 2, 6, 8)
+    tables, table, order = program._count_form(p)
+    assert order == (3, 1, 4, 5, 9, 2, 6, 8) and table.size == p.length + 1
+    leaves = np.arange(1 << len(order))
+    want = sum(((leaves >> (len(order) - 1 - i)) & 1) * p.var_sequence.count(v) for i, v in enumerate(order))
+    values = np.random.default_rng(5).random(table.size)
+    assert np.array_equal(program._split_walk(tables, values, 0, p.n_vars), values[want])
+    assert np.array_equal(program._split_walk(tables, values > 0.5, 0, p.n_vars), values[want] > 0.5)
+
+
+# -- the split walk over a leveled DAG -------------------------------------------------
+
+def walked_leaves(tables, values: np.ndarray) -> np.ndarray:
+    """Oracle for ``_split_walk``: each leaf walked from node 0 alone, one
+    level at a time, its first variable the most significant bit."""
+    k, out = len(tables), []
+    for leaf in range(1 << k):
+        node = 0
+        for j, table in enumerate(tables):
+            node = int(table[node, (leaf >> (k - 1 - j)) & 1])
+        out.append(values[node])
+    return np.array(out, dtype=values.dtype)
+
+
+def split_of(widths) -> int:
+    """The split that ``_split_walk`` takes: the h where w_h 2^(k-h) + 2^h is least."""
+    k = len(widths) - 1
+    return min(range(k + 1), key=lambda j: (widths[j] << k - j) + (1 << j))
+
+
+# level widths w_0..w_k drawn for k levels, and the splits they must give
+PROFILES = {
+    "tree": (lambda rng, k: [1 << j for j in range(k + 1)], lambda h, k: h == 0),
+    "wide, narrow last level": (lambda rng, k: [1 << k] * k + [int(rng.integers(1, 3))], lambda h, k: h == k),
+    "narrow": (lambda rng, k: [1] + [int(rng.integers(2, 4)) for _ in range(k)], lambda h, k: 0 < h < k or k < 4),
+    "random": (lambda rng, k: [int(rng.integers(1, 4))] + [int(rng.integers(1, 1 + (1 << min(j, 6))))
+                                                            for j in range(1, k + 1)], lambda h, k: True),
+}
+
+
+def _random_dag(rng: np.random.Generator, widths) -> list[np.ndarray]:
+    return [rng.integers(0, widths[j + 1], size=(widths[j], 2)) for j in range(len(widths) - 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(list(PROFILES)), st.integers(0, 10), st.integers(0, 2**32 - 1),
+       st.sampled_from([np.float64, np.bool_, np.uint8]))
+def test_split_walk_is_a_walk_of_each_leaf(profile, k, seed, dtype):
+    # where the walk cuts the DAG must not change a leaf
+    rng = np.random.default_rng(seed)
+    draw, picks = PROFILES[profile]
+    widths = draw(rng, k)
+    assert picks(split_of(widths), k), (widths, split_of(widths))
+    tables = _random_dag(rng, widths)
+    values = (4 * rng.random(widths[-1])).astype(dtype)
+    got = program._split_walk(tables, values, 0, k)
+    assert got.dtype == values.dtype
+    assert np.array_equal(got, walked_leaves(tables, values))
+
+
+@pytest.mark.parametrize("widths", [[1], [3], [1, 1], [1, 2], [2, 1], [3, 2]])
+def test_split_walk_with_no_level_or_one(widths):
+    rng = np.random.default_rng(len(widths) * 10 + widths[0])
+    tables, values = _random_dag(rng, widths), rng.random(widths[-1])
+    got = program._split_walk(tables, values, 0, len(tables))
+    assert got.shape == (1 << len(tables),) and np.array_equal(got, walked_leaves(tables, values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=9), st.integers(0, 2**32 - 1))
+def test_split_walk_over_count_dags(mults, seed):
+    # a counter reading variable i mults[i] times, the reads shuffled: the
+    # count DAG of its first-read order gathers T as each leaf's walk does
+    rng = np.random.default_rng(seed)
+    reads = [v + 1 for v, mult in enumerate(mults) for _ in range(mult)]
+    p = permutation_bp_to_qbp(_counter(5, [reads[i] for i in rng.permutation(len(reads))]), len(mults))
+    assert program._counted(p)
+    tables, table, order = program._count_form(p)
+    assert [t.shape[0] for t in tables] == [1 + sum(p.var_sequence.count(v) for v in order[:j])
+                                            for j in range(len(order))]
+    for values in (table, table > 0.5):
+        assert np.array_equal(program._split_walk(tables, values, 0, p.n_vars), walked_leaves(tables, values))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _read_twice_counter(5, 9),
+    lambda: universal_exact_qbp(TruthTable.random(8, np.random.default_rng(8))),
+    lambda: universal_exact_qbp(TruthTable.random(1, np.random.default_rng(1))),
+], ids=["read-twice counter", "one-hot tree n=8", "one-hot tree n=1"])
+def test_split_walk_over_a_counter_and_one_hot_trees(make):
+    # the read-twice counter through its count DAG; the universal program's
+    # reachable levels are a tree, whose split is at h = 0
+    p = make()
+    if program._counted(p):
+        tables, values, _ = program._count_form(p)
+    else:
+        levels = analysis.reachable_configurations(p)
+        tables = [lv.prev_transitions for lv in levels[1:]]
+        values = np.random.default_rng(p.n_vars).random(len(levels[-1]))
+        assert split_of([len(lv) for lv in levels]) == 0
+    assert np.array_equal(program._split_walk(tables, values, 0, p.n_vars), walked_leaves(tables, values))

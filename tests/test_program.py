@@ -628,11 +628,11 @@ def test_evaluation_budget_width_8_at_n_24(monkeypatch):
     # (one per split level), three chunks of temporaries for the level in
     # progress, 32 bytes per chunk column, numpy's ufunc buffers and 2^24
     # probabilities, so its check admits it.  evaluate_all counts this
-    # program instead, since u0 and u1 are the identity: the 2^24 leaves,
-    # 13 rows of the 2^12 low-half counts' table entries, the halves' 2^12
-    # uint8 counts and their index copies, 25 table entries and the table's
-    # block of 8 columns.  Both evaluation checks admit it; the 2^24-input
-    # run itself is not made
+    # program instead, since u0 and u1 are the identity: its count DAG has
+    # j + 1 nodes at level j, so the split walk cuts it at h = 14, where
+    # 15 x 2^10 + 2^14 is least, and holds the 2^14 high ids, the 15 x 2^10
+    # table's ids and values, the 2^24 leaves and 32 bytes per count.  Both
+    # evaluation checks admit it; the 2^24-input run itself is not made
     ident = np.eye(8)
     tfs = tuple(QuantumTransformation(j, ident, ident) for j in range(1, 25))
     p = QbProgram(24, 8, tfs, np.eye(8)[0], frozenset({1}))
@@ -641,13 +641,13 @@ def test_evaluation_budget_width_8_at_n_24(monkeypatch):
     def admit_then_stop(need, stage, what):
         real(need, stage, what)
         checked.append((stage, need))
-        if "leaf walk" in what or "counting" in what:
+        if "walk" in what:
             raise _Admitted
 
     monkeypatch.setattr(linalg, "check_budget", admit_then_stop)
     with pytest.raises(_Admitted):
         evaluate_all(p)
-    count = (8 << 24) + 8 * (13 << 12) + 9 * (2 << 12) + 8 * 25 + 64 * 8 * 8 + 3 * 16 * np.getbufsize()
+    count = 12 * ((1 << 14) + (15 << 10)) + 8 * ((15 << 10) + (1 << 24)) + 32 * 25 + (16 << 10)
     assert checked == [("evaluation", 32 << 24), ("evaluation", count)]
     checked.clear()
     with pytest.raises(_Admitted):
